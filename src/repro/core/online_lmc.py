@@ -173,8 +173,7 @@ class LeastMarginalCostPolicy:
         Each entry is what :meth:`choose_core_noninteractive` compares:
         the Equation 32 increase from
         :meth:`~repro.core.dynamic.DynamicCostIndex.marginal_insert_cost`
-        (memoized per cycle count between queue mutations) plus the
-        optional ``Rt × head_delay`` term.
+        plus the optional ``Rt × head_delay`` term.
         """
         if head_delays is not None and len(head_delays) != self.n_cores:
             raise ValueError("head_delays must have one entry per core")
@@ -186,7 +185,7 @@ class LeastMarginalCostPolicy:
 
     def probe_counters(self) -> dict[str, int]:
         """Aggregate the per-core queue counters (bench ops accounting)."""
-        total = {"inserts": 0, "deletes": 0, "probes": 0, "probe_memo_hits": 0}
+        total = {"inserts": 0, "deletes": 0, "probes": 0}
         for q in self.queues:
             for key, value in q.counters.items():
                 total[key] += value

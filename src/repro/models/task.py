@@ -54,10 +54,11 @@ class Task:
     Parameters
     ----------
     cycles:
-        ``L_k`` — CPU cycles needed to complete the task. Must be > 0.
+        ``L_k`` — CPU cycles needed to complete the task. Must be
+        finite and > 0.
     arrival:
         ``A_k`` — arrival time in seconds (default 0, as assumed for
-        the batch mode).
+        the batch mode). Must be finite and >= 0.
     deadline:
         ``D_k`` — absolute deadline in seconds; ``math.inf`` means "no
         time constraint". If finite, must satisfy ``D_k > A_k >= 0``.
@@ -77,11 +78,13 @@ class Task:
     task_id: int = field(default_factory=lambda: next(_task_counter))
 
     def __post_init__(self) -> None:
-        if not (self.cycles > 0):
-            raise ValueError(f"task cycles must be positive, got {self.cycles!r}")
-        if self.arrival < 0:
-            raise ValueError(f"task arrival must be >= 0, got {self.arrival!r}")
-        if not math.isinf(self.deadline) and self.deadline <= self.arrival:
+        if not 0 < self.cycles < math.inf:
+            raise ValueError(f"task cycles must be positive and finite, got {self.cycles!r}")
+        if not 0 <= self.arrival < math.inf:
+            raise ValueError(f"task arrival must be finite and >= 0, got {self.arrival!r}")
+        if math.isnan(self.deadline):
+            raise ValueError("task deadline must not be NaN")
+        if self.deadline != math.inf and self.deadline <= self.arrival:
             raise ValueError(
                 f"finite deadline must exceed arrival: D={self.deadline!r} A={self.arrival!r}"
             )

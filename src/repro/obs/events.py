@@ -25,7 +25,7 @@ kind                      decision it records
                           costs for a non-interactive arrival
 ``dynamic.insert``        Algorithm 5 — a real queue insertion (position, rate)
 ``dynamic.delete``        Algorithm 6 — a real queue removal
-``dynamic.probe``         a marginal-cost probe (insert→read→delete) outcome
+``dynamic.probe``         a closed-form marginal-cost probe outcome (no mutation)
 ``sim.dispatch``          the event-driven runner starting a task on a core
 ``sim.complete``          a task completion (energy, turnaround)
 ``sim.preempt``           an interactive arrival preempting a running task
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
 #: Bumped when an existing event kind's required fields change meaning.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ EVENT_SPECS: dict[str, EventSpec] = {
               ("cycles", "position", "total_cost"), ("queue", "task_id", "task"),
               "Algorithm 6 removal"),
         _spec("dynamic.probe",
-              ("cycles", "marginal", "memo_hit"), ("queue",),
+              ("cycles", "marginal"), ("queue",),
               "marginal-cost probe outcome"),
         _spec("sim.dispatch", ("time", "core", "task_id", "task", "task_kind", "rate"), (),
               "task starts executing"),

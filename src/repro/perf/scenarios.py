@@ -140,9 +140,9 @@ def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
 def lmc_online_trace(quick: bool, repeats: int) -> ScenarioResult:
     """LMC over a Judgegirl-style trace through the event-driven runner.
 
-    Exercises the batched Equation 27 kernel, the memoized marginal
+    Exercises the batched Equation 27 kernel, the closed-form marginal
     probes, and the simulator itself. Ops counters come from the policy
-    (probes, memo hits, queue mutations) and the runner (events fired,
+    (probes, queue mutations) and the runner (events fired,
     preemptions) — all deterministic for the pinned trace.
     """
     from repro.schedulers import LMCOnlineScheduler
@@ -184,10 +184,7 @@ def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
 
     A seeded mix of inserts (45%), deletes (30%), and marginal-cost
     probes (25%) against one :class:`DynamicCostIndex`. Probes draw
-    from a small cycle menu so the probe memo sees repeats; its hit
-    counter is part of the gated ops — an invalidation bug that turned
-    probes into misses (or stale hits) shows up here as well as in the
-    correctness tests.
+    from a small cycle menu; their sum is part of the gated checksum.
     """
     n_ops = 4_000 if quick else 20_000
     probe_menu = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)

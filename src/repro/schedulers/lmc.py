@@ -121,7 +121,7 @@ class LMCOnlineScheduler:
         return self.policy.total_queued_cost()
 
     def counters(self) -> dict[str, int]:
-        """Deterministic ops counters (queue mutations, marginal probes,
-        probe-memo hits) aggregated over all cores — what ``repro bench``
-        records for the LMC trace scenario."""
+        """Deterministic ops counters (queue mutations, marginal probes)
+        aggregated over all cores — what ``repro bench`` records for the
+        LMC trace scenario."""
         return self.policy.probe_counters()

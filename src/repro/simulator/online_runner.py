@@ -297,7 +297,11 @@ def run_online(
         if cs.running is None:
             return
         t_done = cs.sim.next_completion_time(sim.now)
-        assert math.isfinite(t_done)
+        if not math.isfinite(t_done):
+            raise RuntimeError(
+                f"core {j}: task {cs.running.task.task_id} ({cs.running.task.name!r}) "
+                f"has non-finite completion time {t_done!r}"
+            )
         cs.completion = sim.at(t_done, lambda j=j: on_completion(j), label=f"done@core{j}")
 
     def set_core_rate(j: int, rate: float) -> None:

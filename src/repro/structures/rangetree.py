@@ -13,6 +13,8 @@ Supported operations (``N`` = number of stored tasks):
 * ``delete(node)``, ``O(log N)`` expected;
 * ``rank(node)`` — 1-based rank, ``O(log N)``;
 * ``select(k)`` — node of rank ``k``, ``O(log N)``;
+* ``count_ge(value)`` — how many stored values are ``>= value``,
+  ``O(log N)``;
 * ``range_sum(a, b)`` — ``ξ([a,b]) = Σ_{k=a..b} L^B_k`` (Equation 28);
 * ``range_delta(a, b)`` — ``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·L^B_k``
   (Equation 29), both ``O(log N)``;
@@ -287,6 +289,22 @@ class RangeTree:
             else:
                 k -= ls + 1
                 t = t.right
+
+    def count_ge(self, value: float) -> int:
+        """Number of stored values ``>= value``. ``O(log N)``.
+
+        A new ``value`` sorts after its equals, so it would take rank
+        ``count_ge(value) + 1``.
+        """
+        value = float(value)
+        t, count = self._root, 0
+        while t is not None:
+            if t.value >= value:
+                count += _size(t.left) + 1
+                t = t.right
+            else:
+                t = t.left
+        return count
 
     # -- range aggregates (Equations 28-30) ---------------------------------------
     def range_sum(self, a: int, b: int) -> float:

@@ -1,15 +1,13 @@
 """Cache-correctness tests for the perf kernel layer.
 
-The perf layer (docs/PERFORMANCE.md) adds three memos — the process-wide
-Algorithm 1 LRU, the per-ranges vectorized positional prefixes, and the
-per-index marginal-probe memo — plus vectorized kernels that replace
-scalar loops. None of them may change any observable result:
+The perf layer (docs/PERFORMANCE.md) adds two memos — the process-wide
+Algorithm 1 LRU and the per-ranges vectorized positional prefixes — plus
+vectorized kernels that replace scalar loops and a closed-form marginal
+probe. None of them may change any observable result:
 
-* churn through ``DynamicCostIndex`` with the probe memo enabled must
-  match a fresh solver built from the surviving values;
-* a real insert/delete must invalidate the probe memo (the
-  invalidation-miss regression tests plant a poisoned memo entry and
-  prove a mutation flushes it, while a pure probe does not);
+* churn through ``DynamicCostIndex`` interleaved with probes must
+  match a fresh solver built from the surviving values, and a probe
+  must leave the index untouched;
 * the LRU must hit on equal keys, miss on different ones, and evict
   beyond capacity without ever returning a wrong table;
 * every vectorized kernel must reproduce its scalar counterpart
@@ -18,7 +16,6 @@ scalar loops. None of them may change any observable result:
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -52,124 +49,60 @@ def _agg_close(a: float, b: float, scale: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# memoized churn vs fresh solver
+# probed churn vs fresh solver
 # ---------------------------------------------------------------------------
 
 
-def test_dynamic_churn_with_memo_matches_fresh_solver() -> None:
+def test_dynamic_churn_with_probes_matches_fresh_solver() -> None:
     rng = random.Random(314)
-    memoized = DynamicCostIndex(_model(), seed=5)
+    probed = DynamicCostIndex(_model(), seed=5)
     live: list = []
     probe_menu = (0.5, 2.0, 7.5)
 
     for step in range(400):
         if rng.random() < 0.6 or not live:
             value = rng.uniform(0.1, 40.0)
-            live.append((memoized.insert(value), value))
+            live.append((probed.insert(value), value))
         else:
             node, _ = live.pop(rng.randrange(len(live)))
-            memoized.delete(node)
-        for cycles in probe_menu:  # repeated probes exercise the memo
-            memoized.marginal_insert_cost(cycles)
+            probed.delete(node)
+        for cycles in probe_menu:
+            probed.marginal_insert_cost(cycles)
 
         if step % 50 == 0 or step == 399:
             fresh = DynamicCostIndex(_model(), seed=5)
             for _, value in live:
                 fresh.insert(value)
-            assert len(memoized) == len(fresh)
+            assert len(probed) == len(fresh)
             # identical plan: same sorted values, same per-position rates
-            assert memoized.tree.values() == fresh.tree.values()
+            assert probed.tree.values() == fresh.tree.values()
             n = len(fresh)
             for k in (1, max(1, n // 2), n) if n else ():
-                assert memoized.rate_of(memoized.tree.select(k)) == fresh.rate_of(
+                assert probed.rate_of(probed.tree.select(k)) == fresh.rate_of(
                     fresh.tree.select(k)
                 )
             assert _agg_close(
-                memoized.total_cost, fresh.total_cost, memoized.total_cost
+                probed.total_cost, fresh.total_cost, probed.total_cost
             )
             for cycles in probe_menu:
                 assert _agg_close(
-                    memoized.marginal_insert_cost(cycles),
+                    probed.marginal_insert_cost(cycles),
                     fresh.marginal_insert_cost(cycles),
-                    memoized.total_cost,
+                    probed.total_cost,
                 )
-    assert memoized.counters["probe_memo_hits"] > 0
-
-
-def test_repeated_probe_is_bit_identical_memo_hit() -> None:
-    index = DynamicCostIndex(_model())
-    for value in (3.0, 11.0, 0.7, 25.0):
-        index.insert(value)
-    first = index.marginal_insert_cost(4.2)
-    hits = index.counters["probe_memo_hits"]
-    again = index.marginal_insert_cost(4.2)
-    assert again == first  # == on purpose: a hit returns the stored float
-    assert index.counters["probe_memo_hits"] == hits + 1
 
 
 def test_probe_does_not_mutate_or_invalidate() -> None:
     index = DynamicCostIndex(_model())
     nodes = [index.insert(v) for v in (5.0, 1.5, 9.0)]
     total = index.total_cost
-    version = index.version
     index.marginal_insert_cost(2.0)
     assert index.total_cost == total
     assert len(index) == 3
-    assert index.version == version  # the probe's insert+delete nets out
     assert index.counters["inserts"] == 3  # probes not counted as mutations
     assert index.counters["deletes"] == 0
     index.delete(nodes[0])
     assert index.counters["deletes"] == 1
-
-
-# ---------------------------------------------------------------------------
-# invalidation-miss regression tests
-# ---------------------------------------------------------------------------
-
-
-def test_insert_invalidates_probe_memo() -> None:
-    """Regression: a real insert must flush memoized marginals.
-
-    Plants a poisoned memo entry, proves a pure probe would have served
-    it, then shows the mutation clears it and the next probe recomputes
-    the true marginal. If the invalidation call in ``insert`` is ever
-    lost, the poisoned value comes back and this test fails.
-    """
-    index = DynamicCostIndex(_model())
-    index.insert(10.0)
-    true_before = index.marginal_insert_cost(3.0)
-    poison = -12345.0
-    index._probe_memo[3.0] = poison
-    assert index.marginal_insert_cost(3.0) == poison  # memo is really consulted
-
-    index.insert(20.0)  # real mutation → must invalidate
-    after = index.marginal_insert_cost(3.0)
-    assert after != poison
-    assert after != true_before  # queue grew, the marginal genuinely changed
-    assert math.isfinite(after)
-
-
-def test_delete_invalidates_probe_memo() -> None:
-    index = DynamicCostIndex(_model())
-    node = index.insert(10.0)
-    index.insert(4.0)
-    index.marginal_insert_cost(3.0)
-    poison = -999.0
-    index._probe_memo[3.0] = poison
-    index.delete(node)
-    assert index.marginal_insert_cost(3.0) != poison
-
-
-def test_explicit_invalidate_probe_memo_bumps_version() -> None:
-    index = DynamicCostIndex(_model())
-    index.insert(2.0)
-    index.marginal_insert_cost(1.0)
-    version = index.version
-    index.invalidate_probe_memo()
-    assert index.version == version + 1
-    hits = index.counters["probe_memo_hits"]
-    index.marginal_insert_cost(1.0)
-    assert index.counters["probe_memo_hits"] == hits  # recomputed, not served
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
+from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
 
 
 @pytest.fixture
@@ -44,6 +46,15 @@ class TestEmptyAndSingle:
     def test_rejects_nonpositive_cycles(self, index):
         with pytest.raises(ValueError):
             index.insert(0.0)
+
+    @pytest.mark.parametrize("cycles", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_cycles_at_the_boundary(self, index, cycles):
+        index.insert(5.0)
+        for op in (index.insert, index.marginal_insert_cost, NaiveCostIndex(index.model).insert):
+            with pytest.raises(ValueError, match="positive and finite"):
+                op(cycles)
+        assert len(index) == 1
+        index.check_invariants()
 
 
 class TestAgainstClosedForm:
@@ -148,6 +159,115 @@ class TestMarginalCost:
             assert idx.marginal_insert_cost(probe) == pytest.approx(
                 naive.marginal_insert_cost(probe), rel=1e-9
             )
+
+
+def _preorder(node):
+    if node is None:
+        return []
+    return ([(node.value, node._key, node._prio, node.size, node.sum, node.wsum)]
+            + _preorder(node.left) + _preorder(node.right))
+
+
+def _state(idx):
+    """Everything a probe could disturb, compared bit-for-bit."""
+    tree = idx.tree
+    return (idx._x[:], idx._d[:], idx._b[:], idx.total_cost, _preorder(tree._root),
+            tree._seq, tree._rng.getstate())
+
+
+def _exact_marginal(idx, cycles):
+    """ΔC of inserting ``cycles``, in exact rational arithmetic."""
+    model = idx.model
+
+    def total(values):
+        out = Fraction(0)
+        for k, v in enumerate(sorted(values, reverse=True), start=1):
+            rate = idx.ranges.rate_for(k)
+            cb = (Fraction(model.re) * Fraction(model.table.energy(rate))
+                  + k * Fraction(model.rt) * Fraction(model.table.time(rate)))
+            out += cb * Fraction(v)
+        return out
+
+    values = idx.tree.values()
+    return total(values + [cycles]) - total(values)
+
+
+def _landing_probes(idx):
+    """Probe values for every tie with a queued value, plus one landing
+    exactly at each backward position ``hi_i - 1`` and ``hi_i``."""
+    desc = idx.tree.values()
+    n = len(desc)
+    probes = list(dict.fromkeys(desc))
+    for r in idx.ranges:
+        for kb in (r.hi - 1, r.hi) if r.hi is not None else ():
+            if kb > n + 1:
+                continue
+            upper = desc[kb - 2] if kb >= 2 else 2.0 * desc[0] if desc else 1.0
+            lower = desc[kb - 1] if kb <= n else 0.5 * upper
+            if upper > lower:
+                probes.append(upper)  # ties with rank kb - 1, lands at kb
+                probes.append(math.sqrt(upper) * math.sqrt(lower))
+    return probes
+
+
+def _assert_probe(idx, naive, cycles):
+    before = _state(idx)
+    got = idx.marginal_insert_cost(cycles)
+    assert _state(idx) == before  # the probe mutates nothing
+    exact = _exact_marginal(idx, cycles)
+    assert abs(Fraction(got) - exact) <= Fraction(REL_TOL) * exact
+    # the insert delta and the naive oracle are differences of totals, so
+    # their float error scales with the total, not the marginal
+    total = idx.total_cost
+    tol = max(AGG_ABS_TOL, REL_TOL * max(abs(got), abs(total)))
+    node = idx.insert(cycles)
+    delta = idx.total_cost - total
+    idx.delete(node)
+    assert abs(got - delta) <= tol
+    assert abs(got - naive.marginal_insert_cost(cycles)) <= tol
+
+
+_EXTREME = st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e9])
+_CYCLES = st.one_of(_EXTREME, st.floats(1e-6, 1e9))
+
+
+class TestClosedFormProbe:
+    """The closed-form probe against the insert delta, the naive index,
+    and exact rational arithmetic."""
+
+    def test_every_landing_position_batch_ranges(self, batch_model):
+        """Batch pricing tiles [1,2),[2,3),[3,5),[5,10),[10,∞): walking the
+        queue from empty to 12 tasks makes every range empty, partial and
+        full, and probes land on every boundary."""
+        idx = DynamicCostIndex(batch_model)
+        naive = NaiveCostIndex(batch_model, idx.ranges)
+        landed = set()
+        for n in range(13):
+            for probe in _landing_probes(idx):
+                landed.add(idx.tree.count_ge(probe) + 1)
+                _assert_probe(idx, naive, probe)
+            v = 100.0 - 7.0 * n if n % 3 else 50.0  # repeats make ties
+            idx.insert(v)
+            naive.insert(v)
+        assert {1, 2, 3, 4, 5, 9, 10} <= landed  # hi_i - 1 and hi_i for each boundary
+
+    @settings(max_examples=60, deadline=None)
+    @given(cost_models(min_rates=1, max_rates=6),
+           st.lists(_CYCLES, max_size=40), st.lists(_CYCLES, max_size=4), st.data())
+    def test_probe_matches_insert_delta_naive_and_exact(self, model, queued, extra, data):
+        idx = DynamicCostIndex(model)
+        naive = NaiveCostIndex(model, idx.ranges)
+        handles = []
+        for v in queued:
+            handles.append((idx.insert(v), v))
+            naive.insert(v)
+        for _ in range(data.draw(st.integers(0, len(handles)))):
+            node, v = handles.pop(data.draw(st.integers(0, len(handles) - 1)))
+            idx.delete(node)
+            naive.delete(v)
+        for probe in _landing_probes(idx) + extra:
+            _assert_probe(idx, naive, probe)
+        idx.check_invariants()
 
 
 class TestFuzzAgainstNaive:

@@ -27,9 +27,30 @@ class TestTask:
         with pytest.raises(ValueError):
             Task(cycles=-3.0)
 
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_cycles(self, cycles):
+        with pytest.raises(ValueError, match="cycles"):
+            Task(cycles=cycles)
+
     def test_rejects_negative_arrival(self):
         with pytest.raises(ValueError):
             Task(cycles=1.0, arrival=-1.0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf])
+    def test_rejects_nonfinite_arrival(self, arrival):
+        with pytest.raises(ValueError, match="arrival"):
+            Task(cycles=1.0, arrival=arrival)
+
+    def test_rejects_nan_deadline(self):
+        with pytest.raises(ValueError, match="deadline"):
+            Task(cycles=1.0, deadline=math.nan)
+
+    def test_rejects_negative_infinite_deadline(self):
+        with pytest.raises(ValueError):
+            Task(cycles=1.0, deadline=-math.inf)
+
+    def test_infinite_deadline_stays_legal(self):
+        assert not Task(cycles=1.0, arrival=3.0, deadline=math.inf).has_deadline
 
     def test_rejects_deadline_before_arrival(self):
         with pytest.raises(ValueError):

@@ -110,7 +110,7 @@ class TestDynamicDifferential:
         assert traced_probes == base_probes
         assert traced_index.total_cost == base_index.total_cost
         assert dict(traced_index.counters) == dict(base_index.counters)
-        # probe-internal insert/delete pairs must not leak into the trace
+        # one event per mutation and per probe (a probe mutates nothing)
         assert len(tracer.by_kind("dynamic.insert")) == traced_index.counters["inserts"]
         assert len(tracer.by_kind("dynamic.delete")) == traced_index.counters["deletes"]
         assert len(tracer.by_kind("dynamic.probe")) == traced_index.counters["probes"]

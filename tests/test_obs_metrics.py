@@ -157,7 +157,7 @@ class TestSchedulerMetrics:
         handles = [index.insert(rng.uniform(0.5, 20.0)) for _ in range(10)]
         index.delete(handles.pop(3))
         index.marginal_insert_cost(4.0)
-        index.marginal_insert_cost(4.0)  # memo hit
+        index.marginal_insert_cost(4.0)
         return index
 
     def test_collects_all_sources(self):
@@ -167,7 +167,8 @@ class TestSchedulerMetrics:
         snap = reg.snapshot()
         assert snap["dynamic.queue0.inserts"] == index.counters["inserts"]
         assert snap["dynamic.queue0.deletes"] == index.counters["deletes"]
-        assert snap["dynamic.queue0.probe_memo_hits"] == 1
+        assert snap["dynamic.queue0.probes"] == 2
+        assert "dynamic.queue0.probe_memo_hits" not in snap
         assert snap["trace.events.dynamic.insert"] == tracer.counts["dynamic.insert"]
         assert "dominating_cache.hits" in snap
         assert "dominating_cache.entries" in snap

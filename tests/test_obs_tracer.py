@@ -39,7 +39,7 @@ PINNED_SPECS = {
                        ["queue", "task", "task_id"]),
     "dynamic.delete": (["cycles", "position", "total_cost"],
                        ["queue", "task", "task_id"]),
-    "dynamic.probe": (["cycles", "marginal", "memo_hit"], ["queue"]),
+    "dynamic.probe": (["cycles", "marginal"], ["queue"]),
     "sim.dispatch": (["core", "rate", "task", "task_id", "task_kind", "time"], []),
     "sim.complete": (["core", "energy_joules", "task", "task_id", "time",
                       "turnaround"], []),
@@ -53,7 +53,7 @@ PINNED_SPECS = {
 
 class TestSchemaStability:
     def test_schema_version(self):
-        assert TRACE_SCHEMA_VERSION == 1
+        assert TRACE_SCHEMA_VERSION == 2
 
     def test_kind_registry_is_pinned(self):
         assert sorted(EVENT_SPECS) == sorted(PINNED_SPECS)

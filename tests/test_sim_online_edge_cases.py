@@ -3,9 +3,9 @@
 import pytest
 
 from repro.governors import ConservativeGovernor, OnDemandGovernor, PerformanceGovernor
-from repro.models.rates import TABLE_II
+from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task, TaskKind
-from repro.schedulers import LMCOnlineScheduler, OnDemandRoundRobinScheduler
+from repro.schedulers import LMCOnlineScheduler, OLBOnlineScheduler, OnDemandRoundRobinScheduler
 from repro.simulator import run_online
 from repro.simulator.online_runner import CoreView
 
@@ -154,3 +154,12 @@ class TestCoreViewSnapshot:
         assert v.index == 0
         assert v.running_kind is None
         assert v.interactive_waiting == 0
+
+
+class TestNonFiniteCompletion:
+    def test_overflowing_completion_time_raises_runtime_error(self):
+        # 1e308 cycles at 2 s/cycle overflows to inf; the guard must be a
+        # real exception (an assert would vanish under python -O)
+        table = RateTable([0.5], [1.0], [2.0])
+        with pytest.raises(RuntimeError, match=r"core 0: task \d+ \('huge'\)"):
+            run_online([ni(1e308, 0.0, "huge")], OLBOnlineScheduler(table, 1), table)

@@ -187,3 +187,30 @@ def test_rangetree_range_sum_after_heavy_deletions() -> None:
             assert _close(tree.range_sum(a, b), xi)
             assert _close(tree.range_delta(a, b), delta)
             assert _close(tree.range_gamma(a, b), gamma)
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_rangetree_count_ge_matches_sorted_list(trial: int) -> None:
+    """``count_ge`` against a sorted list, with heavy duplication."""
+    rng = random.Random(0xC0DE + trial)
+    tree = RangeTree(seed=trial)
+    menu = [rng.uniform(0.01, 100.0) for _ in range(6)]  # few values → many ties
+    live: list = []
+    for step in range(120):
+        if rng.random() < 0.6 or not live:
+            value = rng.choice(menu)
+            live.append((tree.insert(value), value))
+        else:
+            node, _value = live.pop(rng.randrange(len(live)))
+            tree.delete(node)
+        values = sorted(v for _, v in live)
+        for probe in menu + [0.0, 1e9, rng.uniform(0.0, 120.0)]:
+            want = sum(1 for v in values if v >= probe)
+            assert tree.count_ge(probe) == want
+        if live and step % 10 == 0:
+            # a new value lands right after its equals
+            value = rng.choice(menu)
+            node = tree.insert(value)
+            assert tree.rank(node) == sum(1 for v in values if v >= value) + 1
+            tree.delete(node)
+    assert RangeTree().count_ge(1.0) == 0
