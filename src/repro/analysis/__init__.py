@@ -13,7 +13,6 @@ from repro.analysis.reporting import format_table, render_cost_comparison
 from repro.analysis.verification import VerificationReport, verify_model
 from repro.analysis.gantt import render_plan_gantt, render_run_gantt
 from repro.analysis.stats import Summary, bootstrap_ci, replicate, summarise
-from repro.analysis.sweep import SweepPoint, SweepResult, grid, run_sweep
 from repro.analysis.powerprofile import (
     batch_power_profile,
     merge_platform_meter,
@@ -48,10 +47,6 @@ __all__ = [
     "read_json",
     "verification_dict",
     "write_json",
-    "SweepPoint",
-    "SweepResult",
-    "grid",
-    "run_sweep",
     "batch_power_profile",
     "merge_platform_meter",
     "render_power_profile",

@@ -396,7 +396,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsRegistry
     from repro.perf import EXIT_CLEAN, EXIT_ERROR
     from repro.perf.sweep import SWEEPS, record_sweep, run_sweep
 
@@ -412,10 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --jobs must be >= 1")
         return EXIT_ERROR
 
-    registry = MetricsRegistry()
     try:
-        run = run_sweep(args.name, jobs=args.jobs, quick=args.quick,
-                        log=print, registry=registry)
+        run = run_sweep(args.name, jobs=args.jobs, quick=args.quick, log=print)
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return EXIT_ERROR
@@ -441,11 +438,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [tuple(_cell(h, row[h]) for h in headers) for row in run.rows]
     print(format_table(headers, rows,
                        title=f"sweep {args.name} ({'quick' if args.quick else 'full'})"))
-    stats = run.stats
-    print(f"{len(run.rows)} cells in {run.elapsed_s:.3f}s  mode={stats.mode} "
-          f"shards={stats.n_shards} retried={stats.retried} "
-          f"fallback={stats.serial_fallback} "
-          f"straggler={stats.straggler_max_over_median:.2f}  "
+    print(f"{len(run.rows)} cells in {run.elapsed_s:.3f}s  jobs={run.jobs}  "
           f"checksum={run.checksum}")
     if args.record:
         result = record_sweep(args.out, run, serial_elapsed_s=serial_elapsed)

@@ -60,9 +60,7 @@ class WorkloadBasedGreedy:
     Algorithm 1 memo (Lemma 1: they do not depend on the workload), so
     repeated scheduler constructions over the same platform/pricing —
     sweeps, the online rerun baseline, the bench harness — share both
-    the ranges and their vectorized positional-cost prefixes. Pass
-    ``use_cache=False`` to force a fresh Algorithm 1 run per core (the
-    cache-correctness tests diff the two).
+    the ranges and their vectorized positional-cost prefixes.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) records one
     ``ranges.build`` event per core at construction and one
@@ -72,7 +70,7 @@ class WorkloadBasedGreedy:
     obs differential tests pin this).
     """
 
-    def __init__(self, models: Sequence[CostModel], use_cache: bool = True,
+    def __init__(self, models: Sequence[CostModel],
                  tracer: "Optional[Tracer]" = None) -> None:
         if not models:
             raise ValueError("at least one core is required")
@@ -81,8 +79,7 @@ class WorkloadBasedGreedy:
             if m.re != re or m.rt != rt:
                 raise ValueError("all cores must share the same Re and Rt")
         self.models = list(models)
-        make = DominatingRanges.cached if use_cache else DominatingRanges.from_cost_model
-        self.ranges = [make(m) for m in models]
+        self.ranges = [DominatingRanges.cached(m) for m in models]
         self._tracer = tracer
         if tracer is not None:
             from repro.obs.events import ranges_event_data

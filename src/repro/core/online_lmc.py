@@ -79,16 +79,6 @@ class LeastMarginalCostPolicy:
             DynamicCostIndex(m, r, seed=seed + j, tracer=tracer, label=f"core{j}")
             for j, (m, r) in enumerate(zip(models, self.ranges))
         ]
-        # Equation 27 inputs at each core's maximum frequency,
-        # precomputed once for the batched kernel.
-        import numpy as np
-
-        self._pm_energy = np.array(
-            [m.table.energy(m.table.max_rate) for m in models], dtype=np.float64
-        )
-        self._pm_time = np.array(
-            [m.table.time(m.table.max_rate) for m in models], dtype=np.float64
-        )
 
     @property
     def n_cores(self) -> int:
@@ -108,26 +98,12 @@ class LeastMarginalCostPolicy:
         """
         if len(delayed_counts) != self.n_cores:
             raise ValueError("delayed_counts must have one entry per core")
-        import numpy as np
-
-        from repro.models.vectorized import interactive_marginal_batch
-
-        # One kernel call instead of a per-core scalar loop. The kernel
-        # replays ``CostModel.interactive_marginal_cost`` term by term
-        # and ``argmin`` returns the first minimum, so the chosen core is
-        # bit-identical to the strict-``<`` loop it replaces.
-        costs = interactive_marginal_batch(
-            self.models[0].re,
-            self.models[0].rt,
-            cycles,
-            self._pm_energy,
-            self._pm_time,
-            np.asarray(delayed_counts, dtype=np.float64),
-        )
-        chosen = int(costs.argmin())
+        costs = [m.interactive_marginal_cost(cycles, n)
+                 for m, n in zip(self.models, delayed_counts)]
+        chosen = costs.index(min(costs))
         if self._tracer is not None:
             data = {
-                "cycles": cycles, "costs": costs.tolist(), "chosen": chosen,
+                "cycles": cycles, "costs": costs, "chosen": chosen,
                 "delayed": list(delayed_counts),
             }
             self._annotate_task(data, task)

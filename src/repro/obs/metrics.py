@@ -262,7 +262,6 @@ def scheduler_metrics(
     indexes: Sequence[Any] = (),
     tracer: Any = None,
     cache: bool = True,
-    pool: Any = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
     """Collect the repo's scattered operational counters into one registry.
@@ -275,9 +274,7 @@ def scheduler_metrics(
       (``policy.probe_counters()`` or a scheduler's ``counters()``);
     * ``dynamic.queue<i>.*`` — each supplied
       :class:`~repro.core.dynamic.DynamicCostIndex`'s ``counters``;
-    * ``trace.events.<kind>`` — a tracer's per-kind emission counts;
-    * ``parallel.*`` — a :class:`~repro.parallel.executor.PoolStats`
-      from a sharded run (pass it as ``pool``).
+    * ``trace.events.<kind>`` — a tracer's per-kind emission counts.
 
     Pass an existing ``registry`` to accumulate into it (counters are
     overwritten with the latest absolute values, since the sources are
@@ -304,8 +301,4 @@ def scheduler_metrics(
             c = reg.counter(f"trace.events.{kind}")
             c.reset()
             c.inc(tracer.counts[kind])
-    if pool is not None:
-        from repro.parallel.metrics import pool_metrics
-
-        pool_metrics(pool, registry=reg)
     return reg

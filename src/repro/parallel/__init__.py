@@ -4,52 +4,28 @@ Every driver that repeats seeded work — ``repro bench`` scenarios,
 ``repro fuzz`` case sweeps, the ``repro sweep`` experiment grids —
 fans out through this package rather than touching
 ``multiprocessing`` / ``concurrent.futures`` directly (lint rule RP007
-enforces that boundary). The contract, in one line: **the merged output
-of a sharded run is bit-identical to the serial run**, for any
-``--jobs`` value, chunk size, worker completion order, or mid-run
-worker crash.
+enforces that boundary). The contract, in one line: **the output of a
+sharded run is bit-identical to the serial run**, for any ``--jobs``
+value, worker completion order, or pool failure.
 
 The pieces:
 
 * :mod:`repro.parallel.seeds` — pinned SHA-256 seed derivation
   ``seed_for(root_seed, item_index)``; never wall-clock or PID.
-* :mod:`repro.parallel.executor` — :func:`run_sharded`: chunked
-  dispatch over a ``ProcessPoolExecutor`` with straggler-aware chunk
-  sizing, ordered merge by item index, per-shard timeout with bounded
-  retry, and automatic serial fallback (``jobs=1`` or pool spawn
-  failure).
-* :mod:`repro.parallel.metrics` — exports a run's
-  :class:`PoolStats` telemetry into the ``repro.obs`` metrics registry
-  under ``parallel.*`` names.
+* :mod:`repro.parallel.executor` — :func:`run_sharded`: an ordered
+  process-pool map (``jobs > 1``) that reruns the list serially
+  in-process if the pool cannot run.
 
-See docs/PARALLELISM.md for the seed-derivation, merge-determinism and
-straggler policies in prose.
+See docs/PARALLELISM.md for seed derivation, the ordered merge and the
+serial fallback in prose.
 """
 
-from repro.parallel.executor import (
-    DEFAULT_RETRIES,
-    STRAGGLER_OVERSUBSCRIPTION,
-    ParallelConfig,
-    PoolStats,
-    ShardedRun,
-    Worker,
-    auto_chunk_size,
-    run_sharded,
-)
-from repro.parallel.metrics import SHARD_WALL_BUCKETS, pool_metrics
+from repro.parallel.executor import Worker, run_sharded
 from repro.parallel.seeds import SEED_BITS, seed_for, spawn_seeds
 
 __all__ = [
-    "DEFAULT_RETRIES",
-    "ParallelConfig",
-    "PoolStats",
     "SEED_BITS",
-    "SHARD_WALL_BUCKETS",
-    "STRAGGLER_OVERSUBSCRIPTION",
-    "ShardedRun",
     "Worker",
-    "auto_chunk_size",
-    "pool_metrics",
     "run_sharded",
     "seed_for",
     "spawn_seeds",

@@ -1,251 +1,34 @@
-"""Deterministic process-pool fan-out: shard, dispatch, merge in order.
+"""Deterministic process-pool fan-out: an ordered map with serial fallback.
 
-:func:`run_sharded` executes an indexed work list across
-``ProcessPoolExecutor`` workers and guarantees the merged output is
-**bit-identical to the serial path**, whatever ``jobs`` or the chunk
-size happen to be:
+:func:`run_sharded` evaluates ``worker(payload, seed_for(root_seed, i))``
+for every payload and returns the results in input order, so the output
+is **bit-identical to the serial loop** whatever ``jobs`` is:
 
-* each work item ``i`` gets the pinned seed
-  :func:`~repro.parallel.seeds.seed_for` ``(root_seed, i)`` — derived
-  from the item's global index, never from the shard it landed in, the
-  worker's PID, or the clock;
-* consecutive items are grouped into shards of a straggler-aware chunk
-  size (:func:`auto_chunk_size` oversubscribes the pool 4× so one slow
-  shard is backfilled by the small ones behind it);
-* results are reassembled **by item index**, so completion order —
-  the one genuinely nondeterministic thing about a pool — never leaks
-  into the output;
-* a shard that times out or dies with the pool is retried a bounded
-  number of times in a fresh pool, then executed serially in-process,
-  where a real worker exception finally propagates to the caller;
-* ``jobs=1``, a single shard, or a pool that cannot spawn at all all
-  degrade to the plain serial loop.
+* each item's seed is derived from its index alone
+  (:func:`~repro.parallel.seeds.seed_for`), never from the worker, its
+  PID or the clock;
+* ``ProcessPoolExecutor.map`` already yields results in input order, so
+  worker completion order never reaches the output;
+* a pool that cannot spawn or breaks mid-run (``OSError``,
+  ``BrokenProcessPool``) reruns the whole list serially in-process; a
+  worker's own exception propagates with its type.
 
 Workers must be **module-level picklable functions** of
-``(payload, seed)`` and must behave as pure functions of those two
-arguments (global caches may be warm or cold per process — they may
-only affect speed, never the returned value).
-
-The wall-clock telemetry (per-shard and per-worker times, straggler
-ratio) is collected in :class:`PoolStats` and exported to the
-``repro.obs`` metrics registry by :mod:`repro.parallel.metrics`; it is
-measurement output, not an input to any decision the merge makes.
+``(payload, seed)`` and pure in those two arguments (global caches may
+be warm or cold per process — they may only affect speed).
 """
 
 from __future__ import annotations
 
-import os
-import statistics
-import time
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.parallel.seeds import seed_for
 
-#: Shards per worker the auto chunk size aims for. Oversubscribing the
-#: pool keeps it busy when shard costs are uneven: a straggler occupies
-#: one worker while the other workers drain the queue behind it.
-STRAGGLER_OVERSUBSCRIPTION = 4
-
-#: How many times a failed (timed-out / pool-killed) shard is re-queued
-#: into a fresh pool before falling back to in-process execution.
-DEFAULT_RETRIES = 1
-
 #: A worker callable: module-level, picklable, pure in (payload, seed).
 Worker = Callable[[Any, int], Any]
-
-#: One work entry as shipped to a worker process.
-_Entry = Tuple[int, int, Any]  # (item index, derived seed, payload)
-
-
-def auto_chunk_size(n_items: int, jobs: int) -> int:
-    """Straggler-aware default chunk size.
-
-    Aims for :data:`STRAGGLER_OVERSUBSCRIPTION` shards per worker —
-    small enough that one slow shard cannot serialize the tail, large
-    enough that per-shard dispatch overhead stays amortized.
-    """
-    if n_items <= 0:
-        return 1
-    jobs = max(1, jobs)
-    return max(1, -(-n_items // (jobs * STRAGGLER_OVERSUBSCRIPTION)))
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs for :func:`run_sharded`; the defaults suit all repo drivers.
-
-    ``timeout_s`` is per shard, measured from when the merge starts
-    waiting on it. ``start_method`` of ``None`` picks ``fork`` where
-    available (cheap, inherits the warm interpreter) and the platform
-    default elsewhere.
-    """
-
-    jobs: int = 1
-    chunk_size: Optional[int] = None
-    timeout_s: Optional[float] = None
-    retries: int = DEFAULT_RETRIES
-
-    start_method: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-
-
-@dataclass
-class PoolStats:
-    """Telemetry for one :func:`run_sharded` call.
-
-    ``shard_wall_s`` is measured *inside* the worker around the whole
-    shard (so pickling and queueing are excluded); ``worker_wall_s``
-    aggregates those by the worker process that ran them, relabelled
-    ``worker0..workerN`` in a deterministic (sorted-PID) order.
-    """
-
-    jobs: int = 1
-    n_items: int = 0
-    n_shards: int = 0
-    chunk_size: int = 1
-    mode: str = "serial"  # "serial" | "parallel"
-    dispatched: int = 0  # shard submissions to a pool (incl. retries)
-    retried: int = 0  # shards re-queued after a failed pass
-    serial_fallback: int = 0  # shards completed by the in-process fallback
-    pool_failures: int = 0  # pools that could not spawn or broke
-    timeouts: int = 0  # per-shard timeouts observed
-    elapsed_s: float = 0.0
-    shard_wall_s: dict = field(default_factory=dict)  # shard idx -> seconds
-    _shard_pids: dict = field(default_factory=dict)  # shard idx -> pid
-
-    @property
-    def worker_wall_s(self) -> dict:
-        """Total in-worker seconds per worker, keyed ``worker0..``."""
-        by_pid: dict = {}
-        for sid, wall in self.shard_wall_s.items():
-            pid = self._shard_pids.get(sid)
-            by_pid[pid] = by_pid.get(pid, 0.0) + wall
-        return {
-            f"worker{rank}": by_pid[pid]
-            for rank, pid in enumerate(sorted(by_pid, key=lambda p: (p is None, p)))
-        }
-
-    @property
-    def straggler_max_over_median(self) -> float:
-        """Max shard wall over the median shard wall (1.0 = balanced)."""
-        walls = sorted(self.shard_wall_s.values())
-        if not walls:
-            return 1.0
-        median = statistics.median(walls)
-        return max(walls) / median if median > 0 else 1.0
-
-
-@dataclass
-class ShardedRun:
-    """The merged output: ``results[i]`` is item *i*'s result, always."""
-
-    results: List[Any]
-    stats: PoolStats
-
-
-class _PoolUnavailable(Exception):
-    """The pool could not be created at all (fall back to serial)."""
-
-
-def _run_shard(worker: Worker, entries: Sequence[_Entry]) -> tuple:
-    """Run one shard in the current process (pool worker or fallback)."""
-    t0 = time.perf_counter()
-    out = [(index, worker(payload, seed)) for index, seed, payload in entries]
-    return os.getpid(), time.perf_counter() - t0, out
-
-
-def _make_context(start_method: Optional[str]):
-    import multiprocessing
-
-    method = start_method
-    if method is None and "fork" in multiprocessing.get_all_start_methods():
-        method = "fork"
-    return multiprocessing.get_context(method)
-
-
-def _record(stats: PoolStats, results: dict, shard_result: tuple, sid: int) -> None:
-    pid, wall, out = shard_result
-    stats.shard_wall_s[sid] = wall
-    stats._shard_pids[sid] = pid
-    for index, value in out:
-        results[index] = value
-
-
-def _pool_pass(
-    worker: Worker,
-    shards: Sequence[Sequence[_Entry]],
-    pending: Sequence[int],
-    cfg: ParallelConfig,
-    stats: PoolStats,
-    results: dict,
-) -> List[int]:
-    """One pool attempt over ``pending`` shards; returns the failures."""
-    try:
-        executor = ProcessPoolExecutor(
-            max_workers=min(cfg.jobs, len(pending)),
-            mp_context=_make_context(cfg.start_method),
-        )
-    except (OSError, ValueError, ImportError, PermissionError) as exc:
-        raise _PoolUnavailable(str(exc)) from exc
-
-    failed: List[int] = []
-    abandoned = False
-    try:
-        try:
-            futures = {
-                sid: executor.submit(_run_shard, worker, shards[sid])
-                for sid in pending
-            }
-        except (BrokenProcessPool, RuntimeError) as exc:
-            raise _PoolUnavailable(str(exc)) from exc
-        stats.dispatched += len(futures)
-        for sid in pending:
-            fut = futures[sid]
-            if abandoned and not fut.done():
-                failed.append(sid)
-                continue
-            try:
-                shard_result = fut.result(timeout=cfg.timeout_s)
-            except FuturesTimeoutError:
-                # One hung shard must not serialize the rest of the
-                # merge behind repeated full timeouts: abandon this
-                # pool, harvest only what already finished.
-                stats.timeouts += 1
-                failed.append(sid)
-                abandoned = True
-            except Exception:
-                # Worker exception or pool breakage — the shard will be
-                # retried, and a deterministic error resurfaces in the
-                # serial fallback with its real traceback.
-                failed.append(sid)
-            else:
-                _record(stats, results, shard_result, sid)
-    finally:
-        # shutdown() clears the executor's process table, so capture the
-        # workers first — an abandoned (hung) pool gets terminated hard.
-        procs = list((getattr(executor, "_processes", None) or {}).values())
-        executor.shutdown(wait=not abandoned, cancel_futures=True)
-        if abandoned:
-            stats.pool_failures += 1
-            for proc in procs:
-                try:
-                    proc.terminate()
-                except (OSError, AttributeError):
-                    pass
-    return failed
 
 
 def run_sharded(
@@ -253,72 +36,35 @@ def run_sharded(
     payloads: Sequence[Any],
     *,
     root_seed: int = 0,
-    config: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     log: Optional[Callable[[str], None]] = None,
-) -> ShardedRun:
-    """Execute ``worker(payload, seed)`` for every payload, in shards.
+) -> List[Any]:
+    """``[worker(p, seed_for(root_seed, i)) for i, p in enumerate(payloads)]``.
 
-    Returns a :class:`ShardedRun` whose ``results`` list is ordered by
-    item index and bit-identical to ``[worker(p, seed_for(root_seed, i))
-    for i, p in enumerate(payloads)]`` however the work was scheduled.
-    A worker exception that survives the retry/fallback ladder
-    propagates to the caller unchanged.
+    With ``jobs > 1`` and more than one item the list is mapped over a
+    fork-context process pool in chunks of ``ceil(n / (4·jobs))`` (four
+    chunks per worker, so one slow chunk is backfilled by the rest).
+    Fork lets workers inherit the warm interpreter, including registries
+    a test has patched; the drivers that call this start no threads.
+    If the pool cannot run, the list reruns serially and one line goes
+    to ``log``.
     """
-    cfg = config or ParallelConfig()
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     items = list(payloads)
-    entries: List[_Entry] = [
-        (i, seed_for(root_seed, i), payload) for i, payload in enumerate(items)
-    ]
-    chunk = cfg.chunk_size or auto_chunk_size(len(items), cfg.jobs)
-    shards = [entries[k: k + chunk] for k in range(0, len(entries), chunk)]
-    stats = PoolStats(
-        jobs=cfg.jobs, n_items=len(items), n_shards=len(shards), chunk_size=chunk
-    )
-    results: dict = {}
-    t0 = time.perf_counter()
-
-    pending = list(range(len(shards)))
-    if cfg.jobs > 1 and len(shards) > 1:
-        stats.mode = "parallel"
-        if log is not None:
-            log(
-                f"parallel: {len(items)} items -> {len(shards)} shards "
-                f"(chunk {chunk}) across {cfg.jobs} workers"
-            )
-        attempt = 0
-        while pending and attempt <= cfg.retries:
-            if attempt:
-                stats.retried += len(pending)
-                if log is not None:
-                    log(f"parallel: retrying {len(pending)} shard(s), attempt {attempt + 1}")
-            try:
-                pending = _pool_pass(worker, shards, pending, cfg, stats, results)
-            except _PoolUnavailable as exc:
-                stats.pool_failures += 1
-                if log is not None:
-                    log(f"parallel: pool unavailable ({exc}); falling back to serial")
-                break
-            attempt += 1
-        if pending:
-            stats.serial_fallback += len(pending)
+    seeds = [seed_for(root_seed, i) for i in range(len(items))]
+    if jobs > 1 and len(items) > 1:
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(items)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                return list(pool.map(worker, items, seeds,
+                                     chunksize=-(-len(items) // (4 * jobs))))
+        except (OSError, BrokenProcessPool) as exc:
             if log is not None:
-                log(f"parallel: running {len(pending)} shard(s) serially in-process")
-
-    for sid in pending:
-        _record(stats, results, _run_shard(worker, shards[sid]), sid)
-
-    stats.elapsed_s = time.perf_counter() - t0
-    return ShardedRun(results=[results[i] for i in range(len(items))], stats=stats)
+                log(f"parallel: pool failed ({exc!r}); rerunning {len(items)} items serially")
+    return [worker(p, s) for p, s in zip(items, seeds)]
 
 
-__all__ = [
-    "DEFAULT_RETRIES",
-    "ParallelConfig",
-    "PoolStats",
-    "ShardedRun",
-    "STRAGGLER_OVERSUBSCRIPTION",
-    "Worker",
-    "auto_chunk_size",
-    "run_sharded",
-    "seed_for",
-]
+__all__ = ["Worker", "run_sharded"]

@@ -13,7 +13,7 @@ unchanged. All policy — thresholds, baselines, exit codes — lives in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.perf.report import BenchReport, ScenarioResult
 from repro.perf.scenarios import ALL_SCENARIOS
@@ -41,15 +41,12 @@ def run_bench(
     repeats: Optional[int] = None,
     jobs: int = 1,
     log: Optional[Callable[[str], None]] = None,
-    registry: Optional[Any] = None,
 ) -> BenchReport:
     """Execute the suite; returns the fresh (uncompared) report.
 
     Raises ``KeyError`` naming the first unknown scenario. ``log``
     receives one progress line per scenario when provided. ``jobs > 1``
-    runs one scenario per shard via :func:`repro.parallel.run_sharded`;
-    pass a :class:`~repro.obs.metrics.MetricsRegistry` as ``registry``
-    to receive the pool's ``parallel.*`` telemetry.
+    maps the scenarios over :func:`repro.parallel.run_sharded`.
     """
     profile = "quick" if quick else "full"
     if repeats is None:
@@ -66,17 +63,15 @@ def run_bench(
 
     results: dict[str, ScenarioResult] = {}
     if jobs > 1 and len(names) > 1:
-        from repro.parallel import ParallelConfig, pool_metrics, run_sharded
+        from repro.parallel import run_sharded
 
-        run = run_sharded(
+        sharded = run_sharded(
             _bench_worker,
             [(name, quick, repeats) for name in names],
-            config=ParallelConfig(jobs=jobs, chunk_size=1),
+            jobs=jobs,
             log=log,
         )
-        if registry is not None:
-            pool_metrics(run.stats, registry)
-        for name, result in zip(names, run.results):
+        for name, result in zip(names, sharded):
             results[name] = result
             if log is not None:
                 log(f"bench [{profile}] {name}: {_times(result)}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -227,7 +228,7 @@ def _sweep_worker(payload: Tuple[str, Dict[str, Any], bool], seed: int) -> Dict[
 
 @dataclass
 class SweepRun:
-    """One executed sweep: ordered rows plus the fan-out telemetry."""
+    """One executed sweep: ordered rows plus the grid's wall time."""
 
     name: str
     quick: bool
@@ -235,7 +236,6 @@ class SweepRun:
     cells: List[Dict[str, Any]]
     rows: List[Dict[str, Any]]
     elapsed_s: float
-    stats: Any  # repro.parallel.PoolStats
 
     @property
     def checksum(self) -> str:
@@ -257,16 +257,13 @@ def run_sweep(
     quick: bool = False,
     root_seed: int = 0,
     log: Optional[Callable[[str], None]] = None,
-    registry: Optional[Any] = None,
 ) -> SweepRun:
     """Execute one registered sweep grid, sharded across ``jobs`` workers.
 
     Raises ``KeyError`` for an unknown sweep name. Rows come back in
-    cell order whatever the scheduling; pass a
-    :class:`~repro.obs.metrics.MetricsRegistry` as ``registry`` to
-    collect the pool's ``parallel.*`` telemetry.
+    cell order whatever the scheduling.
     """
-    from repro.parallel import ParallelConfig, pool_metrics, run_sharded
+    from repro.parallel import run_sharded
 
     spec = SWEEPS.get(name)
     if spec is None:
@@ -276,23 +273,21 @@ def run_sweep(
     if log is not None:
         log(f"sweep {name} [{'quick' if quick else 'full'}]: "
             f"{len(cells)} cells, jobs={jobs}")
-    run = run_sharded(
+    t0 = time.perf_counter()
+    rows = run_sharded(
         _sweep_worker,
         [(name, cell, quick) for cell in cells],
         root_seed=root_seed,
-        config=ParallelConfig(jobs=jobs),
+        jobs=jobs,
         log=log,
     )
-    if registry is not None:
-        pool_metrics(run.stats, registry)
     return SweepRun(
         name=name,
         quick=quick,
         jobs=jobs,
         cells=cells,
-        rows=list(run.results),
-        elapsed_s=run.stats.elapsed_s,
-        stats=run.stats,
+        rows=rows,
+        elapsed_s=time.perf_counter() - t0,
     )
 
 

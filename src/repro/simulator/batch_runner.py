@@ -167,7 +167,12 @@ def run_batch(
         if guard > 4 * total_tasks + 16:
             raise RuntimeError("batch run failed to converge — completion events stalled")
         next_time = min(c.next_completion_time(now) for c in cores.values())
-        assert math.isfinite(next_time)
+        if not math.isfinite(next_time):
+            busy = sorted(idx for idx, c in cores.items() if c.busy)
+            raise RuntimeError(
+                f"batch run stalled at t={now!r}: busy cores {busy} "
+                f"have no finite completion time ({next_time!r})"
+            )
         now = next_time
         # advance everyone to the completion instant, then retire finished tasks
         for c in cores.values():

@@ -148,22 +148,22 @@ def _run_fuzz_sharded(
     log: Callable[[str], None],
 ) -> None:
     """The ``jobs > 1`` sweep: shard case indices, merge, shrink in order."""
-    from repro.parallel import ParallelConfig, run_sharded
+    from repro.parallel import run_sharded
 
-    run = run_sharded(
+    per_case_hits = run_sharded(
         _case_worker,
         [(report.seed, tuple(names), i) for i in range(cases)],
         root_seed=report.seed,
-        config=ParallelConfig(jobs=jobs),
+        jobs=jobs,
         log=log,
     )
     report.cases_run = cases * len(names)
-    # run.results is ordered by case index and each worker emits in
+    # per_case_hits is ordered by case index and each worker emits in
     # check order, so flattening reproduces the serial (i, check)
     # iteration order — the lowest case index wins, not the fastest
     # worker. Shrinking is deterministic per case, so doing it here in
     # the parent yields byte-identical minimal repros to a serial run.
-    flat = [hit for per_case in run.results for hit in per_case]
+    flat = [hit for per_case in per_case_hits for hit in per_case]
     for name, seed_key, case, failures in flat[:max_failures]:
         log(f"FAIL {seed_key}: {failures[0]}")
         fail = FuzzFailure(check=name, seed_key=seed_key, case=case,

@@ -28,6 +28,7 @@ from repro.core.dominating import (
     invalidate_dominating_cache,
 )
 from repro.core.dynamic import DynamicCostIndex
+from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
@@ -236,21 +237,6 @@ def test_interactive_marginal_batch_bit_identical_to_scalar() -> None:
         assert int(batch.argmin()) == min(
             range(len(models)), key=scalar.__getitem__
         )
-
-
-def test_wbg_use_cache_false_matches_cached_scheduler() -> None:
-    rng = random.Random(55)
-    models = [_model(), _model()]
-    tasks = [Task(cycles=rng.uniform(0.5, 12.0)) for _ in range(40)]
-    cached = WorkloadBasedGreedy(models, use_cache=True)
-    fresh = WorkloadBasedGreedy(models, use_cache=False)
-    assert cached.ranges[0] is cached.ranges[1]  # shared via the LRU
-    assert fresh.ranges[0] is not cached.ranges[0]
-    plan_a = cached.schedule(tasks)
-    plan_b = fresh.schedule(tasks)
-    assert [
-        [(p.task.task_id, p.rate) for p in s.placements] for s in plan_a
-    ] == [[(p.task.task_id, p.rate) for p in s.placements] for s in plan_b]
-    assert cached.optimal_cost(tasks, kernel="scalar") == fresh.optimal_cost(
-        tasks, kernel="scalar"
-    )
+        # the policy's scalar loop picks the kernel's first minimum
+        policy = LeastMarginalCostPolicy(models)
+        assert policy.choose_core_interactive(cycles, counts) == int(batch.argmin())

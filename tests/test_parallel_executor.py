@@ -1,37 +1,23 @@
 """Tests for the deterministic fan-out layer (src/repro/parallel/).
 
-Covers the pinned seed derivation, the straggler-aware chunking, the
-bit-identical serial/parallel merge, the retry → serial-fallback ladder
-for crashing and hanging workers, exception propagation, and the
-``PoolStats`` → ``repro.obs`` metrics bridge.
+Covers the pinned seed derivation, the ordered map that is
+bit-identical to the serial loop, the serial rerun when a pool worker
+dies, and exception propagation.
 
 The workers below are module-level on purpose: pool workers must be
-picklable, and several of them misbehave *only inside a worker process*
-(checked via ``multiprocessing.parent_process()``) so the fallback
-path can be asserted to succeed deterministically.
+picklable, and ``_crash_in_worker`` misbehaves *only inside a worker
+process* (checked via ``multiprocessing.parent_process()``) so the
+serial fallback can be asserted to succeed deterministically.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, scheduler_metrics
-from repro.parallel import (
-    DEFAULT_RETRIES,
-    SEED_BITS,
-    STRAGGLER_OVERSUBSCRIPTION,
-    ParallelConfig,
-    PoolStats,
-    auto_chunk_size,
-    pool_metrics,
-    run_sharded,
-    seed_for,
-    spawn_seeds,
-)
+from repro.parallel import SEED_BITS, run_sharded, seed_for, spawn_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +33,14 @@ def _square(payload, seed):
     return payload * payload
 
 
+def _pid(payload, seed):
+    return os.getpid()
+
+
 def _crash_in_worker(payload, seed):
     if multiprocessing.parent_process() is not None:
         os._exit(17)  # hard-kill the pool worker; fine in the parent
     return payload + 1
-
-
-def _hang_in_worker(payload, seed):
-    if multiprocessing.parent_process() is not None:
-        time.sleep(60.0)
-    return payload * 3
 
 
 def _always_raises(payload, seed):
@@ -93,173 +77,64 @@ class TestSeeds:
 
 
 # ---------------------------------------------------------------------------
-# chunking and config validation
-# ---------------------------------------------------------------------------
-
-
-class TestChunking:
-    def test_auto_chunk_targets_oversubscription(self):
-        # 100 items on 4 workers -> ceil(100 / 16) = 7 per shard
-        assert auto_chunk_size(100, 4) == -(-100 // (4 * STRAGGLER_OVERSUBSCRIPTION))
-        assert auto_chunk_size(0, 4) == 1
-        assert auto_chunk_size(5, 8) == 1
-        assert auto_chunk_size(10, 1) == 3
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"jobs": 0},
-            {"chunk_size": 0},
-            {"retries": -1},
-            {"timeout_s": 0.0},
-        ],
-    )
-    def test_config_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            ParallelConfig(**kwargs)
-
-    def test_default_retries_is_bounded(self):
-        assert ParallelConfig().retries == DEFAULT_RETRIES >= 1
-
-
-# ---------------------------------------------------------------------------
-# the merge contract
+# the ordered map
 # ---------------------------------------------------------------------------
 
 
 class TestMergeDeterminism:
     def test_serial_matches_the_documented_comprehension(self):
         payloads = list(range(17))
-        run = run_sharded(_echo, payloads, root_seed=9)
-        assert run.results == [(p, seed_for(9, i)) for i, p in enumerate(payloads)]
-        assert run.stats.mode == "serial"
-        assert run.stats.dispatched == 0
+        assert run_sharded(_echo, payloads, root_seed=9) == [
+            (p, seed_for(9, i)) for i, p in enumerate(payloads)
+        ]
 
     def test_parallel_is_bit_identical_to_serial(self):
         payloads = list(range(23))
         serial = run_sharded(_echo, payloads, root_seed=3)
-        parallel = run_sharded(
-            _echo, payloads, root_seed=3,
-            config=ParallelConfig(jobs=2, chunk_size=2),
-        )
-        assert parallel.results == serial.results
-        assert parallel.stats.mode == "parallel"
-        assert parallel.stats.n_shards == 12
-        assert parallel.stats.dispatched == 12
+        assert run_sharded(_echo, payloads, root_seed=3, jobs=2) == serial
 
     def test_chunk_size_never_changes_the_output(self):
+        # the chunk size is derived from jobs: 11 items give chunks of
+        # 2, 1 and 1 under jobs = 2, 3 and 5
         payloads = list(range(11))
-        outputs = [
-            run_sharded(_square, payloads, root_seed=1,
-                        config=ParallelConfig(jobs=2, chunk_size=c)).results
-            for c in (1, 3, 50)
-        ]
+        outputs = [run_sharded(_square, payloads, root_seed=1, jobs=j)
+                   for j in (2, 3, 5)]
         assert outputs[0] == outputs[1] == outputs[2] == [p * p for p in payloads]
 
+    def test_parallel_items_run_in_child_processes(self):
+        pids = run_sharded(_pid, list(range(6)), jobs=2)
+        assert len(pids) == 6
+        assert os.getpid() not in pids
+
     def test_single_shard_degrades_to_serial(self):
-        run = run_sharded(_square, [1, 2, 3],
-                          config=ParallelConfig(jobs=4, chunk_size=10))
-        assert run.stats.mode == "serial"
-        assert run.results == [1, 4, 9]
+        assert run_sharded(_pid, [1], jobs=4) == [os.getpid()]
 
     def test_empty_work_list(self):
-        run = run_sharded(_square, [], config=ParallelConfig(jobs=4))
-        assert run.results == []
-        assert run.stats.n_items == 0
+        assert run_sharded(_square, [], jobs=4) == []
+
+    def test_rejects_zero_jobs(self):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sharded(_square, [1, 2], jobs=0)
 
 
 # ---------------------------------------------------------------------------
-# failure ladder: retry, fallback, propagation
+# failures: serial fallback, propagation
 # ---------------------------------------------------------------------------
 
 
 class TestFailureLadder:
-    def test_crashing_workers_retry_then_fall_back_serially(self):
+    def test_crashing_worker_falls_back_serially(self):
         payloads = list(range(8))
         log: list[str] = []
-        run = run_sharded(
-            _crash_in_worker, payloads,
-            config=ParallelConfig(jobs=2, chunk_size=2, retries=1),
-            log=log.append,
-        )
-        # every shard survives via the in-process fallback, bit-identically
-        assert run.results == [p + 1 for p in payloads]
-        assert run.stats.retried == 4
-        assert run.stats.serial_fallback == 4
-        assert any("serially" in line for line in log)
-
-    def test_hanging_worker_times_out_and_falls_back(self):
-        payloads = list(range(4))
-        run = run_sharded(
-            _hang_in_worker, payloads,
-            config=ParallelConfig(jobs=2, chunk_size=1, timeout_s=0.5, retries=0),
-        )
-        assert run.results == [p * 3 for p in payloads]
-        assert run.stats.timeouts >= 1
-        assert run.stats.serial_fallback == 4
-        assert run.stats.pool_failures >= 1
+        out = run_sharded(_crash_in_worker, payloads, jobs=2, log=log.append)
+        # the whole list reruns in-process, bit-identically
+        assert out == [p + 1 for p in payloads]
+        assert len(log) == 1 and "serially" in log[0]
 
     def test_worker_exception_propagates_with_its_type(self):
         with pytest.raises(ValueError, match="bad payload"):
-            run_sharded(_always_raises, [1, 2],
-                        config=ParallelConfig(jobs=2, chunk_size=1, retries=0))
+            run_sharded(_always_raises, [1, 2], jobs=2)
 
     def test_serial_path_raises_immediately(self):
         with pytest.raises(ValueError, match="bad payload 0"):
             run_sharded(_always_raises, [0])
-
-
-# ---------------------------------------------------------------------------
-# telemetry
-# ---------------------------------------------------------------------------
-
-
-class TestStats:
-    def _stats(self) -> PoolStats:
-        stats = PoolStats(jobs=2, n_items=6, n_shards=3, chunk_size=2,
-                          mode="parallel", dispatched=3)
-        stats.shard_wall_s = {0: 0.2, 1: 0.1, 2: 0.9}
-        stats._shard_pids = {0: 111, 1: 222, 2: 111}
-        return stats
-
-    def test_worker_wall_relabels_pids_deterministically(self):
-        walls = self._stats().worker_wall_s
-        assert walls == {"worker0": pytest.approx(1.1), "worker1": pytest.approx(0.1)}
-
-    def test_straggler_ratio(self):
-        assert self._stats().straggler_max_over_median == pytest.approx(0.9 / 0.2)
-        assert PoolStats().straggler_max_over_median == 1.0
-
-    def test_pool_metrics_exports_the_catalog(self):
-        reg = pool_metrics(self._stats())
-        assert reg.counter("parallel.shards.dispatched").value == 3
-        assert reg.gauge("parallel.jobs").value == 2.0
-        assert reg.gauge("parallel.straggler.max_over_median").value == (
-            pytest.approx(4.5)
-        )
-        hist = reg.get("parallel.shard_wall_seconds")
-        assert hist is not None and hist.total == 3
-        assert reg.gauge("parallel.worker0.wall_seconds").value == pytest.approx(1.1)
-
-    def test_pool_metrics_counters_accumulate_across_runs(self):
-        reg = MetricsRegistry()
-        pool_metrics(self._stats(), registry=reg)
-        pool_metrics(self._stats(), registry=reg)
-        assert reg.counter("parallel.shards.dispatched").value == 6
-        assert reg.gauge("parallel.jobs").value == 2.0  # gauge: latest wins
-
-    def test_scheduler_metrics_accepts_a_pool(self):
-        reg = scheduler_metrics(cache=False, pool=self._stats())
-        assert reg.counter("parallel.shards.dispatched").value == 3
-
-    def test_live_run_populates_stats(self):
-        run = run_sharded(_square, list(range(6)),
-                          config=ParallelConfig(jobs=2, chunk_size=2))
-        stats = run.stats
-        assert stats.n_shards == 3
-        assert set(stats.shard_wall_s) == {0, 1, 2}
-        assert stats.elapsed_s > 0
-        assert stats.straggler_max_over_median >= 1.0
-        assert sum(stats.worker_wall_s.values()) == pytest.approx(
-            sum(stats.shard_wall_s.values())
-        )

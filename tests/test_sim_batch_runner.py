@@ -1,5 +1,7 @@
 """Tests for the batch execution runner."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from repro.models.task import Task
 from repro.schedulers import olb_plan, wbg_plan
 from repro.simulator.batch_runner import run_batch
 from repro.simulator.contention import CALIBRATED_X86, ContentionModel
+from repro.simulator.platform import SimCore
 
 
 class TestIdealRuns:
@@ -55,6 +58,14 @@ class TestIdealRuns:
         b = CoreSchedule([Placement(Task(cycles=1.0), 2.0)], core_index=1)
         res = run_batch([a, b], TABLE_II)
         assert len(res.records) == 1
+
+    def test_non_finite_completion_raises_runtime_error(self, monkeypatch):
+        # a real exception, not an assert that python -O would strip
+        monkeypatch.setattr(SimCore, "next_completion_time", lambda self, now: math.inf)
+        a = CoreSchedule([], core_index=0)
+        b = CoreSchedule([Placement(Task(cycles=1.0), 2.0)], core_index=1)
+        with pytest.raises(RuntimeError, match=r"stalled at t=0\.0: busy cores \[1\]"):
+            run_batch([a, b], TABLE_II)
 
     def test_missing_record_raises(self):
         sched = CoreSchedule([Placement(Task(cycles=1.0), 2.0)])
