@@ -15,8 +15,8 @@ Section II-B ship as :data:`I7_950` (all 12 steps, power-law energy) and
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 
@@ -26,7 +26,8 @@ class RateTable:
 
     Rates are stored sorted ascending. ``E`` is strictly increasing and
     ``T`` strictly decreasing in the rate, as the model requires; the
-    constructor enforces both monotonicity properties.
+    constructor enforces both monotonicity properties and rejects any
+    non-finite rate, ``E(p)`` or ``T(p)``.
 
     Parameters
     ----------
@@ -46,6 +47,7 @@ class RateTable:
     energy_per_cycle: tuple[float, ...]
     time_per_cycle: tuple[float, ...]
     name: str = ""
+    _index: dict[float, int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -64,6 +66,10 @@ class RateTable:
             time_per_cycle = [1.0 / p for p in rates]
         if len(rates) != len(time_per_cycle):
             raise ValueError("rates and time_per_cycle must align")
+        for label, values in (("rates", rates), ("E(p)", energy_per_cycle),
+                              ("T(p)", time_per_cycle)):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{label} must be finite, got {list(values)!r}")
 
         order = sorted(range(len(rates)), key=lambda i: rates[i])
         p = tuple(float(rates[i]) for i in order)
@@ -90,6 +96,7 @@ class RateTable:
         object.__setattr__(self, "energy_per_cycle", e)
         object.__setattr__(self, "time_per_cycle", t)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_index", {rate: i for i, rate in enumerate(p)})
 
     # -- lookups --------------------------------------------------------------
     def __len__(self) -> int:
@@ -97,10 +104,10 @@ class RateTable:
 
     def index_of(self, rate: float) -> int:
         """Index of ``rate`` in the sorted table; raises if absent."""
-        i = bisect.bisect_left(self.rates, rate)
-        if i == len(self.rates) or self.rates[i] != rate:
-            raise KeyError(f"rate {rate!r} not in table {self.rates}")
-        return i
+        try:
+            return self._index[rate]
+        except KeyError:
+            raise KeyError(f"rate {rate!r} not in table {self.rates}") from None
 
     def __contains__(self, rate: float) -> bool:
         try:

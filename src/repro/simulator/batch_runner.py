@@ -133,28 +133,29 @@ def run_batch(
         )
         for s in schedules
     }
-    pending = {s.core_index: list(s.placements) for s in schedules}
+    pending = {s.core_index: iter(s.placements) for s in schedules}
     records: list[TaskRecord] = []
-    executions: dict[int, tuple[TaskExecution, float]] = {}  # core -> (exec, rate)
 
     now = 0.0
-
-    def busy_count() -> int:
-        return sum(1 for c in cores.values() if c.busy)
+    # An idle core never restarts (its plan is exhausted), so an unchanged
+    # busy count means an unchanged busy set and unchanged co-runner counts.
+    refreshed_busy = -1
 
     def refresh_co_runners() -> None:
-        busy = busy_count()
+        nonlocal refreshed_busy
+        busy = sum(1 for c in cores.values() if c.busy)
+        if busy == refreshed_busy:
+            return
+        refreshed_busy = busy
         for c in cores.values():
             c.set_co_runners(max(0, busy - 1) if c.busy else busy, now)
 
     def start_next(core_index: int) -> None:
-        queue = pending[core_index]
-        if not queue:
+        placement = next(pending[core_index], None)
+        if placement is None:
             return
-        placement = queue.pop(0)
         execution = TaskExecution(task=placement.task, remaining_cycles=placement.task.cycles)
         cores[core_index].start(execution, placement.rate, now)
-        executions[core_index] = (execution, placement.rate)
 
     for idx in cores:
         start_next(idx)
@@ -162,38 +163,39 @@ def run_batch(
 
     guard = 0
     total_tasks = sum(len(s) for s in schedules)
-    while any(c.busy for c in cores.values()):
+    while True:
+        busy = [c for c in cores.values() if c.current is not None]
+        if not busy:
+            break
         guard += 1
         if guard > 4 * total_tasks + 16:
             raise RuntimeError("batch run failed to converge — completion events stalled")
-        next_time = min(c.next_completion_time(now) for c in cores.values())
+        next_time = min(c.next_completion_time(now) for c in busy)
         if not math.isfinite(next_time):
-            busy = sorted(idx for idx, c in cores.items() if c.busy)
             raise RuntimeError(
-                f"batch run stalled at t={now!r}: busy cores {busy} "
+                f"batch run stalled at t={now!r}: busy cores {sorted(c.index for c in busy)} "
                 f"have no finite completion time ({next_time!r})"
             )
         now = next_time
         # advance everyone to the completion instant, then retire finished tasks
         for c in cores.values():
             c.advance(now)
-        finished = [
-            idx for idx, c in cores.items() if c.busy and c.current is not None and c.current.done
-        ]
-        for idx in finished:
-            execution = cores[idx].complete(now)
-            _, rate = executions.pop(idx)
+        for c in busy:
+            execution = c.current
+            if execution is None or not execution.done:
+                continue
+            c.complete(now)
             records.append(
                 TaskRecord(
                     task=execution.task,
-                    core=idx,
-                    rate=rate,
+                    core=c.index,
+                    rate=c.rate,
                     start=execution.started_at if execution.started_at is not None else 0.0,
                     finish=now,
                     energy_joules=execution.energy_joules,
                 )
             )
-            start_next(idx)
+            start_next(c.index)
         refresh_co_runners()
 
     return BatchResult(

@@ -32,9 +32,6 @@ class EventHandle:
         self.cancelled = True
         self.callback = None  # free references early
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:g}, {self.label!r}, {state})"
@@ -42,6 +39,10 @@ class EventHandle:
 
 class Simulation:
     """Clock + event queue. Time is in seconds, starts at 0.
+
+    The queue holds ``(time, seq, handle)`` tuples, so the heap orders
+    events with native tuple comparison; ``seq`` is unique, which makes
+    equal times fire in schedule order and never compares two handles.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) is an opt-in firehose: it
     records one ``sim.event`` per non-cancelled callback fired, stamped
@@ -53,7 +54,7 @@ class Simulation:
 
     def __init__(self, tracer=None) -> None:
         self.now = 0.0
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self._tracer = tracer
@@ -65,8 +66,10 @@ class Simulation:
             raise ValueError("event time is NaN")
         if time < self.now - STRICT_ABS_TOL:
             raise ValueError(f"cannot schedule in the past: t={time} < now={self.now}")
-        handle = EventHandle(max(time, self.now), next(self._seq), callback, label)
-        heapq.heappush(self._queue, handle)
+        time = max(time, self.now)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, label)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def after(self, delay: float, callback: Callable[[], None], label: str = "") -> EventHandle:
@@ -83,46 +86,49 @@ class Simulation:
         never advances past the last fired event (or ``until`` if
         finite and events remain beyond it).
         """
-        while self._queue:
-            head = self._queue[0]
-            if head.time > until:
+        queue = self._queue
+        while queue:
+            time, _, head = queue[0]
+            if time > until:
                 self.now = until if not math.isinf(until) else self.now
                 return
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             if head.cancelled:
                 continue
-            self.now = head.time
+            self.now = time
             self._events_fired += 1
             if self._events_fired > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
-            if self._tracer is not None:
-                self._tracer.emit("sim.event", {"time": head.time, "label": head.label},
-                                  time=head.time)
-            callback = head.callback
-            assert callback is not None
-            callback()
+            self._fire(head)
 
     def step(self) -> bool:
         """Fire exactly one (non-cancelled) event. Returns False if drained."""
         while self._queue:
-            head = heapq.heappop(self._queue)
+            time, _, head = heapq.heappop(self._queue)
             if head.cancelled:
                 continue
-            self.now = head.time
+            self.now = time
             self._events_fired += 1
-            if self._tracer is not None:
-                self._tracer.emit("sim.event", {"time": head.time, "label": head.label},
-                                  time=head.time)
-            callback = head.callback
-            assert callback is not None
-            callback()
+            self._fire(head)
             return True
         return False
+
+    def _fire(self, head: EventHandle) -> None:
+        if self._tracer is not None:
+            self._tracer.emit("sim.event", {"time": head.time, "label": head.label},
+                              time=head.time)
+        callback = head.callback
+        if callback is None:
+            raise RuntimeError(
+                f"event {head.label!r} (seq {head.seq}) at t={head.time!r} "
+                "is not cancelled but has no callback"
+            )
+        callback()
 
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled queued events."""
-        return sum(1 for h in self._queue if not h.cancelled)
+        return sum(1 for _, _, h in self._queue if not h.cancelled)
 
     @property
     def events_fired(self) -> int:

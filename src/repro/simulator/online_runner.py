@@ -302,7 +302,7 @@ def run_online(
                 f"core {j}: task {cs.running.task.task_id} ({cs.running.task.name!r}) "
                 f"has non-finite completion time {t_done!r}"
             )
-        cs.completion = sim.at(t_done, lambda j=j: on_completion(j), label=f"done@core{j}")
+        cs.completion = sim.at(t_done, lambda j=j: on_completion(j), label="done")
 
     def set_core_rate(j: int, rate: float) -> None:
         cs = cores[j]
@@ -334,7 +334,11 @@ def run_online(
     def start_execution(j: int, execution: TaskExecution, kind: TaskKind,
                         rate: Optional[float]) -> None:
         cs = cores[j]
-        assert cs.running is None
+        if cs.running is not None:
+            raise RuntimeError(
+                f"core {j}: cannot start task {execution.task.task_id} at t={sim.now!r} "
+                f"while task {cs.running.task.task_id} is running"
+            )
         if rate is not None:
             set_core_rate(j, rate)
         cs.sim.start(execution, cs.current_rate, sim.now)
@@ -352,7 +356,11 @@ def run_online(
     def start_next(j: int) -> None:
         """Fill an idle core per the fixed priority order."""
         cs = cores[j]
-        assert cs.running is None
+        if cs.running is not None:
+            raise RuntimeError(
+                f"core {j}: asked to fill at t={sim.now!r} "
+                f"while task {cs.running.task.task_id} is running"
+            )
         if cs.interactive_queue:
             task = cs.interactive_queue.popleft()
             execution = TaskExecution(task=task, remaining_cycles=task.cycles)
@@ -382,7 +390,12 @@ def run_online(
         cs.running = None
         cs.running_kind = None
         cs.completion = None
-        assert execution.started_at is not None and execution.finished_at is not None
+        if execution.started_at is None or execution.finished_at is None:
+            raise RuntimeError(
+                f"core {j}: task {execution.task.task_id} completed at t={sim.now!r} "
+                f"without start/finish stamps ({execution.started_at!r}, "
+                f"{execution.finished_at!r})"
+            )
         records.append(
             OnlineTaskRecord(
                 task=execution.task,
@@ -421,7 +434,12 @@ def run_online(
                 cs.interactive_queue.append(task)
             elif cs.running_kind is TaskKind.NONINTERACTIVE:
                 # preempt the lower-priority task (Section IV mechanics)
-                assert cs.preempted is None, "an NI task cannot run while one is preempted"
+                if cs.preempted is not None:
+                    raise RuntimeError(
+                        f"core {j}: an NI task is running at t={sim.now!r} while task "
+                        f"{cs.preempted.task.task_id} is preempted; cannot preempt for "
+                        f"task {task.task_id}"
+                    )
                 if cs.completion is not None:
                     cs.completion.cancel()
                     cs.completion = None
@@ -457,7 +475,8 @@ def run_online(
     def on_tick(j: int) -> None:
         cs = cores[j]
         gov = cs.governor
-        assert gov is not None
+        if gov is None:
+            raise RuntimeError(f"core {j}: governor tick at t={sim.now!r} without a governor")
         advance_all()
         window = gov.sampling_period
         busy = cs.busy_accum
@@ -471,14 +490,14 @@ def run_online(
         new_rate = gov.on_sample(load, cs.current_rate)
         set_core_rate(j, new_rate)
         if outstanding > 0:
-            sim.after(window, lambda j=j: on_tick(j), label=f"tick@core{j}")
+            sim.after(window, lambda j=j: on_tick(j), label="tick")
 
     # ---- schedule the trace --------------------------------------------------------
     for task in sorted(trace, key=lambda t: (t.arrival, t.task_id)):
-        sim.at(task.arrival, lambda t=task: on_arrival(t), label=f"arrive#{task.task_id}")
+        sim.at(task.arrival, lambda t=task: on_arrival(t), label="arrive")
     if governors is not None:
         for j, gov in enumerate(governors):
-            sim.after(gov.sampling_period, lambda j=j: on_tick(j), label=f"tick@core{j}")
+            sim.after(gov.sampling_period, lambda j=j: on_tick(j), label="tick")
 
     sim.run()
 

@@ -8,6 +8,11 @@ last update into completed cycles (through the optional
 :class:`~repro.simulator.contention.ContentionModel`) and books the
 consumed energy with the core's :class:`~repro.simulator.power.PowerMeter`.
 
+The effective seconds per cycle and the busy watts depend only on the
+(rate, co-runner count) state, so the core caches both and recomputes
+them when that state changes; :meth:`SimCore.advance` then integrates
+with two cached floats and no table lookup.
+
 Energy is booked as ``busy power × wall time`` — the physically correct
 reading a wall meter gives — so contention-stretched executions cost
 *more* energy per useful cycle, exactly the effect behind the paper's
@@ -17,7 +22,7 @@ Fig. 1 "Exp > Sim" gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.models.rates import RateTable
@@ -38,7 +43,6 @@ class TaskExecution:
     energy_joules: float = 0.0
     busy_seconds: float = 0.0
     preemptions: int = 0
-    segments: list[tuple[float, float, float]] = field(default_factory=list)  # (start, end, rate)
 
     @property
     def done(self) -> bool:
@@ -68,24 +72,42 @@ class SimCore:
         self.table = table
         self.contention = contention
         self.meter = PowerMeter(idle_power=idle_power, keep_trace=keep_trace)
-        self.rate = table.min_rate
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
-        self._co_runners = 0
+        self._set_state(table.min_rate, 0)
 
     # -- state queries ------------------------------------------------------------
     @property
     def busy(self) -> bool:
         return self.current is not None
 
+    @property
+    def rate(self) -> float:
+        return self._rate
+
+    @rate.setter
+    def rate(self, rate: float) -> None:
+        """Set the frequency without integrating progress (see :meth:`set_rate`)."""
+        if rate != self._rate:
+            self._set_state(rate, self._co_runners)
+
+    def _set_state(self, rate: float, co_runners: int) -> None:
+        """Enter (rate, co-runners) and recompute the cached constants for it."""
+        i = self.table.index_of(rate)  # validates the rate
+        nominal = self.table.time_per_cycle[i]
+        if self.contention.is_ideal:
+            self._time_per_cycle = nominal
+        else:
+            self._time_per_cycle = self.contention.effective_time_per_cycle(
+                nominal, self.table.time_per_cycle[0], co_runners
+            )
+        self._busy_watts = self.table.energy_per_cycle[i] / nominal
+        self._rate = rate
+        self._co_runners = co_runners
+
     def effective_time_per_cycle(self) -> float:
         """Seconds per cycle right now, contention included."""
-        nominal = self.table.time(self.rate)
-        if self.contention.is_ideal:
-            return nominal
-        return self.contention.effective_time_per_cycle(
-            nominal, self.table.time_per_cycle[0], self._co_runners
-        )
+        return self._time_per_cycle
 
     def completion_in(self) -> float:
         """Seconds from the last update until the current task finishes.
@@ -95,7 +117,7 @@ class SimCore:
         """
         if self.current is None:
             return math.inf
-        return self.current.remaining_cycles * self.effective_time_per_cycle()
+        return self.current.remaining_cycles * self._time_per_cycle
 
     @property
     def last_update(self) -> float:
@@ -119,43 +141,43 @@ class SimCore:
         legitimately when an unrelated event lands inside a
         switch-overhead window that :meth:`start` fast-forwarded over.
         """
-        dt = max(0.0, now - self._last_update)
-        if dt > 0.0:
-            if self.current is not None:
-                tpc = self.effective_time_per_cycle()
-                cycles_done = dt / tpc
-                # guard: never execute more cycles than remain (caller should
-                # schedule the completion event at the exact finish time)
-                if cycles_done > self.current.remaining_cycles + CYCLE_OVERRUN_TOL:
-                    raise RuntimeError(
-                        f"core {self.index} overran task "
-                        f"{self.current.task.task_id}: {cycles_done} > "
-                        f"{self.current.remaining_cycles} cycles"
-                    )
-                if cycles_done > self.current.remaining_cycles:
-                    # the completion event time rounds at the ulp of the
-                    # absolute clock; clip the overshoot so the booked
-                    # busy time and energy match the work actually left
-                    # (for a tiny task, watts × overshoot can exceed its
-                    # whole physical energy bound)
-                    cycles_done = self.current.remaining_cycles
-                    dt = cycles_done * tpc
-                self.current.remaining_cycles -= cycles_done
-                self.current.busy_seconds += dt
-                watts = self.table.power(self.rate)
-                self.current.energy_joules += watts * dt
-                self.meter.record_busy(self._last_update, now, watts)
-                seg = (self._last_update, now, self.rate)
-                self.current.segments.append(seg)
-            else:
-                self.meter.record_idle(self._last_update, now)
-        self._last_update = max(self._last_update, now)
+        last = self._last_update
+        dt = now - last
+        if not dt > 0.0:
+            return
+        current = self.current
+        if current is None:
+            self.meter.record_idle(last, now)
+        else:
+            tpc = self._time_per_cycle
+            cycles_done = dt / tpc
+            remaining = current.remaining_cycles
+            # guard: never execute more cycles than remain (caller should
+            # schedule the completion event at the exact finish time)
+            if cycles_done > remaining + CYCLE_OVERRUN_TOL:
+                raise RuntimeError(
+                    f"core {self.index} overran task "
+                    f"{current.task.task_id}: {cycles_done} > {remaining} cycles"
+                )
+            if cycles_done > remaining:
+                # the completion event time rounds at the ulp of the
+                # absolute clock; clip the overshoot so the booked
+                # busy time and energy match the work actually left
+                # (for a tiny task, watts × overshoot can exceed its
+                # whole physical energy bound)
+                cycles_done = remaining
+                dt = cycles_done * tpc
+            current.remaining_cycles = remaining - cycles_done
+            current.busy_seconds += dt
+            watts = self._busy_watts
+            current.energy_joules += watts * dt
+            self.meter.record_busy(last, now, watts)
+        self._last_update = now
 
     # -- state changes (caller must advance() to `now` first or pass now) -------------
     def set_rate(self, rate: float, now: float) -> None:
         """Switch frequency at ``now`` (progress up to ``now`` accrued first)."""
         self.advance(now)
-        self.table.index_of(rate)  # validate
         self.rate = rate
 
     def set_co_runners(self, count: int, now: float) -> None:
@@ -163,7 +185,8 @@ class SimCore:
         self.advance(now)
         if count < 0:
             raise ValueError("co_runners must be >= 0")
-        self._co_runners = count
+        if count != self._co_runners:
+            self._set_state(self._rate, count)
 
     def start(self, execution: TaskExecution, rate: float, now: float) -> None:
         """Begin (or resume) executing ``execution`` at ``rate``."""
@@ -172,7 +195,6 @@ class SimCore:
             raise RuntimeError(f"core {self.index} is already busy")
         if execution.done:
             raise ValueError("cannot start a finished execution")
-        self.table.index_of(rate)
         self.rate = rate
         self.current = execution
         if execution.started_at is None:
@@ -180,7 +202,7 @@ class SimCore:
         if self.contention.switch_overhead_s > 0:
             # model the dispatch/DVFS latency as lost wall time at busy power
             overhead_end = now + self.contention.switch_overhead_s
-            watts = self.table.power(rate)
+            watts = self._busy_watts
             self.meter.record_busy(now, overhead_end, watts)
             execution.energy_joules += watts * self.contention.switch_overhead_s
             execution.busy_seconds += self.contention.switch_overhead_s

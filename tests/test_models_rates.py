@@ -1,5 +1,7 @@
 """Tests for the processing-rate model (Section II-B)."""
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -42,6 +44,18 @@ class TestRateTableValidation:
     def test_rejects_nondecreasing_time(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             RateTable([1.0, 2.0], [1.0, 2.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("args", [
+        ([1.0, math.nan], [1.0, 2.0]),
+        ([1.0, math.inf], [1.0, 2.0]),
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+        ([1.0, 2.0], [1.0, 2.0], [math.nan, 0.5]),
+        ([1.0, 2.0], [1.0, 2.0], [math.inf, 0.5]),
+    ], ids=["nan-rate", "inf-rate", "nan-E", "inf-E", "nan-T", "inf-T"])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            RateTable(*args)
 
     def test_sorts_inputs(self):
         t = RateTable([2.0, 1.0], [4.0, 1.0])

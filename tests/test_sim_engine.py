@@ -62,6 +62,14 @@ class TestScheduling:
         sim.run()
         assert fired == []
 
+    def test_live_event_without_callback_raises_runtime_error(self):
+        # a real exception, not an assert that python -O would strip
+        sim = Simulation()
+        h = sim.at(1.5, lambda: None, label="orphan")
+        h.callback = None
+        with pytest.raises(RuntimeError, match=r"event 'orphan' \(seq 0\) at t=1\.5"):
+            sim.run()
+
     def test_pending_counts_live_events(self):
         sim = Simulation()
         h = sim.at(1.0, lambda: None)

@@ -8,6 +8,7 @@ from repro.models.task import Task, TaskKind
 from repro.schedulers import LMCOnlineScheduler, OLBOnlineScheduler, OnDemandRoundRobinScheduler
 from repro.simulator import run_online
 from repro.simulator.online_runner import CoreView
+from repro.simulator.platform import SimCore
 
 
 def ni(cycles, arrival, name=""):
@@ -163,3 +164,18 @@ class TestNonFiniteCompletion:
         table = RateTable([0.5], [1.0], [2.0])
         with pytest.raises(RuntimeError, match=r"core 0: task \d+ \('huge'\)"):
             run_online([ni(1e308, 0.0, "huge")], OLBOnlineScheduler(table, 1), table)
+
+
+class TestRuntimeGuards:
+    def test_completion_without_start_stamp_raises_runtime_error(self, monkeypatch):
+        complete = SimCore.complete
+
+        def unstamped(self, now):
+            execution = complete(self, now)
+            execution.started_at = None
+            return execution
+
+        monkeypatch.setattr(SimCore, "complete", unstamped)
+        with pytest.raises(RuntimeError, match=r"core 0: task \d+ completed at t=0\.625 "
+                                               r"without start/finish stamps"):
+            run_online([ni(1.0, 0.0)], LMCOnlineScheduler(TABLE_II, 1, 0.4, 0.1), TABLE_II)

@@ -3,10 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
-from repro.simulator.contention import ContentionModel
+from repro.simulator.contention import CALIBRATED_X86, NO_CONTENTION, ContentionModel
 from repro.simulator.platform import SimCore, TaskExecution
 
 
@@ -174,6 +175,63 @@ class TestContention:
         core = SimCore(0, TABLE_II)
         with pytest.raises(ValueError):
             core.set_co_runners(-1, now=0.0)
+
+
+_CORE_OPS = st.one_of(
+    st.tuples(st.just("start"), st.sampled_from(TABLE_II.rates), st.floats(0.01, 50.0)),
+    st.tuples(st.just("set_rate"), st.sampled_from(TABLE_II.rates)),
+    st.tuples(st.just("rate ="), st.sampled_from(TABLE_II.rates)),
+    st.tuples(st.just("set_co_runners"), st.integers(0, 6)),
+    st.tuples(st.just("preempt")),
+    st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
+)
+
+
+class TestCachedStateConstants:
+    """The per-(rate, co-runners) constants a core caches never go stale."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        contention=st.sampled_from(
+            [NO_CONTENTION, CALIBRATED_X86, ContentionModel(0.1, 0.3, 0.0)]
+        ),
+        ops=st.lists(_CORE_OPS, max_size=40),
+    )
+    def test_cache_matches_table_after_any_sequence(self, contention, ops):
+        table = TABLE_II
+        core = SimCore(0, table, contention=contention, keep_trace=True)
+        now, co_runners = 0.0, 0
+        for op, *args in ops:
+            booked = len(core.meter._trace)
+            rate_before = core.rate
+            if op == "start":
+                if core.busy:
+                    continue
+                core.start(make_exec(args[1]), args[0], now)
+            elif op == "set_rate":
+                core.set_rate(args[0], now)
+            elif op == "rate =":
+                core.rate = args[0]
+            elif op == "set_co_runners":
+                core.set_co_runners(args[0], now)
+                co_runners = args[0]
+            elif op == "preempt":
+                if not core.busy:
+                    continue
+                core.preempt(now)
+            else:  # advance, never past the running task's completion
+                now = min(now + args[0], core.next_completion_time(now))
+                core.advance(now)
+            assert core.effective_time_per_cycle() == contention.effective_time_per_cycle(
+                table.time(core.rate), table.time_per_cycle[0], co_runners
+            )
+            # progress booked by this op ran at the rate before it; a
+            # switch-overhead window opened by start() at the new rate
+            new = [seg for seg in core.meter._trace[booked:] if not seg.idle]
+            if op == "start" and contention.switch_overhead_s > 0:
+                overhead = new.pop()
+                assert overhead.watts == table.power(core.rate)
+            assert all(seg.watts == table.power(rate_before) for seg in new)
 
 
 class TestContentionModelValidation:
