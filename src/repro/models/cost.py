@@ -127,6 +127,9 @@ class CostModel:
     def __init__(self, table: RateTable, re: float, rt: float) -> None:
         if re <= 0 or rt <= 0:
             raise ValueError("Re and Rt must be positive")
+        for label, value in (("Re", re), ("Rt", rt)):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value!r}")
         self.table = table
         self.re = float(re)
         self.rt = float(rt)
@@ -225,15 +228,18 @@ class CostModel:
         where ``pm`` is this core's maximum frequency and ``N`` the
         number of non-interactive tasks waiting in its queue — the
         task's own energy and time, plus the delay it inflicts on every
-        queued task.
+        queued task. ``E(pm)`` and ``T(pm)`` are the last entries of the
+        rate-sorted table.
         """
         if cycles <= 0:
             raise ValueError("cycles must be positive")
         if waiting_tasks < 0:
             raise ValueError("waiting_tasks must be non-negative")
-        pm = self.table.max_rate
-        own = self.re * cycles * self.table.energy(pm) + self.rt * cycles * self.table.time(pm)
-        inflicted = self.rt * cycles * self.table.time(pm) * waiting_tasks
+        table = self.table
+        e_pm = table.energy_per_cycle[-1]
+        t_pm = table.time_per_cycle[-1]
+        own = self.re * cycles * e_pm + self.rt * cycles * t_pm
+        inflicted = self.rt * cycles * t_pm * waiting_tasks
         return own + inflicted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -65,9 +65,8 @@ class LMCOnlineScheduler:
         the dynamic-index marginal insert cost for non-interactive."""
         if task.kind is TaskKind.INTERACTIVE:
             delayed = [
-                self.policy.waiting_count(j)
-                + (1 if views[j].running_kind is TaskKind.NONINTERACTIVE else 0)
-                for j in range(self.n_cores)
+                len(queue) + (1 if view.running_kind is TaskKind.NONINTERACTIVE else 0)
+                for queue, view in zip(self.policy.queues, views)
             ]
             return self.policy.choose_core_interactive(self._cycles(task), delayed,
                                                        task=task)

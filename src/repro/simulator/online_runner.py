@@ -35,17 +35,54 @@ from repro.simulator.engine import EventHandle, Simulation
 from repro.simulator.platform import SimCore, TaskExecution
 
 
-@dataclass(frozen=True)
 class CoreView:
-    """Read-only core snapshot handed to policies at arrival time."""
+    """Read-only live view of one core, handed to policies at arrival time.
 
-    index: int
-    current_rate: float
-    running_kind: Optional[TaskKind]
-    running_remaining_cycles: float
-    preempted_remaining_cycles: float
-    interactive_waiting: int
-    interactive_backlog_cycles: float
+    The runner builds one view per core per run and passes the same
+    views to every :meth:`OnlinePolicy.select_core` call. Each field is
+    computed from the core's state when it is read, so a view is valid
+    only during the ``select_core`` call it was passed to.
+    """
+
+    __slots__ = ("_index", "_state")
+
+    def __init__(self, index: int, state: "_CoreState") -> None:
+        self._index = index
+        self._state = state
+
+    @property
+    def index(self) -> int:
+        return self._index
+
+    @property
+    def current_rate(self) -> float:
+        return self._state.current_rate
+
+    @property
+    def running_kind(self) -> Optional[TaskKind]:
+        return self._state.running_kind
+
+    @property
+    def running_remaining_cycles(self) -> float:
+        running = self._state.running
+        return running.remaining_cycles if running is not None else 0.0
+
+    @property
+    def preempted_remaining_cycles(self) -> float:
+        preempted = self._state.preempted
+        return preempted.remaining_cycles if preempted is not None else 0.0
+
+    @property
+    def interactive_waiting(self) -> int:
+        return len(self._state.interactive_queue)
+
+    @property
+    def interactive_backlog_cycles(self) -> float:
+        return sum(t.cycles for t in self._state.interactive_queue)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"CoreView({self._index}, rate={self.current_rate!r}, "
+                f"running={self.running_kind}, waiting={self.interactive_waiting})")
 
 
 class OnlinePolicy(Protocol):
@@ -54,12 +91,16 @@ class OnlinePolicy(Protocol):
     Rate-returning methods may return ``None`` to mean "leave frequency
     control to the governor" (how On-demand works); returning a rate
     pins the core to it, as the paper's userspace-governor setup does.
+
+    The :class:`CoreView` objects ``select_core`` receives are live
+    views that the runner reuses at every arrival: a view is valid only
+    during the ``select_core`` call it was passed to.
     """
 
     n_cores: int
 
     def select_core(self, task: Task, views: Sequence[CoreView]) -> int:
-        """Core for a newly arrived task (both kinds)."""
+        """Core for a newly arrived task (both kinds); ``views[j]`` is core ``j``."""
         ...
 
     def enqueue_noninteractive(self, core: int, task: Task) -> None:
@@ -219,7 +260,6 @@ def run_online(
     policy: OnlinePolicy,
     tables: Sequence[RateTable] | RateTable,
     governors: Optional[Sequence[Governor]] = None,
-    idle_power: float = 0.0,
     tracer=None,
 ) -> OnlineResult:
     """Simulate an online trace under ``policy``. Returns measurements.
@@ -255,7 +295,7 @@ def run_online(
     cores: list[_CoreState] = []
     for j in range(n):
         gov = governors[j] if governors is not None else None
-        sc = SimCore(j, table_for(j), idle_power=idle_power, keep_trace=False)
+        sc = SimCore(j, table_for(j), keep_trace=False)
         rate = gov.initial_rate() if gov is not None else table_for(j).max_rate
         sc.rate = rate
         cores.append(_CoreState(sim=sc, governor=gov, current_rate=rate))
@@ -264,30 +304,13 @@ def run_online(
     outstanding = len(trace)  # tasks arrived-or-future and not yet completed
 
     # ---- helpers -------------------------------------------------------------
-    def advance_all() -> None:
-        for cs in cores:
-            cs.sim.advance(sim.now)
+    sim_cores = [cs.sim for cs in cores]
+    core_views = tuple(CoreView(j, cs) for j, cs in enumerate(cores))
 
-    def views() -> list[CoreView]:
-        advance_all()
-        out = []
-        for j, cs in enumerate(cores):
-            out.append(
-                CoreView(
-                    index=j,
-                    current_rate=cs.current_rate,
-                    running_kind=cs.running_kind,
-                    running_remaining_cycles=(
-                        cs.running.remaining_cycles if cs.running is not None else 0.0
-                    ),
-                    preempted_remaining_cycles=(
-                        cs.preempted.remaining_cycles if cs.preempted is not None else 0.0
-                    ),
-                    interactive_waiting=len(cs.interactive_queue),
-                    interactive_backlog_cycles=sum(t.cycles for t in cs.interactive_queue),
-                )
-            )
-        return out
+    def advance_all() -> None:
+        now = sim.now
+        for sc in sim_cores:
+            sc.advance(now)
 
     def schedule_completion(j: int) -> None:
         cs = cores[j]
@@ -421,8 +444,8 @@ def run_online(
         start_next(j)
 
     def on_arrival(task: Task) -> None:
-        vs = views()
-        j = policy.select_core(task, vs)
+        advance_all()
+        j = policy.select_core(task, core_views)
         if not (0 <= j < n):
             raise ValueError(f"policy selected invalid core {j}")
         cs = cores[j]

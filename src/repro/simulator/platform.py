@@ -146,8 +146,11 @@ class SimCore:
         if not dt > 0.0:
             return
         current = self.current
+        # dt > 0 rules out NaN and backwards intervals, and the rate
+        # table keeps the watts finite and positive, so the meter's
+        # unchecked booking applies
         if current is None:
-            self.meter.record_idle(last, now)
+            self.meter.book_idle(last, now)
         else:
             tpc = self._time_per_cycle
             cycles_done = dt / tpc
@@ -171,7 +174,7 @@ class SimCore:
             current.busy_seconds += dt
             watts = self._busy_watts
             current.energy_joules += watts * dt
-            self.meter.record_busy(last, now, watts)
+            self.meter.book_busy(last, now, watts)
         self._last_update = now
 
     # -- state changes (caller must advance() to `now` first or pass now) -------------

@@ -44,9 +44,9 @@ class PowerMeter:
     Parameters
     ----------
     idle_power:
-        The baseline draw recorded while idle (watts). Idle intervals
-        are integrated at this power and booked separately, mirroring
-        the paper's idle-subtraction step.
+        The baseline draw recorded while idle (watts, finite and
+        non-negative). Idle intervals are integrated at this power and
+        booked separately, mirroring the paper's idle-subtraction step.
     keep_trace:
         When True every segment is retained for :meth:`sampled_energy`
         and plotting; disable for long online runs to bound memory.
@@ -59,6 +59,12 @@ class PowerMeter:
     _trace: list[PowerSegment] = field(default_factory=list, repr=False)
     _last_end: float = 0.0
 
+    def __post_init__(self) -> None:
+        # the only gate on the idle floor: book_idle trusts it
+        if not (math.isfinite(self.idle_power) and self.idle_power >= 0):
+            raise ValueError(
+                f"idle_power must be finite and non-negative, got {self.idle_power!r}")
+
     def record_busy(self, start: float, end: float, watts: float) -> None:
         """Book a busy interval at ``watts`` (net of the idle floor)."""
         self._check_interval(start, end)
@@ -66,20 +72,35 @@ class PowerMeter:
             raise ValueError("power must be non-negative")
         if end == start:
             return
-        self.busy_joules += watts * (end - start)
-        if self.keep_trace:
-            self._trace.append(PowerSegment(start, end, watts, idle=False))
-        self._last_end = max(self._last_end, end)
+        self.book_busy(start, end, watts)
 
     def record_idle(self, start: float, end: float) -> None:
         """Book an idle interval at the idle floor."""
         self._check_interval(start, end)
         if end == start:
             return
+        self.book_idle(start, end)
+
+    def book_busy(self, start: float, end: float, watts: float) -> None:
+        """:meth:`record_busy` without its checks.
+
+        The caller guarantees ``start < end`` (so neither is NaN) and
+        finite, non-negative ``watts``; :class:`~repro.simulator.platform.SimCore`
+        books through here from its integration step.
+        """
+        self.busy_joules += watts * (end - start)
+        if self.keep_trace:
+            self._trace.append(PowerSegment(start, end, watts, idle=False))
+        if end > self._last_end:
+            self._last_end = end
+
+    def book_idle(self, start: float, end: float) -> None:
+        """:meth:`record_idle` without its checks; ``start < end`` is the caller's."""
         self.idle_joules += self.idle_power * (end - start)
         if self.keep_trace:
             self._trace.append(PowerSegment(start, end, self.idle_power, idle=True))
-        self._last_end = max(self._last_end, end)
+        if end > self._last_end:
+            self._last_end = end
 
     @staticmethod
     def _check_interval(start: float, end: float) -> None:

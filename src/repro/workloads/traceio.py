@@ -32,20 +32,25 @@ def _task_row(task: Task) -> dict:
     }
 
 
-def _row_task(row: dict) -> Task:
-    deadline = row["deadline"]
-    if deadline in ("inf", "", None):
-        deadline = math.inf
-    else:
-        deadline = float(deadline)
-    return Task(
-        cycles=float(row["cycles"]),
-        arrival=float(row["arrival"]),
-        deadline=deadline,
-        kind=TaskKind(row["kind"]),
-        name=str(row.get("name", "") or ""),
-        task_id=int(row["task_id"]),
-    )
+def _row_task(row: dict, where: str) -> Task:
+    """The task a trace row describes; a bad row raises ``ValueError``
+    prefixed with ``where`` (``path:line``)."""
+    try:
+        deadline = row["deadline"]
+        if deadline in ("inf", "", None):
+            deadline = math.inf
+        else:
+            deadline = float(deadline)
+        return Task(
+            cycles=float(row["cycles"]),
+            arrival=float(row["arrival"]),
+            deadline=deadline,
+            kind=TaskKind(row["kind"]),
+            name=str(row.get("name", "") or ""),
+            task_id=int(row["task_id"]),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: bad trace row: {exc}") from exc
 
 
 def save_trace_csv(trace: Iterable[Task], path: str | Path) -> None:
@@ -68,7 +73,7 @@ def load_trace_csv(path: str | Path) -> list[Task]:
         if missing:
             raise ValueError(f"trace CSV missing columns: {sorted(missing)}")
         for row in reader:
-            tasks.append(_row_task(row))
+            tasks.append(_row_task(row, f"{path}:{reader.line_num}"))
     tasks.sort(key=lambda t: (t.arrival, t.task_id))
     return tasks
 
@@ -94,10 +99,12 @@ def load_trace_jsonl(path: str | Path) -> list[Task]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {row!r}")
             missing = set(_FIELDS) - set(row)
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            tasks.append(_row_task(row))
+            tasks.append(_row_task(row, f"{path}:{lineno}"))
     tasks.sort(key=lambda t: (t.arrival, t.task_id))
     return tasks
 

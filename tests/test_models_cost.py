@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cost_models, cycle_lists
 from repro.models.cost import CoreSchedule, CostModel, Placement, ScheduleCost, ZERO_COST
-from repro.models.rates import TABLE_II
+from repro.models.rates import TABLE_II, rate_table_from_power_law
 from repro.models.task import Task
 
 
@@ -132,6 +132,26 @@ class TestInteractiveMarginalCost:
         with pytest.raises(ValueError):
             online_model.interactive_marginal_cost(1.0, -1)
 
+    @settings(max_examples=200)
+    @given(
+        table=st.sampled_from([
+            TABLE_II,
+            rate_table_from_power_law([0.6, 0.9, 1.2, 1.5], dynamic_coefficient=0.25,
+                                      static_power=0.1),
+        ]),
+        re=st.floats(1e-3, 10.0),
+        rt=st.floats(1e-3, 10.0),
+        cycles=st.floats(1e-6, 1e4),
+        n=st.integers(0, 10_000),
+    )
+    def test_reads_pm_row_bit_for_bit(self, table, re, rt, cycles, n):
+        """E(pm)/T(pm) read as the table's last entries price exactly as
+        the by-rate lookups do."""
+        pm = table.max_rate
+        own = re * cycles * table.energy(pm) + rt * cycles * table.time(pm)
+        inflicted = rt * cycles * table.time(pm) * n
+        assert CostModel(table, re, rt).interactive_marginal_cost(cycles, n) == own + inflicted
+
     @given(st.floats(0.01, 1e4), st.integers(0, 100))
     def test_monotone_in_queue_length(self, cycles, n):
         m = CostModel(TABLE_II, 0.4, 0.1)
@@ -144,3 +164,11 @@ class TestCostModelValidation:
             CostModel(TABLE_II, re=0.0, rt=0.4)
         with pytest.raises(ValueError):
             CostModel(TABLE_II, re=0.1, rt=-0.4)
+
+    @pytest.mark.parametrize("re, rt, name", [
+        (math.nan, 0.4, "Re"), (math.inf, 0.4, "Re"),
+        (0.1, math.nan, "Rt"), (0.1, math.inf, "Rt"),
+    ])
+    def test_rejects_non_finite_prices(self, re, rt, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            CostModel(TABLE_II, re=re, rt=rt)

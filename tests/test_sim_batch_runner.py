@@ -15,6 +15,14 @@ from repro.simulator.contention import CALIBRATED_X86, ContentionModel
 from repro.simulator.platform import SimCore
 
 
+class TestIdlePowerValidation:
+    @pytest.mark.parametrize("idle_power", [-1.0, math.nan])
+    def test_bad_idle_power_rejected(self, idle_power):
+        sched = CoreSchedule([Placement(Task(cycles=10.0), 2.0)])
+        with pytest.raises(ValueError, match="idle_power"):
+            run_batch([sched], TABLE_II, idle_power=idle_power)
+
+
 class TestIdealRuns:
     def test_single_core_single_task(self, batch_model):
         sched = CoreSchedule([Placement(Task(cycles=10.0), 2.0)])

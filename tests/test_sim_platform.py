@@ -9,6 +9,7 @@ from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.simulator.contention import CALIBRATED_X86, NO_CONTENTION, ContentionModel
 from repro.simulator.platform import SimCore, TaskExecution
+from repro.simulator.power import PowerMeter
 
 
 def make_exec(cycles: float) -> TaskExecution:
@@ -232,6 +233,80 @@ class TestCachedStateConstants:
                 overhead = new.pop()
                 assert overhead.watts == table.power(core.rate)
             assert all(seg.watts == table.power(rate_before) for seg in new)
+
+
+_BOOKING_OPS = st.one_of(
+    st.tuples(st.just("start"), st.sampled_from(TABLE_II.rates), st.floats(0.01, 50.0)),
+    st.tuples(st.just("set_rate"), st.sampled_from(TABLE_II.rates)),
+    st.tuples(st.just("set_co_runners"), st.integers(0, 6)),
+    st.tuples(st.just("preempt")),
+    # complete a little past the finish: advance clips the overshoot
+    # from the task's books but the meter still books the whole interval
+    st.tuples(st.just("complete"), st.sampled_from([0.0, 1e-9, 1e-8])),
+    st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
+)
+
+
+class TestMeterBooking:
+    """The core books its meter without the per-call checks; a shadow
+    meter fed the same intervals through the checked ``record_*`` calls
+    must end up with exactly the same books."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        contention=st.sampled_from(
+            [NO_CONTENTION, CALIBRATED_X86, ContentionModel(0.1, 0.3, 0.002)]
+        ),
+        idle_power=st.floats(0.1, 50.0),
+        ops=st.lists(_BOOKING_OPS, max_size=40),
+    )
+    def test_books_match_checked_meter(self, contention, idle_power, ops):
+        core = SimCore(0, TABLE_II, contention=contention, idle_power=idle_power,
+                       keep_trace=True)
+        shadow = PowerMeter(idle_power=idle_power, keep_trace=True)
+        now = 0.0
+
+        def book_to(t):
+            # what SimCore.advance integrates from its last update to t
+            last = core.last_update
+            if t > last:
+                if core.busy:
+                    shadow.record_busy(last, t, TABLE_II.power(core.rate))
+                else:
+                    shadow.record_idle(last, t)
+
+        for op, *args in ops:
+            if op in ("preempt", "complete") and not core.busy:
+                continue
+            if op == "start":
+                if core.busy:
+                    continue
+                book_to(now)
+                core.start(make_exec(args[1]), args[0], now)
+                if contention.switch_overhead_s > 0:
+                    shadow.record_busy(now, now + contention.switch_overhead_s,
+                                       TABLE_II.power(args[0]))
+                continue
+            if op == "complete":
+                now = core.next_completion_time(now) + args[0]
+            elif op == "advance":  # never past the running task's completion
+                now = min(now + args[0], core.next_completion_time(now))
+            book_to(now)
+            if op == "set_rate":
+                core.set_rate(args[0], now)
+            elif op == "set_co_runners":
+                core.set_co_runners(args[0], now)
+            elif op == "preempt":
+                core.preempt(now)
+            elif op == "complete":
+                core.complete(now)
+            else:
+                core.advance(now)
+        meter = core.meter
+        assert meter.busy_joules == shadow.busy_joules
+        assert meter.idle_joules == shadow.idle_joules
+        assert meter._last_end == shadow._last_end
+        assert meter._trace == shadow._trace
 
 
 class TestContentionModelValidation:

@@ -8,6 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.simulator.power import PowerMeter
 
 
+class TestIdleFloorValidation:
+    @pytest.mark.parametrize("idle_power", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_idle_power(self, idle_power):
+        with pytest.raises(ValueError, match="idle_power must be finite and non-negative"):
+            PowerMeter(idle_power=idle_power)
+
+    def test_zero_idle_power_accepted(self):
+        assert PowerMeter(idle_power=0.0).idle_power == 0.0
+
+
 class TestIntegration:
     def test_busy_energy_is_power_times_time(self):
         m = PowerMeter()

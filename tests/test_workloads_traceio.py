@@ -1,6 +1,8 @@
 """Tests for trace persistence (CSV / JSON Lines round-trips)."""
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +90,57 @@ class TestJSONL:
             load_trace_csv(tmp_path / "a.csv"),
             load_trace_jsonl(tmp_path / "a.jsonl"),
         )
+
+
+_HEADER = ",".join(("task_id", "name", "cycles", "arrival", "deadline", "kind"))
+
+
+class TestBadRows:
+    """A bad row is a ValueError that starts with ``path:line``."""
+
+    def test_csv_nan_cycles(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{_HEADER}\n1,ok,5.0,0.0,inf,noninteractive\n"
+                        "2,bad,nan,1.0,inf,noninteractive\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: .*cycles"):
+            load_trace_csv(path)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1,x,5.0,inf,inf,interactive", "arrival"),
+        ("1,x,five,0.0,inf,interactive", "five"),
+        ("1,x,5.0,0.0,inf,urgent", "urgent"),
+        ("1,x,5.0", "bad trace row"),
+    ])
+    def test_csv_bad_fields(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{_HEADER}\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{reason}"):
+            load_trace_csv(path)
+
+    def test_jsonl_nan_cycles(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = Task(cycles=2.0, name="ok", kind=TaskKind.INTERACTIVE)
+        save_trace_jsonl([good], path)
+        path.write_text(path.read_text() + "\n" + json.dumps(
+            {"task_id": 7, "name": "bad", "cycles": math.nan, "arrival": 1.0,
+             "deadline": "inf", "kind": "interactive"}) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: .*cycles"):
+            load_trace_jsonl(path)
+
+    @pytest.mark.parametrize("row, reason", [
+        ('{"task_id": 1, "name": "", "cycles": 1.0, "arrival": Infinity, '
+         '"deadline": "inf", "kind": "interactive"}', "arrival"),
+        ('{"task_id": 1, "name": "", "cycles": null, "arrival": 0.0, '
+         '"deadline": "inf", "kind": "interactive"}', "bad trace row"),
+        ('{"task_id": 1, "name": "", "cycles": 1.0, "arrival": 0.0, '
+         '"deadline": "inf", "kind": "urgent"}', "urgent"),
+        ('[1, 2, 3]', "JSON object"),
+    ])
+    def test_jsonl_bad_fields(self, tmp_path, row, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: .*{reason}"):
+            load_trace_jsonl(path)
 
 
 class TestRoundtripEqual:
