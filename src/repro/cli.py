@@ -434,8 +434,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return f"{v:+.2f}%" if h.endswith("_pct") else f"{v:g}"
         return str(v)
 
-    headers = list(run.rows[0]) if run.rows else []
-    rows = [tuple(_cell(h, row[h]) for h in headers) for row in run.rows]
+    # Rows of one sweep may carry different columns (core_count mixes batch
+    # and online rows): take the first-seen union, blank where a row lacks one.
+    headers = list(dict.fromkeys(h for row in run.rows for h in row))
+    rows = [tuple(_cell(h, row[h]) if h in row else "" for h in headers) for row in run.rows]
     print(format_table(headers, rows,
                        title=f"sweep {args.name} ({'quick' if args.quick else 'full'})"))
     print(f"{len(run.rows)} cells in {run.elapsed_s:.3f}s  jobs={run.jobs}  "

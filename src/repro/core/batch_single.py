@@ -104,7 +104,8 @@ def brute_force_single_core(
             if cost < best_cost - IMPROVE_TOL:
                 best_cost = cost
                 best = sched
-    assert best is not None
+    if best is None:
+        raise ValueError("no schedule has a finite cost: the cost model overflows on these tasks")
     return best, best_cost
 
 

@@ -55,6 +55,12 @@ def _check_cycles(cycles: float) -> None:
         raise ValueError(f"cycles must be positive and finite, got {cycles!r}")
 
 
+def _lost_boundary(i: int) -> RuntimeError:
+    """The error for a non-empty range whose boundary pointer is ``None``."""
+    return RuntimeError(f"dominating range {i} is non-empty but has no boundary node; "
+                        "the index was corrupted")
+
+
 class DynamicCostIndex:
     """Algorithms 4-6: a mutable optimal queue with ``Θ(1)`` total cost.
 
@@ -113,8 +119,9 @@ class DynamicCostIndex:
     def rate_of(self, node: RangeTreeNode) -> float:
         """The rate the task at ``node`` should currently execute/queue at.
 
-        ``O(log N)`` (one rank query); this is the per-task frequency
-        adjustment LMC applies after every queue change.
+        One rank query: ``O(log N)``, and ``Θ(1)`` for the queue head
+        (the tree's last node, the one ``pop_head`` takes). This is the
+        per-task frequency adjustment LMC applies after every queue change.
         """
         return self.ranges.rate_for(self.tree.rank(node))
 
@@ -161,7 +168,8 @@ class DynamicCostIndex:
                 marginal += rtt[j] * self._x[j]
             if hi[j] is not None and b[j] == hi[j] - 1 and b[j] >= kb:
                 beta = self._beta[j]
-                assert beta is not None
+                if beta is None:
+                    raise _lost_boundary(j)
                 marginal += self._jump[j] * beta.value
         if self._tracer is not None:
             data: dict[str, Any] = {"cycles": cycles, "marginal": marginal}
@@ -170,7 +178,7 @@ class DynamicCostIndex:
             self._tracer.emit("dynamic.probe", data)
         return marginal
 
-    def _trace_mutation(self, kind: str, cycles: float, kb: int,
+    def _trace_mutation(self, tracer: "Tracer", kind: str, cycles: float, kb: int,
                         payload: Any, data: dict) -> None:
         if self.label:
             data["queue"] = self.label
@@ -179,8 +187,7 @@ class DynamicCostIndex:
             data["task_id"] = task_id
             data["task"] = getattr(payload, "name", "")
         data.update({"cycles": cycles, "position": kb, "total_cost": self._cost})
-        assert self._tracer is not None
-        self._tracer.emit(kind, data)
+        tracer.emit(kind, data)
 
     # -- Algorithm 5: insert ----------------------------------------------------------
     def insert(self, cycles: float, payload: Any = None) -> RangeTreeNode:
@@ -204,7 +211,8 @@ class DynamicCostIndex:
         # cascade: while range i overflows, its last element moves to range i+1
         while self._hi[i] is not None and self._b[i] > self._hi[i] - 1:
             moved = self._beta[i]
-            assert moved is not None
+            if moved is None:
+                raise _lost_boundary(i)
             self._d[i] -= (self._b[i] - self._a[i] + 1) * moved.value
             self._x[i] -= moved.value
             self._b[i] -= 1
@@ -227,7 +235,7 @@ class DynamicCostIndex:
         self._recompute_cost()
         if self._tracer is not None:
             self._trace_mutation(
-                "dynamic.insert", cycles, kb, payload,
+                self._tracer, "dynamic.insert", cycles, kb, payload,
                 {"rate": self.ranges.rate_for(kb)},
             )
         return ptr
@@ -246,7 +254,8 @@ class DynamicCostIndex:
         # element across the boundary into the previous range.
         while self._a[i] > kb:
             tptr = self._alpha[i]
-            assert tptr is not None
+            if tptr is None:
+                raise _lost_boundary(i)
             self._d[i] -= self._x[i]
             self._x[i] -= tptr.value
             self._b[i] -= 1
@@ -299,7 +308,8 @@ class DynamicCostIndex:
                 self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
         self._recompute_cost()
         if self._tracer is not None:
-            self._trace_mutation("dynamic.delete", deleted_cycles, kb, deleted_payload, {})
+            self._trace_mutation(self._tracer, "dynamic.delete", deleted_cycles, kb,
+                                 deleted_payload, {})
 
     # -- internals ---------------------------------------------------------------------
     def _recompute_cost(self) -> None:

@@ -182,7 +182,9 @@ class LeastMarginalCostPolicy:
         Returns ``(payload, cycles, rate)`` — the rate is the one its
         backward position dictates at dequeue time — or ``None`` if the
         queue is empty. The task leaves the queue index; the caller
-        owns it from here (it is "running", not "waiting").
+        owns it from here (it is "running", not "waiting"). The head is
+        the tree's last node, so both of its rank queries (for the rate
+        and for the delete) are ``Θ(1)``.
         """
         q = self.queues[core]
         node = q.head()

@@ -34,7 +34,6 @@ special.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,8 +50,8 @@ class WeightedTask:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        if not self.weight > 0:  # also rejects NaN
+            raise ValueError(f"weight must be positive, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +68,14 @@ def _slot_cost(model: CostModel, tail_weight: float, rate: float) -> float:
 
 def _best_slot_rate(model: CostModel, tail_weight: float) -> tuple[float, float]:
     """argmin over the menu (ties → higher rate, as in the unweighted case)."""
-    best_rate = None
-    best = math.inf
-    for p in model.table.rates:
+    rates = model.table.rates
+    best_rate = rates[0]
+    best = _slot_cost(model, tail_weight, best_rate)
+    for p in rates[1:]:
         c = _slot_cost(model, tail_weight, p)
         if c <= best:
             best = c
             best_rate = p
-    assert best_rate is not None
     return best_rate, best
 
 

@@ -147,7 +147,7 @@ class CostModel:
         ``kb = 1`` is the last task in the queue (it delays only
         itself); larger ``kb`` means more tasks wait behind.
         """
-        if kb < 1:
+        if not kb >= 1:  # also rejects NaN
             raise ValueError(f"backward position must be >= 1, got {kb}")
         return self.re * self.table.energy(rate) + kb * self.rt * self.table.time(rate)
 
@@ -159,14 +159,14 @@ class CostModel:
         ``kb`` at once in ``Θ(|P|)``; this per-position scan is the
         specification it is tested against.
         """
-        best_rate = None
-        best_cost = math.inf
-        for p in self.table.rates:  # ascending: later (higher) rate wins ties
+        rates = self.table.rates  # ascending: later (higher) rate wins ties
+        best_rate = rates[0]
+        best_cost = self.backward_position_cost(kb, best_rate)
+        for p in rates[1:]:
             c = self.backward_position_cost(kb, p)
             if c <= best_cost:
                 best_cost = c
                 best_rate = p
-        assert best_rate is not None
         return best_rate, best_cost
 
     def best_backward_cost(self, kb: int) -> float:

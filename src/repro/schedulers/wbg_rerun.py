@@ -59,29 +59,25 @@ class WBGRerunScheduler:
         self._pending_planned: Optional[int] = None
 
     # -- re-planning -------------------------------------------------------------
-    def _replan(self, extra: Optional[Task] = None) -> Optional[int]:
-        """Re-run WBG over all waiting tasks (+ ``extra``); returns
+    def _replan(self, extra: Task) -> int:
+        """Re-run WBG over all waiting tasks plus ``extra``; returns
         ``extra``'s planned core."""
         pool = [t for q in self._queues for t in q]
-        if extra is not None:
-            pool.append(extra)
+        pool.append(extra)
         schedules = self.wbg.schedule(pool)
-        extra_core: Optional[int] = None
         new_home: dict[int, int] = {}
         for sched in schedules:
             lane = deque()
             for pl in sched.placements:
                 lane.append(pl.task)
                 new_home[pl.task.task_id] = sched.core_index
-                if extra is not None and pl.task.task_id == extra.task_id:
-                    extra_core = sched.core_index
             self._queues[sched.core_index] = lane
         for task_id, core in new_home.items():
             old = self._home.get(task_id)
             if old is not None and old != core:
                 self.migrations += 1
         self._home = new_home
-        return extra_core
+        return new_home[extra.task_id]
 
     # -- OnlinePolicy protocol -------------------------------------------------------
     def select_core(self, task: Task, views: Sequence[CoreView]) -> int:
@@ -101,8 +97,7 @@ class WBGRerunScheduler:
                     best_cost = c
                     best = j
             return best
-        core = self._replan(extra=task)
-        assert core is not None
+        core = self._replan(task)
         # the task is in the plan already; remember so enqueue doesn't double-add
         self._pending_planned = task.task_id
         return core

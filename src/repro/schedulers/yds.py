@@ -106,7 +106,11 @@ def yds_schedule(tasks: Sequence[Task], power: PowerLawEnergy | None = None) -> 
                     best_intensity = intensity
                     best = (t1, t2, inside)
         t1, t2, inside = best
-        assert inside, "no critical interval found"
+        if not inside:
+            raise ValueError(
+                f"no critical interval found: the windows of tasks {sorted(remaining)} "
+                "collapsed to zero length"
+            )
 
         for i in inside:
             pieces.append(

@@ -11,7 +11,8 @@ Supported operations (``N`` = number of stored tasks):
 
 * ``insert(value, payload)`` → node, ``O(log N)`` expected;
 * ``delete(node)``, ``O(log N)`` expected;
-* ``rank(node)`` — 1-based rank, ``O(log N)``;
+* ``rank(node)`` — 1-based rank, ``O(log N)``; ``Θ(1)`` for the last
+  node (the queue head), whose rank is ``N``;
 * ``select(k)`` — node of rank ``k``, ``O(log N)``;
 * ``count_ge(value)`` — how many stored values are ``>= value``,
   ``O(log N)``;
@@ -24,6 +25,26 @@ Supported operations (``N`` = number of stored tasks):
 
 Duplicate values are allowed; ties are broken by insertion sequence so
 the order is total and deterministic.
+
+Pull discipline
+---------------
+A node's aggregates ``(size, sum, wsum)`` come from its children by one
+fixed formula (:meth:`RangeTree._pull`). Every mutation re-pulls a node
+only once its children are final, and bottom-up: ``insert`` rotates the
+new leaf up pulling each demoted parent, then makes one
+:meth:`~RangeTree._pull_to_root` from the new node; ``delete`` rotates
+the node down to a leaf by pointer surgery alone, unlinks it, then makes
+one ``_pull_to_root`` from the leaf's parent. So every node's aggregates
+always equal a fresh bottom-up recomputation over the current shape. A
+treap's shape is unique for given keys and (distinct, random)
+priorities, so the aggregates — bit for bit, float rounding included —
+are a pure function of the stored ``(value, sequence, priority)``
+triples, not of the order of the operations that built the tree.
+
+``range_sum`` walks only the boundary paths of ``[a, b]`` and adds a
+fully covered child's stored ``sum``; it makes the same additions in the
+same order as the ``(Σ v, Σ k·v)`` query behind ``range_delta``, so the
+two agree bit for bit on the sum.
 """
 
 from __future__ import annotations
@@ -74,18 +95,6 @@ class RangeTreeNode:
         return f"RangeTreeNode(value={self.value!r}, rank={self._tree.rank(self) if self._tree else '?'})"
 
 
-def _size(t: Optional[RangeTreeNode]) -> int:
-    return t.size if t is not None else 0
-
-
-def _sum(t: Optional[RangeTreeNode]) -> float:
-    return t.sum if t is not None else 0.0
-
-
-def _wsum(t: Optional[RangeTreeNode]) -> float:
-    return t.wsum if t is not None else 0.0
-
-
 class RangeTree:
     """Order-statistics treap keyed by descending ``value``.
 
@@ -106,7 +115,8 @@ class RangeTree:
 
     # -- basics ----------------------------------------------------------------
     def __len__(self) -> int:
-        return _size(self._root)
+        root = self._root
+        return root.size if root is not None else 0
 
     def __bool__(self) -> bool:
         return self._root is not None
@@ -142,35 +152,50 @@ class RangeTree:
     # -- aggregate maintenance ---------------------------------------------------
     @staticmethod
     def _pull(t: RangeTreeNode) -> None:
-        ls, l_sum, l_w = _size(t.left), _sum(t.left), _wsum(t.left)
-        rs, r_sum, r_w = _size(t.right), _sum(t.right), _wsum(t.right)
-        t.size = ls + 1 + rs
-        t.sum = l_sum + t.value + r_sum
-        # in-order position of t within its subtree is ls+1; every node in the
-        # right subtree shifts by ls+1.
-        t.wsum = l_w + (ls + 1) * t.value + r_w + (ls + 1) * r_sum
+        """Recompute ``t``'s aggregates from its children.
+
+        The in-order position of ``t`` within its subtree is ``k = |left| + 1``
+        and every node of the right subtree shifts by ``k``, so
+        ``wsum = left.wsum + k·v + right.wsum + k·right.sum``. An absent
+        child's terms are skipped rather than added as ``0.0``, which
+        rounds identically (``x + 0.0 == x``).
+        """
+        left, right, v = t.left, t.right, t.value
+        if left is None:
+            k, s, w = 1, v, v
+        else:
+            k = left.size + 1
+            s = left.sum + v
+            w = left.wsum + k * v
+        if right is None:
+            t.size, t.sum, t.wsum = k, s, w
+        else:
+            t.size = k + right.size
+            t.sum = s + right.sum
+            t.wsum = w + right.wsum + k * right.sum
 
     def _pull_to_root(self, t: Optional[RangeTreeNode]) -> None:
+        pull = self._pull
         while t is not None:
-            self._pull(t)
+            pull(t)
             t = t.parent
 
     # -- rotations ---------------------------------------------------------------
-    def _rotate_up(self, x: RangeTreeNode) -> None:
-        """Rotate ``x`` above its parent, preserving in-order order."""
-        p = x.parent
-        assert p is not None
+    def _lift(self, x: RangeTreeNode, p: RangeTreeNode) -> None:
+        """Rotate ``x`` above its parent ``p``, preserving in-order order.
+
+        Pointer surgery only: the caller re-pulls ``p`` and ``x`` (and the
+        path above) once their children are final.
+        """
         g = p.parent
         if p.left is x:
-            p.left = x.right
-            if x.right is not None:
-                x.right.parent = p
+            c = p.left = x.right
             x.right = p
         else:
-            p.right = x.left
-            if x.left is not None:
-                x.left.parent = p
+            c = p.right = x.left
             x.left = p
+        if c is not None:
+            c.parent = p
         p.parent = x
         x.parent = g
         if g is None:
@@ -179,8 +204,6 @@ class RangeTree:
             g.left = x
         else:
             g.right = x
-        self._pull(p)
-        self._pull(x)
 
     # -- insert --------------------------------------------------------------------
     def insert(self, value: float, payload: Any = None) -> RangeTreeNode:
@@ -191,12 +214,12 @@ class RangeTree:
         node = RangeTreeNode(float(value), payload, key, self._rng.random())
         node._tree = self
 
-        if self._root is None:
+        cur = self._root
+        if cur is None:
             self._root = node
             return node
 
         # BST descent, remembering the in-order neighbours.
-        cur = self._root
         pred: Optional[RangeTreeNode] = None
         succ: Optional[RangeTreeNode] = None
         while True:
@@ -204,16 +227,15 @@ class RangeTree:
                 succ = cur
                 if cur.left is None:
                     cur.left = node
-                    node.parent = cur
                     break
                 cur = cur.left
             else:
                 pred = cur
                 if cur.right is None:
                     cur.right = node
-                    node.parent = cur
                     break
                 cur = cur.right
+        node.parent = cur
 
         # thread the doubly linked list
         node.prev = pred
@@ -223,10 +245,15 @@ class RangeTree:
         if succ is not None:
             succ.prev = node
 
-        self._pull_to_root(node.parent)
-        # restore the heap property on priorities (min-heap)
-        while node.parent is not None and node._prio < node.parent._prio:
-            self._rotate_up(node)
+        # restore the heap property on priorities (min-heap); each demoted
+        # parent's children are final once it is demoted
+        prio, pull = node._prio, self._pull
+        p: Optional[RangeTreeNode] = cur
+        while p is not None and prio < p._prio:
+            self._lift(node, p)
+            pull(p)
+            p = node.parent
+        self._pull_to_root(node)
         return node
 
     # -- delete ----------------------------------------------------------------------
@@ -234,16 +261,17 @@ class RangeTree:
         """Remove ``node`` from the tree. Expected ``O(log N)``."""
         if node._tree is not self:
             raise ValueError("node does not belong to this tree")
-        # rotate down to a leaf
-        while node.left is not None or node.right is not None:
-            if node.left is None:
-                child = node.right
-            elif node.right is None:
-                child = node.left
+        # rotate down to a leaf, lifting the child with the smaller priority
+        while True:
+            left, right = node.left, node.right
+            if left is None:
+                if right is None:
+                    break
+                self._lift(right, node)
+            elif right is None or left._prio < right._prio:
+                self._lift(left, node)
             else:
-                child = node.left if node.left._prio < node.right._prio else node.right
-            assert child is not None
-            self._rotate_up(child)
+                self._lift(right, node)
         p = node.parent
         if p is None:
             self._root = None
@@ -251,6 +279,7 @@ class RangeTree:
             p.left = None
         else:
             p.right = None
+        # every node whose children changed lies on this path
         self._pull_to_root(p)
 
         # unthread
@@ -263,32 +292,39 @@ class RangeTree:
 
     # -- order statistics ----------------------------------------------------------
     def rank(self, node: RangeTreeNode) -> int:
-        """1-based in-order rank of ``node`` (rank 1 = largest value)."""
+        """1-based in-order rank of ``node`` (rank 1 = largest value).
+
+        ``Θ(1)`` for the last node (``node.next is None``), whose rank is
+        ``N``; ``O(log N)`` otherwise.
+        """
         if node._tree is not self:
             raise ValueError("node does not belong to this tree")
-        r = _size(node.left) + 1
-        cur = node
-        while cur.parent is not None:
-            if cur.parent.right is cur:
-                r += _size(cur.parent.left) + 1
-            cur = cur.parent
+        if node.next is None:
+            return len(self)
+        left = node.left
+        r = left.size + 1 if left is not None else 1
+        cur, p = node, node.parent
+        while p is not None:
+            if p.right is cur:
+                left = p.left
+                r += left.size + 1 if left is not None else 1
+            cur, p = p, p.parent
         return r
 
     def select(self, k: int) -> RangeTreeNode:
         """The node of rank ``k`` (1-based). Raises ``IndexError`` if out of range."""
-        if not (1 <= k <= len(self)):
-            raise IndexError(f"rank {k} out of range [1, {len(self)}]")
-        t = self._root
-        while True:
-            assert t is not None
-            ls = _size(t.left)
-            if k == ls + 1:
-                return t
+        want, t = k, self._root
+        while t is not None:
+            left = t.left
+            ls = left.size if left is not None else 0
             if k <= ls:
-                t = t.left
+                t = left
+            elif k == ls + 1:
+                return t
             else:
                 k -= ls + 1
                 t = t.right
+        raise IndexError(f"rank {want} out of range [1, {len(self)}]")
 
     def count_ge(self, value: float) -> int:
         """Number of stored values ``>= value``. ``O(log N)``.
@@ -300,7 +336,8 @@ class RangeTree:
         t, count = self._root, 0
         while t is not None:
             if t.value >= value:
-                count += _size(t.left) + 1
+                left = t.left
+                count += left.size + 1 if left is not None else 1
                 t = t.right
             else:
                 t = t.left
@@ -308,8 +345,52 @@ class RangeTree:
 
     # -- range aggregates (Equations 28-30) ---------------------------------------
     def range_sum(self, a: int, b: int) -> float:
-        """``ξ([a,b]) = Σ_{k=a..b} value_k`` over ranks; 0 if the interval is empty."""
-        s, _ = self._range_query(a, b)
+        """``ξ([a,b]) = Σ_{k=a..b} value_k`` over ranks; 0 if the interval is empty.
+
+        Bit-identical to ``_range_query(a, b)[0]`` without building the
+        ``Σ k·v`` half; the whole tree is ``root.sum``.
+        """
+        t = self._root
+        if t is None:
+            return 0.0
+        if a < 1:
+            a = 1
+        n = t.size
+        if b > n:
+            b = n
+        if a > b:
+            return 0.0
+        if a == 1 and b == n:
+            return t.sum
+        return self._sum_query(t, a, b, 0)
+
+    def _sum_query(self, t: RangeTreeNode, a: int, b: int, offset: int) -> float:
+        """``Σ v`` over the nodes of ``t`` whose global rank is in ``[a, b]``.
+
+        ``t`` spans ranks ``offset+1 .. offset+t.size``, which meet
+        ``[a, b]`` without lying inside it. The sum half of :meth:`_query`,
+        addition for addition: a fully covered child adds its stored
+        ``sum`` (what ``_query`` would return for it) and an absent child
+        adds nothing (``x + 0.0 == x``).
+        """
+        left = t.left
+        my_rank = offset + 1
+        s = 0.0
+        if left is not None:
+            my_rank += left.size
+            if a < my_rank:  # left subtree (ranks offset+1 .. my_rank-1) intersects
+                if a <= offset + 1 and my_rank <= b + 1:
+                    s += left.sum
+                else:
+                    s += self._sum_query(left, a, b, offset)
+        if a <= my_rank <= b:
+            s += t.value
+        right = t.right
+        if right is not None and b > my_rank:  # right subtree intersects
+            if a <= my_rank + 1 and my_rank + right.size <= b:
+                s += right.sum
+            else:
+                s += self._sum_query(right, a, b, my_rank)
         return s
 
     def range_delta(self, a: int, b: int) -> float:
@@ -347,9 +428,10 @@ class RangeTree:
             return t.sum, t.wsum + offset * t.sum
         s = 0.0
         g = 0.0
-        my_rank = offset + _size(t.left) + 1
+        left = t.left
+        my_rank = offset + (left.size if left is not None else 0) + 1
         if a < my_rank:  # left subtree may intersect
-            ls, lg = self._query(t.left, a, b, offset)
+            ls, lg = self._query(left, a, b, offset)
             s += ls
             g += lg
         if a <= my_rank <= b:

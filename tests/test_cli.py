@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.perf.sweep import SWEEPS, run_sweep
 
 
 class TestParser:
@@ -134,3 +135,28 @@ class TestCommands:
     def test_explain_unknown_task(self, capsys):
         assert main(["explain", "no-such-task"]) == 1
         assert "no placement decision" in capsys.readouterr().out
+
+
+class TestSweepCommand:
+    """``repro sweep NAME --quick`` prints a full table for every registered sweep."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_every_sweep_quick(self, capsys, name):
+        assert main(["sweep", name, "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert f"sweep {name} (quick)" in out
+        rows = run_sweep(name, quick=True).rows
+        # the header is the first-seen union of every row's columns
+        for column in dict.fromkeys(h for row in rows for h in row):
+            assert column in out
+        assert f"{len(rows)} cells in" in out
+
+    def test_core_count_mixes_batch_and_online_rows(self, capsys):
+        assert main(["sweep", "core_count", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("mode"))
+        assert "vs_ps_total_pct" in header
+        online = [line for line in lines if line.startswith("online")]
+        assert online
+        # online rows carry no PS margin: their last cell is blank
+        assert all(line.split("|")[-1].strip() == "" for line in online)
