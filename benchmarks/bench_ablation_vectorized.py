@@ -18,7 +18,7 @@ from repro.core.dominating import DominatingRanges
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
-from repro.models.vectorized import core_cost_vectorized, optimal_cost_vectorized
+from repro.models.vectorized import core_cost_vectorized, wbg_optimal_cost
 
 
 def _random_schedule(n: int, seed: int = 0) -> CoreSchedule:
@@ -62,6 +62,6 @@ def test_vectorized_optimal_cost(benchmark, n):
     rng = random.Random(1)
     cycles = [rng.uniform(0.1, 500.0) for _ in range(n)]
     dr = DominatingRanges.from_cost_model(model)
-    cost = benchmark(optimal_cost_vectorized, model, cycles, dr)
+    cost = benchmark(wbg_optimal_cost, [dr], cycles)
     tasks = [Task(cycles=c) for c in cycles]
     assert cost == pytest.approx(schedule_cost_lower_bound(tasks, model, dr), rel=1e-9)

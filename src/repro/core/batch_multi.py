@@ -7,15 +7,19 @@ hands the ``i``-th heaviest task backward position ``⌈i/R⌉`` on core
 
 **Heterogeneous platforms (Theorem 5, Algorithm 3 — Workload Based
 Greedy).** Cores may differ in ``E_j``/``T_j``. Sort tasks by
-descending cycle count; keep a min-heap of each core's *next* backward
-positional cost ``C*_j(k_j)`` (initially ``C*_j(1)`` for all ``j``);
-repeatedly pop the globally cheapest slot, put the next-heaviest task
-there at that slot's dominating rate, and push the core's following
-slot ``C*_j(k_j + 1)``. Because ``C*_j(k)`` is independent of the
-workload (Lemma 1) and increases in the backward position ``k``
-(Lemma 2 mirrored), this greedy pairing of heavier tasks with globally
-smaller positional costs minimises ``Σ C*·L`` — an exchange argument
-identical to Theorem 3's.
+descending cycle count and hand each, heaviest first, the globally
+cheapest unused slot: the smallest backward positional cost
+``C*_j(k_j)`` over every core's next slot, at that slot's dominating
+rate. Because ``C*_j(k)`` is independent of the workload (Lemma 1) and
+increases in the backward position ``k`` (Lemma 2 mirrored), this
+greedy pairing of heavier tasks with globally smaller positional costs
+minimises ``Σ C*·L`` — an exchange argument identical to Theorem 3's.
+
+The paper's min-heap loop is the test oracle
+:func:`repro.verify.reference.wbg_heap_plan`; here one NumPy merge over
+the memoized positional costs
+(:func:`repro.models.vectorized.wbg_slot_sequence`) makes the same
+picks, bit for bit (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -26,24 +30,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from repro.core.dominating import DominatingRanges
 from repro.models.cost import CoreSchedule, CostModel, Placement, ScheduleCost
 from repro.models.task import Task
-from repro.structures.indexed_heap import IndexedMinHeap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.tracer import Tracer
-
-#: Batches below this size stay on the scalar heap loop under
-#: ``kernel="auto"`` — NumPy setup overhead only pays off past it.
-VECTOR_MIN_TASKS = 64
-
-
-def _use_vector(kernel: str, n_tasks: int) -> bool:
-    if kernel == "scalar":
-        return False
-    if kernel == "vector":
-        return True
-    if kernel == "auto":
-        return n_tasks >= VECTOR_MIN_TASKS
-    raise ValueError(f"unknown kernel {kernel!r} (expected auto/scalar/vector)")
 
 
 class WorkloadBasedGreedy:
@@ -63,11 +52,10 @@ class WorkloadBasedGreedy:
     the ranges and their vectorized positional-cost prefixes.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) records one
-    ``ranges.build`` event per core at construction and one
-    ``wbg.slot_pick`` event per heap pop during :meth:`schedule`; with
-    the default ``None`` the only cost is a ``is not None`` test per
-    decision, and the produced plans are bit-identical either way (the
-    obs differential tests pin this).
+    ``ranges.build`` event per core at construction, and one
+    ``wbg.schedule`` event plus one ``wbg.slot_pick`` event per task
+    during :meth:`schedule`, replayed from the merged pick sequence.
+    The plan is the same with or without a tracer.
     """
 
     def __init__(self, models: Sequence[CostModel],
@@ -91,121 +79,76 @@ class WorkloadBasedGreedy:
     def n_cores(self) -> int:
         return len(self.models)
 
-    def positional_cost(self, core: int, kb: int) -> float:
-        """``C*_j(k)`` — core ``core``'s optimal cost for backward slot ``kb``."""
-        return self.ranges[core].cost(kb)
-
-    def schedule(self, tasks: Iterable[Task], kernel: str = "auto") -> list[CoreSchedule]:
+    def schedule(self, tasks: Iterable[Task]) -> list[CoreSchedule]:
         """Assign every task a core, a queue slot, and a rate.
 
         Returns one :class:`CoreSchedule` per core, in execution order
-        (shortest assigned task first).
-
-        ``kernel`` selects the implementation: ``"scalar"`` is the
-        per-task heap loop of Algorithm 3 (``O(n log n + n log R)``,
-        the readable specification); ``"vector"`` replaces the loop
-        with one NumPy merge over the memoized positional-cost prefixes
-        (:func:`repro.models.vectorized.wbg_slot_sequence`), which is
-        several times faster past a few hundred tasks; ``"auto"``
-        (default) picks by batch size. The two produce **bit-identical**
-        plans — same cores, slots, and rates — enforced by the
-        ``wbg_kernel`` differential fuzz check.
-
-        An attached tracer forces the scalar path (the per-decision
-        events *are* the heap pops; the vector merge makes the same
-        decisions in one shot) — harmless for the result, since the
-        kernels are bit-identical.
+        (shortest assigned task first). The picks come from
+        :func:`~repro.models.vectorized.wbg_slot_sequence`; the
+        ``wbg_kernel`` differential check holds them bit-identical to
+        the heap loop in :mod:`repro.verify.reference`.
         """
+        # looked up on the module at call time, so a patched kernel is seen
+        from repro.models import vectorized
+
         by_weight = sorted(tasks, key=lambda t: (-t.cycles, t.task_id))  # heaviest first
-        if self._tracer is None and _use_vector(kernel, len(by_weight)):
-            return self._schedule_vector(by_weight)
-        return self._schedule_scalar(by_weight, kernel=kernel)
-
-    def _schedule_scalar(self, by_weight: Sequence[Task],
-                         kernel: str = "scalar") -> list[CoreSchedule]:
+        n = len(by_weight)
         tracer = self._tracer
-        heap = IndexedMinHeap()
-        next_slot = [1] * self.n_cores
-        for j in range(self.n_cores):
-            heap.push(j, self.positional_cost(j, 1), tiebreak=j)
-
         if tracer is not None:
             tracer.emit("wbg.schedule", {
-                "n_tasks": len(by_weight), "n_cores": self.n_cores, "kernel": kernel,
+                "n_tasks": n, "n_cores": self.n_cores, "kernel": "auto",
             })
-
         # per-core placements built back-to-front: slot k is the k-th from the end
         backward: list[list[Placement]] = [[] for _ in range(self.n_cores)]
-        for task in by_weight:
-            j, picked_cost = heap.pop()
-            kb = next_slot[j]
-            rate = self.ranges[j].rate_for(kb)
+        if n:
+            merged = vectorized.wbg_slot_sequence(self.ranges, n)
+            cores, rates = merged[0].tolist(), merged[1].tolist()
             if tracer is not None:
-                # every core's candidate slot at pick time — the heap's
-                # full state, so `repro explain` can show the runner-ups
-                candidates = [
-                    [c, next_slot[c], self.positional_cost(c, next_slot[c])]
-                    for c in range(self.n_cores)
-                ]
-                tracer.emit("wbg.slot_pick", {
-                    "task_id": task.task_id, "task": task.name,
-                    "cycles": task.cycles, "core": j, "slot": kb, "rate": rate,
-                    "positional_cost": picked_cost, "candidates": candidates,
-                })
-            backward[j].append(Placement(task=task, rate=rate))
-            next_slot[j] = kb + 1
-            heap.push(j, self.positional_cost(j, kb + 1), tiebreak=j)
-
-        return [
-            CoreSchedule(reversed(backward[j]), core_index=j) for j in range(self.n_cores)
-        ]
-
-    def _schedule_vector(self, by_weight: Sequence[Task]) -> list[CoreSchedule]:
-        from repro.models.vectorized import wbg_slot_sequence
-
-        backward: list[list[Placement]] = [[] for _ in range(self.n_cores)]
-        if by_weight:
-            cores, rates = wbg_slot_sequence(self.ranges, len(by_weight))
-            for task, j, rate in zip(by_weight, cores.tolist(), rates.tolist()):
+                self._emit_slot_picks(tracer, by_weight, cores, rates)
+            for task, j, rate in zip(by_weight, cores, rates):
                 backward[j].append(Placement(task=task, rate=rate))
         return [
             CoreSchedule(reversed(backward[j]), core_index=j) for j in range(self.n_cores)
         ]
 
+    def _emit_slot_picks(self, tracer: "Tracer", by_weight: Sequence[Task],
+                         cores: list[int], rates: list[float]) -> None:
+        """One ``wbg.slot_pick`` per task, replayed from the merged picks."""
+        from repro.models.vectorized import positional_cost_prefix
+
+        prefix = [positional_cost_prefix(r, len(by_weight)).tolist() for r in self.ranges]
+        next_slot = [1] * self.n_cores
+        for task, j, rate in zip(by_weight, cores, rates):
+            kb = next_slot[j]
+            # every core's candidate slot at pick time, so `repro explain`
+            # can show the runner-ups
+            candidates = [[c, k, prefix[c][k - 1]] for c, k in enumerate(next_slot)]
+            tracer.emit("wbg.slot_pick", {
+                "task_id": task.task_id, "task": task.name,
+                "cycles": task.cycles, "core": j, "slot": kb, "rate": rate,
+                "positional_cost": prefix[j][kb - 1], "candidates": candidates,
+            })
+            next_slot[j] = kb + 1
+
     def schedule_cost(self, schedules: Sequence[CoreSchedule]) -> ScheduleCost:
         """Evaluate a multi-core schedule with each core's own model."""
-        total: Optional[ScheduleCost] = None
-        for sched in schedules:
-            cost = self.models[sched.core_index].core_cost(sched)
-            total = cost if total is None else total + cost
-        assert total is not None
+        if not schedules:
+            raise ValueError("schedule_cost needs at least one core schedule")
+        total = self.models[schedules[0].core_index].core_cost(schedules[0])
+        for sched in schedules[1:]:
+            total = total + self.models[sched.core_index].core_cost(sched)
         return total
 
-    def optimal_cost(self, tasks: Iterable[Task], kernel: str = "auto") -> float:
+    def optimal_cost(self, tasks: Iterable[Task]) -> float:
         """``Σ C*·L`` of the greedy assignment, without materialising schedules.
 
-        Same ``kernel`` contract as :meth:`schedule`; the vector path
-        pairs the merged positional costs with descending cycle counts
-        in one dot product (summation order differs from the scalar
-        running sum, so totals agree to float tolerance, not bitwise —
-        the *plan* kernels are the bit-identical ones).
+        One dot product of the merged positional costs with the
+        descending cycle counts
+        (:func:`~repro.models.vectorized.wbg_optimal_cost`).
         """
-        by_weight = sorted((t.cycles for t in tasks), reverse=True)
-        if _use_vector(kernel, len(by_weight)):
-            from repro.models.vectorized import wbg_optimal_cost
+        from repro.models.vectorized import wbg_optimal_cost
 
-            return wbg_optimal_cost(self.ranges, by_weight)
-        heap = IndexedMinHeap()
-        next_slot = [1] * self.n_cores
-        for j in range(self.n_cores):
-            heap.push(j, self.positional_cost(j, 1), tiebreak=j)
-        total = 0.0
-        for cycles in by_weight:
-            j, cost = heap.pop()
-            total += cost * cycles
-            next_slot[j] += 1
-            heap.push(j, self.positional_cost(j, next_slot[j]), tiebreak=j)
-        return total
+        return wbg_optimal_cost(self.ranges, [t.cycles for t in tasks])
 
 
 def schedule_multi_core(

@@ -107,7 +107,8 @@ def schedule_with_energy_budget(
             feasible_hi = cand
             break
         hi *= 8.0
-    assert feasible_hi is not None, "min-rate schedule fits, so a large λ must too"
+    if feasible_hi is None:
+        raise RuntimeError(f"no multiplier up to {hi:g} fits, yet the min-rate schedule does")
 
     best = feasible_hi
     for _ in range(max_iters):

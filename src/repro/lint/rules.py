@@ -1,4 +1,4 @@
-"""The domain rule catalog (RP000–RP007).
+"""The domain rule catalog (RP000–RP008).
 
 Each rule encodes an invariant the dynamic verification layer
 (:mod:`repro.verify`) can only catch after the fact, enforced here *at
@@ -34,6 +34,9 @@ rest* on every commit:
   imports outside ``parallel/``. All process fan-out goes through
   :mod:`repro.parallel` so seeding, ordered merge, and fallback policy
   stay in one audited place (docs/PARALLELISM.md).
+* **RP008** — bare ``assert`` statements outside ``lint/``.
+  ``python -O`` strips them, so a runtime check written as an
+  ``assert`` silently stops checking; raise a named exception instead.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ PRINT_ALLOWED = ("cli.py", "analysis/reporting.py")
 
 #: The one package allowed to import process-pool machinery.
 POOL_HOME = "parallel/"
+
+#: The package exempt from RP008: the linter's own ``mod.tree`` narrowings.
+ASSERT_EXEMPT = "lint/"
 
 #: Top-level modules whose import marks hand-rolled process fan-out.
 POOL_MODULES = frozenset({"multiprocessing", "concurrent"})
@@ -379,7 +385,28 @@ class PoolBoundaryRule(Rule):
                     break
 
 
+@register
+class BareAssertRule(Rule):
+    code = "RP008"
+    name = "bare-assert"
+    summary = ("no bare assert outside lint/: python -O strips it, so runtime "
+               "checks raise named exceptions")
+
+    def check_module(self, mod: SourceModule) -> Iterator[Finding]:
+        if _in_scope(mod, (ASSERT_EXEMPT,)):
+            return
+        assert mod.tree is not None
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.Assert):
+                yield self.finding(
+                    mod, node,
+                    "bare assert is stripped by python -O; raise a named "
+                    "exception (ValueError, RuntimeError, ...) instead",
+                )
+
+
 __all__ = [
+    "BareAssertRule",
     "DirectiveHygieneRule",
     "FloatEqualityRule",
     "PoolBoundaryRule",

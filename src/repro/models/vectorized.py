@@ -3,11 +3,13 @@
 The pure-Python evaluators in :mod:`repro.models.cost` are the readable
 reference; for parameter sweeps over 10⁵-task batches the interpreter
 loop dominates. This module vectorises the hot computations —
-whole-schedule cost evaluation, the optimal-cost sum ``Σ CB*(k)·L^B_k``,
-batched positional costs ``C(k,p)``, the Workload Based Greedy slot
-merge, and the Equation 27 interactive marginal — with NumPy, following
-the repo's HPC guidance (vectorise the measured bottleneck, keep the
-loop version as the specification).
+whole-schedule cost evaluation, the memoized positional costs
+``CB*(1..n)``, the Workload Based Greedy slot merge and its optimal-cost
+sum ``Σ C*·L``, and the Equation 27 interactive marginal — with NumPy,
+following the repo's HPC guidance (vectorise the measured bottleneck,
+keep the loop version as the specification). A single core is the
+one-element case of the multi-core kernels: ``wbg_optimal_cost([r], L)``
+is Algorithm 2's optimal cost.
 
 Two guarantees matter more than raw speed:
 
@@ -58,55 +60,6 @@ def core_cost_vectorized(model: CostModel, schedule: CoreSchedule) -> float:
     energies = np.asarray(table.energy_per_cycle)[idx] * cycles
     turnarounds = np.cumsum(times)
     return float(model.re * energies.sum() + model.rt * turnarounds.sum())
-
-
-def optimal_cost_vectorized(
-    model: CostModel,
-    cycles: Sequence[float] | np.ndarray,
-    ranges: Optional[DominatingRanges] = None,
-) -> float:
-    """Vectorised ``Σ CB*(k)·L^B_k`` — the single-core optimal cost.
-
-    Sorts descending (backward positions), builds the per-position
-    ``CB*`` vector from the dominating ranges without looping over
-    positions (each range contributes an arithmetic-progression slice),
-    and reduces with one dot product.
-    """
-    L = np.sort(np.asarray(cycles, dtype=np.float64))[::-1]
-    n = L.size
-    if n == 0:
-        return 0.0
-    if np.any(L <= 0):
-        raise ValueError("cycle counts must be positive")
-    if ranges is None:
-        ranges = DominatingRanges.from_cost_model(model)
-
-    cb = np.empty(n, dtype=np.float64)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    for r in ranges:
-        lo = r.lo
-        hi = n + 1 if r.hi is None else min(r.hi, n + 1)
-        if lo > n or lo >= hi:
-            continue
-        sl = slice(lo - 1, hi - 1)
-        cb[sl] = (
-            model.re * model.table.energy(r.rate)
-            + k[sl] * model.rt * model.table.time(r.rate)
-        )
-    return float(cb @ L)
-
-
-def positional_cost_table(
-    model: CostModel, max_position: int, ranges: Optional[DominatingRanges] = None
-) -> np.ndarray:
-    """``CB*(1..max_position)`` as one array (precompute for sweeps)."""
-    if max_position < 1:
-        raise ValueError("max_position must be >= 1")
-    if ranges is None:
-        ranges = DominatingRanges.from_cost_model(model)
-    out = np.empty(max_position, dtype=np.float64)
-    _fill_positional(ranges, out)
-    return out
 
 
 def _fill_positional(
@@ -175,24 +128,6 @@ def positional_rate_prefix(ranges: DominatingRanges, n: int) -> np.ndarray:
     return _prefix_arrays(ranges, n)[1][:n]
 
 
-def backward_cost_matrix(model: CostModel, max_position: int) -> np.ndarray:
-    """Batched ``CB(k, p)`` — shape ``(max_position, |P|)``.
-
-    Row ``k-1`` holds the backward positional cost of every rate at
-    position ``k``; ``min`` along axis 1 is ``CB*`` and ``argmin`` (with
-    the paper's tie-to-higher-rate rule: reverse argmin) reproduces the
-    brute-force rate scan, which is how the golden tests cross-check
-    Algorithm 1 without a Python loop.
-    """
-    if max_position < 1:
-        raise ValueError("max_position must be >= 1")
-    table = model.table
-    k = np.arange(1, max_position + 1, dtype=np.float64)[:, None]
-    e = np.asarray(table.energy_per_cycle)
-    t = np.asarray(table.time_per_cycle)
-    return model.re * e + k * model.rt * t
-
-
 def wbg_slot_sequence(
     ranges_per_core: Sequence[DominatingRanges], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +143,8 @@ def wbg_slot_sequence(
     core's slots already arrive in pop order) and cross-core cost ties
     break on the core index — precisely the heap's ``(priority,
     tiebreak=j)`` comparison. Costs come from the memoized prefixes, so
-    they are bit-identical to what the scalar loop feeds its heap.
+    they are bit-identical to what the heap-loop oracle
+    (:func:`repro.verify.reference.wbg_heap_picks`) feeds its heap.
     """
     n_cores = len(ranges_per_core)
     if n_cores < 1:
@@ -230,10 +166,10 @@ def wbg_optimal_cost(
 ) -> float:
     """Vectorised ``Σ C*·L`` of the Workload Based Greedy assignment.
 
-    The multi-core generalisation of :func:`optimal_cost_vectorized`:
-    merge the per-core positional costs (same order as
+    Merge the per-core positional costs (same order as
     :func:`wbg_slot_sequence`), pair them with descending cycle counts,
-    and reduce with one dot product.
+    and reduce with one dot product. With one core this is the
+    single-core optimal cost ``Σ CB*(k)·L^B_k``.
     """
     L = np.sort(np.asarray(cycles, dtype=np.float64))[::-1]
     n = int(L.size)

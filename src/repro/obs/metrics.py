@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 _NAME_OK = "abcdefghijklmnopqrstuvwxyz0123456789._-"
 
@@ -149,6 +149,7 @@ class Histogram:
 
 
 Instrument = Union[Counter, Gauge, Histogram]
+_I = TypeVar("_I", Counter, Gauge, Histogram)
 
 
 class MetricsRegistry:
@@ -171,32 +172,27 @@ class MetricsRegistry:
     def __iter__(self) -> Iterable[Instrument]:
         return iter(sorted(self._instruments.values(), key=lambda m: m.name))
 
-    def _get_or_create(self, name: str, factory: Any, kind: str) -> Instrument:
+    def _get_or_create(self, name: str, cls: type[_I], factory: Callable[[], _I]) -> _I:
         existing = self._instruments.get(name)
-        if existing is not None:
-            if existing.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as a {existing.kind}, "
-                    f"requested as a {kind}"
-                )
-            return existing
-        instrument = factory()
-        self._instruments[name] = instrument
-        return instrument
+        if existing is None:
+            instrument = factory()
+            self._instruments[name] = instrument
+            return instrument
+        if not isinstance(existing, cls):
+            raise ValueError(
+                f"metric {name!r} already registered as a {existing.kind}, "
+                f"requested as a {cls.kind}"
+            )
+        return existing
 
     def counter(self, name: str, help: str = "") -> Counter:
-        out = self._get_or_create(name, lambda: Counter(name, help), "counter")
-        assert isinstance(out, Counter)
-        return out
+        return self._get_or_create(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        out = self._get_or_create(name, lambda: Gauge(name, help), "gauge")
-        assert isinstance(out, Gauge)
-        return out
+        return self._get_or_create(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(self, name: str, buckets: Sequence[float], help: str = "") -> Histogram:
-        out = self._get_or_create(name, lambda: Histogram(name, buckets, help), "histogram")
-        assert isinstance(out, Histogram)
+        out = self._get_or_create(name, Histogram, lambda: Histogram(name, buckets, help))
         if out.bounds != tuple(float(b) for b in buckets):
             raise ValueError(
                 f"histogram {name!r} already registered with buckets {out.bounds}"

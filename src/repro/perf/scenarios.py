@@ -12,8 +12,9 @@ Workloads are pinned: fixed seeds, fixed sizes (smaller under
 machine produces identical ops/checksums; only the wall times vary.
 
 The WBG scenario doubles as a live bit-identity assertion — it raises
-if the scalar and vector kernels ever disagree on a plan, independent
-of the differential fuzzer's ``wbg_kernel`` check.
+if the production merge kernel ever plans differently from the
+heap-loop oracle in :mod:`repro.verify.reference`, independent of the
+differential fuzzer's ``wbg_kernel`` check.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
 from repro.perf.report import ScenarioResult
+from repro.verify.reference import wbg_heap_plan
 
 T = TypeVar("T")
 
@@ -99,12 +101,14 @@ def _heterogeneous_platform(n_cores: int) -> list[RateTable]:
 
 
 def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
-    """Algorithm 3 over a large batch: scalar heap loop vs vector merge.
+    """Algorithm 3 over a large batch: heap-loop oracle vs merge kernel.
 
-    Times both kernels on the same 10⁴-task (quick: 2·10³) batch over a
-    4-core heterogeneous platform, asserts the plans are identical, and
-    checksums the plan. The recorded ``scalar``/``vector`` times make
-    the speedup auditable from the committed baseline.
+    Times the heap loop (phase ``scalar``) and the production
+    :class:`WorkloadBasedGreedy` merge (phase ``vector``) on the same
+    10⁴-task (quick: 2·10³) batch over a 4-core heterogeneous platform,
+    asserts the plans are identical, and checksums the plan. The
+    recorded times make the merge's speedup auditable from the
+    committed baseline.
     """
     n_tasks = 2_000 if quick else 10_000
     n_cores = 4
@@ -115,8 +119,8 @@ def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
     ]
     scheduler = WorkloadBasedGreedy(models)
 
-    t_scalar, plan_scalar = _timed(lambda: scheduler.schedule(tasks, kernel="scalar"), repeats)
-    t_vector, plan_vector = _timed(lambda: scheduler.schedule(tasks, kernel="vector"), repeats)
+    t_scalar, plan_scalar = _timed(lambda: wbg_heap_plan(models, tasks), repeats)
+    t_vector, plan_vector = _timed(lambda: scheduler.schedule(tasks), repeats)
 
     def plan_key(plan):  # (core, [(cycles, rate), ...]) — identity up to task naming
         return [
@@ -124,7 +128,7 @@ def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
         ]
 
     if plan_key(plan_scalar) != plan_key(plan_vector):
-        raise RuntimeError("WBG scalar and vector kernels produced different plans")
+        raise RuntimeError("WBG merge kernel and heap oracle produced different plans")
 
     cost = scheduler.schedule_cost(plan_vector)
     return ScenarioResult(
@@ -262,7 +266,7 @@ class Scenario:
 ALL_SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("wbg_scaling", "Algorithm 3 batch: scalar heap vs vector merge", wbg_scaling),
+        Scenario("wbg_scaling", "Algorithm 3 batch: heap oracle vs merge kernel", wbg_scaling),
         Scenario("lmc_online_trace", "LMC policy over a pinned online trace", lmc_online_trace),
         Scenario("dynamic_churn", "DynamicCostIndex insert/delete/probe churn", dynamic_churn),
         Scenario("dominating_cache", "Algorithm 1 memo hit behaviour", dominating_cache),

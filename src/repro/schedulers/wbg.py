@@ -3,7 +3,9 @@
 The algorithm itself lives in :mod:`repro.core.batch_multi`; this
 module adapts it to the plan-generator signature shared by every batch
 baseline so the Figure 2 experiment can treat all three schedulers
-uniformly.
+uniformly. ``kernel="scalar"`` plans with the heap-loop oracle from
+:mod:`repro.verify.reference` instead, for checks that compare two
+independent implementations.
 """
 
 from __future__ import annotations
@@ -31,14 +33,18 @@ def wbg_plan(
     """Optimal batch plan via Workload Based Greedy (Algorithm 3).
 
     ``table`` may be a single :class:`RateTable` (homogeneous platform)
-    or one per core (heterogeneous). ``kernel`` is forwarded to
-    :meth:`~repro.core.batch_multi.WorkloadBasedGreedy.schedule` —
-    ``"scalar"`` (heap loop), ``"vector"`` (NumPy merge over memoized
-    positional costs), or ``"auto"`` (pick by batch size); all produce
-    bit-identical plans. ``tracer`` (see :mod:`repro.obs`) records the
-    Algorithm 1 ranges and every Algorithm 3 slot pick without changing
-    the plan.
+    or one per core (heterogeneous). ``kernel="auto"`` (the default)
+    plans with :class:`~repro.core.batch_multi.WorkloadBasedGreedy`;
+    ``kernel="scalar"`` runs the heap-loop oracle
+    :func:`repro.verify.reference.wbg_heap_plan`, which plans
+    bit-identically and takes no tracer. ``tracer`` (see
+    :mod:`repro.obs`) records the Algorithm 1 ranges and every
+    Algorithm 3 slot pick without changing the plan.
     """
+    if kernel not in ("auto", "scalar"):
+        raise ValueError(f"unknown kernel {kernel!r} (expected auto/scalar)")
+    if kernel == "scalar" and tracer is not None:
+        raise ValueError("kernel='scalar' runs the untraced reference; drop the tracer")
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
     if isinstance(table, RateTable):
@@ -47,4 +53,8 @@ def wbg_plan(
         if len(table) != n_cores:
             raise ValueError("need one rate table per core")
         models = [CostModel(t, re, rt) for t in table]
-    return WorkloadBasedGreedy(models, tracer=tracer).schedule(tasks, kernel=kernel)
+    if kernel == "scalar":
+        from repro.verify.reference import wbg_heap_plan
+
+        return wbg_heap_plan(models, tasks)
+    return WorkloadBasedGreedy(models, tracer=tracer).schedule(tasks)

@@ -150,7 +150,7 @@ class IndexedMinHeap:
         """Verify heap order and the position index. ``O(n)``; tests only."""
         for i in range(1, len(self._heap)):
             parent = (i - 1) >> 1
-            assert not self._lt(self._heap[i], self._heap[parent]), "heap order broken"
+            assert not self._lt(self._heap[i], self._heap[parent]), "heap order broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         for item, i in self._pos.items():
-            assert self._heap[i][2] == item, "position index broken"
-        assert len(self._pos) == len(self._heap), "position index size mismatch"
+            assert self._heap[i][2] == item, "position index broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+        assert len(self._pos) == len(self._heap), "position index size mismatch"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError

@@ -452,31 +452,31 @@ class RangeTree:
         nodes = self._collect(self._root, None)
         # threading must visit the same nodes in the same order
         threaded = list(self)
-        assert [id(n) for n in nodes] == [id(n) for n in threaded], "threading out of sync"
+        assert [id(n) for n in nodes] == [id(n) for n in threaded], "threading out of sync"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         for i, n in enumerate(nodes):
             expected_prev = nodes[i - 1] if i > 0 else None
             expected_next = nodes[i + 1] if i + 1 < len(nodes) else None
-            assert n.prev is expected_prev, "prev pointer broken"
-            assert n.next is expected_next, "next pointer broken"
+            assert n.prev is expected_prev, "prev pointer broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+            assert n.next is expected_next, "next pointer broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
 
     def _collect(
         self, t: Optional[RangeTreeNode], parent: Optional[RangeTreeNode]
     ) -> list[RangeTreeNode]:
         if t is None:
             return []
-        assert t.parent is parent, "parent pointer broken"
+        assert t.parent is parent, "parent pointer broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         if parent is not None:
-            assert t._prio >= parent._prio, "treap priority order broken"
+            assert t._prio >= parent._prio, "treap priority order broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         left = self._collect(t.left, t)
         right = self._collect(t.right, t)
         if left:
-            assert left[-1]._key < t._key, "BST order broken (left)"
+            assert left[-1]._key < t._key, "BST order broken (left)"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         if right:
-            assert t._key < right[0]._key, "BST order broken (right)"
-        assert t.size == len(left) + 1 + len(right), "size aggregate broken"
+            assert t._key < right[0]._key, "BST order broken (right)"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+        assert t.size == len(left) + 1 + len(right), "size aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         total = sum(n.value for n in left) + t.value + sum(n.value for n in right)
-        assert abs(t.sum - total) < AGG_REL_TOL * max(1.0, abs(total)), "sum aggregate broken"
+        assert abs(t.sum - total) < AGG_REL_TOL * max(1.0, abs(total)), "sum aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         seq = left + [t] + right
         w = sum((i + 1) * n.value for i, n in enumerate(seq))
-        assert abs(t.wsum - w) < AGG_REL_TOL * max(1.0, abs(w)), "wsum aggregate broken"
+        assert abs(t.wsum - w) < AGG_REL_TOL * max(1.0, abs(w)), "wsum aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         return seq

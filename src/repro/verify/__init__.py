@@ -11,6 +11,8 @@ Two complementary layers:
   seeded fuzzer that compares each fast algorithm against its naive
   specification on adversarial random instances and shrinks any
   divergence to a minimal pinned repro (``python -m repro fuzz``).
+  :mod:`repro.verify.reference` holds the readable references that
+  have no other home, such as Algorithm 3's heap loop.
 """
 
 from repro.verify.differential import ALL_CHECKS, replay, run_case

@@ -9,10 +9,11 @@ or from-scratch reference and compares them on a randomized instance:
 * ``wbg`` — Workload Based Greedy vs. exhaustive assignment search
   (Theorem 5) plus the Equation 8 ≡ Equation 13 identity and, on
   homogeneous platforms, Theorem 4's round-robin equivalence;
-* ``wbg_kernel`` — the scalar heap loop of Algorithm 3 vs. the
-  vectorized merge kernel: the two plans must match **exactly** (cores,
-  slots, and bitwise-equal rates), on batches large enough to cross the
-  ``kernel="auto"`` threshold;
+* ``wbg_kernel`` — the heap-loop oracle of Algorithm 3
+  (:mod:`repro.verify.reference`) vs. the production merge kernel: the
+  plans, traced and untraced, must match **exactly** (cores, slots, and
+  bitwise-equal rates), and so must every traced ``wbg.slot_pick``
+  against the oracle's heap pop;
 * ``dynamic`` — the incremental ``DynamicCostIndex`` vs. a
   rebuild-from-scratch ``NaiveCostIndex`` over a random insert/delete
   sequence, including the internal aggregate audit;
@@ -46,6 +47,7 @@ from repro.governors import OnDemandGovernor
 from repro.models.cost import CostModel
 from repro.models.task import Task
 from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
+from repro.obs.tracer import RecordingTracer
 from repro.schedulers.lmc import LMCOnlineScheduler
 from repro.schedulers.olb import OLBOnlineScheduler
 from repro.schedulers.ondemand_rr import OnDemandRoundRobinScheduler
@@ -53,6 +55,7 @@ from repro.schedulers.sjf import SJFMaxRateScheduler
 from repro.simulator.online_runner import run_online
 from repro.verify import generators as gen
 from repro.verify.invariants import check_batch_schedules, check_dynamic_index, check_online_result
+from repro.verify.reference import wbg_heap_picks, wbg_heap_plan
 
 #: Range boundaries beyond this are not brute-force verified (the scan
 #: is O(|P|) per position, but boundaries can sit at ~1e12 under extreme
@@ -205,7 +208,7 @@ class WbgCheck(DifferentialCheck):
 
 
 # ---------------------------------------------------------------------------
-# WBG scalar heap loop vs vectorized merge kernel
+# WBG heap-loop oracle vs the production merge kernel
 # ---------------------------------------------------------------------------
 
 class WbgKernelCheck(DifferentialCheck):
@@ -216,8 +219,7 @@ class WbgKernelCheck(DifferentialCheck):
         n_cores = rng.randint(1, 4)
         re, rt = gen.gen_pricing(rng)
         # bigger batches than WbgCheck (no brute force here) so the
-        # merge regularly spans several dominating ranges per core and
-        # crosses the kernel="auto" threshold
+        # merge regularly spans several dominating ranges per core
         n_tasks = rng.choice((1, 2, rng.randint(3, 30), rng.randint(60, 90)))
         return {
             "tables": gen.gen_tables(rng, n_cores),
@@ -236,24 +238,40 @@ class WbgKernelCheck(DifferentialCheck):
     def run(self, case: dict) -> list[str]:
         models = gen.models_from_case(case)
         tasks = [Task(cycles=c) for c in case["cycles"]]
-        wbg = WorkloadBasedGreedy(models)
-        scalar = self._plan_key(wbg.schedule(tasks, kernel="scalar"))
-        vector = self._plan_key(wbg.schedule(tasks, kernel="vector"))
+        oracle = self._plan_key(wbg_heap_plan(models, tasks))
+        tracer = RecordingTracer()
         failures: list[str] = []
-        if scalar != vector:
-            for (js, ps), (jv, pv) in zip(scalar, vector):
-                if (js, ps) != (jv, pv):
-                    failures.append(
-                        f"core {js}: scalar plan {ps!r} != vector plan {pv!r}"
-                    )
-            if not failures:
-                failures.append(f"plan shapes differ: {scalar!r} != {vector!r}")
-        cost_scalar = wbg.optimal_cost(tasks, kernel="scalar")
-        cost_vector = wbg.optimal_cost(tasks, kernel="vector")
-        if not _isclose(cost_scalar, cost_vector):
-            failures.append(
-                f"Σ C*·L scalar {cost_scalar!r} != vector {cost_vector!r}"
-            )
+        for label, tr in (("untraced", None), ("traced", tracer)):
+            wbg = WorkloadBasedGreedy(models, tracer=tr)
+            plan = self._plan_key(wbg.schedule(tasks))
+            if plan == oracle:
+                continue
+            failures += [
+                f"{label} core {jm}: merge plan {pm!r} != heap plan {ph!r}"
+                for (jm, pm), (_, ph) in zip(plan, oracle) if pm != ph
+            ] or [f"{label} plan shapes differ: {plan!r} != {oracle!r}"]
+
+        # every traced slot pick against the heap pop it replays
+        pops = wbg_heap_picks(wbg.ranges, len(tasks))
+        picks = tracer.by_kind("wbg.slot_pick")
+        if len(picks) != len(pops):
+            failures.append(f"{len(picks)} wbg.slot_pick events for {len(pops)} heap pops")
+        next_slot = [1] * len(models)
+        for i, (event, (j, kb, rate, cost)) in enumerate(zip(picks, pops)):
+            heap_state = [[c, k, wbg.ranges[c].cost(k)] for c, k in enumerate(next_slot)]
+            d = event.data
+            got = (d["core"], d["slot"], d["rate"], d["positional_cost"], d["candidates"])
+            want = (j, kb, rate, cost, heap_state)
+            if got != want:
+                failures.append(f"slot pick {i}: merge {got!r} != heap {want!r}")
+                break
+            next_slot[j] = kb + 1
+
+        heavy_first = sorted(case["cycles"], reverse=True)
+        cost_heap = sum(c * L for (_, _, _, c), L in zip(pops, heavy_first))
+        cost_merge = wbg.optimal_cost(tasks)
+        if not _isclose(cost_heap, cost_merge):
+            failures.append(f"Σ C*·L heap {cost_heap!r} != merge {cost_merge!r}")
         return failures
 
 

@@ -33,6 +33,9 @@ from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
 from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
+from repro.obs.tracer import RecordingTracer
+from repro.schedulers.wbg import wbg_plan
+from repro.verify.reference import wbg_heap_plan
 from repro.models.vectorized import (
     interactive_marginal_batch,
     positional_cost_prefix,
@@ -190,18 +193,22 @@ def test_wbg_slot_sequence_matches_scalar_heap() -> None:
     ]
     models = [CostModel(t, 0.1, 0.4) for t in tables]
     tasks = [Task(cycles=rng.uniform(0.1, 20.0)) for _ in range(200)]
-    wbg = WorkloadBasedGreedy(models)
-    scalar = wbg.schedule(tasks, kernel="scalar")
-    vector = wbg.schedule(tasks, kernel="vector")
+    heap = wbg_heap_plan(models, tasks)
+    merge = WorkloadBasedGreedy(models).schedule(tasks)
     assert [
-        [(p.task.task_id, p.rate) for p in s.placements] for s in scalar
-    ] == [[(p.task.task_id, p.rate) for p in s.placements] for s in vector]
+        [(p.task.task_id, p.rate) for p in s.placements] for s in heap
+    ] == [[(p.task.task_id, p.rate) for p in s.placements] for s in merge]
 
 
 def test_wbg_kernel_argument_validated() -> None:
-    wbg = WorkloadBasedGreedy([_model()])
-    with pytest.raises(ValueError):
-        wbg.schedule([Task(cycles=1.0)], kernel="bogus")
+    # "auto" plans with WorkloadBasedGreedy, "scalar" with the heap
+    # oracle; "vector" is no longer a kernel name
+    for kernel in ("bogus", "vector"):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            wbg_plan([Task(cycles=1.0)], TABLE_II, 1, 0.1, 0.4, kernel=kernel)
+    with pytest.raises(ValueError, match="untraced"):
+        wbg_plan([Task(cycles=1.0)], TABLE_II, 1, 0.1, 0.4, kernel="scalar",
+                 tracer=RecordingTracer())
 
 
 def test_interactive_marginal_batch_bit_identical_to_scalar() -> None:

@@ -1,5 +1,9 @@
 """Tests for Theorem 4 (round robin) and Algorithm 3 (Workload Based Greedy)."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +14,14 @@ from repro.core.batch_multi import (
     schedule_homogeneous_round_robin,
     schedule_multi_core,
 )
+import repro.models.vectorized as vectorized
 from repro.models.cost import CostModel
 from repro.models.rates import RateTable, TABLE_II, rate_table_from_power_law
 from repro.models.task import Task
+from repro.obs.tracer import RecordingTracer
+from repro.schedulers.wbg import wbg_plan
+from repro.verify.reference import wbg_heap_plan
+from repro.workloads.spec import spec_tasks
 
 
 def total_cost(models, schedules):
@@ -160,3 +169,83 @@ def test_brute_force_guard(batch_model):
     tasks = [Task(cycles=1.0) for _ in range(7)]
     with pytest.raises(ValueError, match="limited"):
         brute_force_multi_core(tasks, [batch_model], max_tasks=6)
+
+
+def test_schedule_cost_rejects_empty_schedule_list(batch_model):
+    with pytest.raises(ValueError, match="at least one core schedule"):
+        WorkloadBasedGreedy([batch_model]).schedule_cost([])
+
+
+class TestSingleKernel:
+    """Algorithm 3 has one production path: the merge in models/vectorized.py."""
+
+    @staticmethod
+    def _energy_scaled_tables():
+        return [
+            RateTable(TABLE_II.rates, tuple(e * f for e in TABLE_II.energy_per_cycle),
+                      TABLE_II.time_per_cycle, name=f"core{j}")
+            for j, f in enumerate((1.0, 1.08, 1.18, 1.3))
+        ]
+
+    @staticmethod
+    def _traced_digest(models, tasks):
+        tracer = RecordingTracer()
+        plan = WorkloadBasedGreedy(models, tracer=tracer).schedule(tasks)
+        digest = hashlib.sha256()
+        for event in tracer.events:
+            digest.update(json.dumps([event.kind, event.data], sort_keys=True).encode())
+        for s in plan:
+            digest.update(repr((s.core_index, [(p.task.cycles, p.rate) for p in s.placements]))
+                          .encode())
+        return digest.hexdigest()[:16]
+
+    # Digests recorded with the heap loop that planned every traced batch
+    # before the merge became the only path: the event stream (ranges,
+    # schedule summary, every slot pick with its candidates) and the plan
+    # must stay byte-identical.
+    def test_traced_spec_batch_is_byte_identical(self):
+        tasks = [Task(cycles=t.cycles, name=t.name, task_id=i)
+                 for i, t in enumerate(spec_tasks("both"))]
+        models = [CostModel(TABLE_II, 0.1, 0.4) for _ in range(4)]
+        assert self._traced_digest(models, tasks) == "10fade96a55cdccf"
+
+    def test_traced_heterogeneous_batch_is_byte_identical(self):
+        rng = random.Random(123)
+        tasks = [Task(cycles=rng.uniform(0.1, 40), name=f"t{i}", task_id=i) for i in range(300)]
+        models = [CostModel(t, 0.1, 0.4) for t in self._energy_scaled_tables()]
+        assert self._traced_digest(models, tasks) == "6446fa8654159d73"
+
+    @pytest.mark.parametrize("n_tasks", [1, 2, 7, 64])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_every_plan_runs_the_merge_once(self, monkeypatch, n_tasks, traced):
+        calls = []
+        merge = vectorized.wbg_slot_sequence
+
+        def spy(ranges, n):
+            calls.append(n)
+            return merge(ranges, n)
+
+        monkeypatch.setattr(vectorized, "wbg_slot_sequence", spy)
+        tracer = RecordingTracer() if traced else None
+        tasks = [Task(cycles=float(i + 1)) for i in range(n_tasks)]
+        plan = wbg_plan(tasks, TABLE_II, 3, 0.1, 0.4, tracer=tracer)
+        assert calls == [n_tasks]
+        assert sum(len(s) for s in plan) == n_tasks
+
+    def test_empty_batch_skips_the_merge(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "wbg_slot_sequence", None)
+        assert [len(s) for s in wbg_plan([], TABLE_II, 2, 0.1, 0.4)] == [0, 0]
+
+    def test_scalar_kernel_is_the_heap_oracle(self):
+        rng = random.Random(7)
+        tasks = [Task(cycles=rng.uniform(0.5, 30.0)) for _ in range(40)]
+        tables = self._energy_scaled_tables()
+
+        def key(plan):
+            return [(s.core_index, [(p.task.task_id, p.rate) for p in s.placements])
+                    for s in plan]
+
+        scalar = wbg_plan(tasks, tables, 4, 0.1, 0.4, kernel="scalar")
+        models = [CostModel(t, 0.1, 0.4) for t in tables]
+        assert key(scalar) == key(wbg_heap_plan(models, tasks))
+        assert key(scalar) == key(wbg_plan(tasks, tables, 4, 0.1, 0.4))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.deadline import (
     DeadlineInstance,
@@ -86,6 +86,7 @@ class TestEDFRateDescent:
     @given(st.lists(st.tuples(st.floats(0.5, 10.0), st.floats(1.0, 40.0)),
                     min_size=1, max_size=5),
            st.floats(1.0, 5.0))
+    @example(specs=[(1.0, 1.0), (1.0, 2.0), (10.0, 11.0)], slack=1.0)
     def test_heuristic_energy_within_exact_when_both_feasible(self, specs, slack):
         table = RateTable([1.0, 2.0], [1.0, 4.0])
         tasks = [Task(cycles=c, deadline=d) for c, d in specs]
@@ -96,8 +97,31 @@ class TestEDFRateDescent:
         if heur is not None:
             assert verify_solution(instance, heur)
             assert exact is not None
-            # heuristic energy within 2× of optimal on these small menus
-            assert heur.total_energy <= 2.0 * exact.total_energy + 1e-9
+            # no constant-factor bound: see test_two_rate_menu_has_no_factor_two_bound
+            all_max = sum(c for c, _ in specs) * table.energy(table.max_rate)
+            assert exact.total_energy <= heur.total_energy + 1e-9
+            assert heur.total_energy <= all_max + 1e-9
+
+    def test_two_rate_menu_has_no_factor_two_bound(self):
+        """The greedy can land above twice the optimal energy.
+
+        On a two-rate menu every step-down saves energy at the same rate
+        per second of slack (here 3 J per Gcycle for 0.5 s per Gcycle,
+        6 J/s), so the greedy slows tasks in EDF index order: both short
+        tasks go slow and the long one must stay fast, 1 + 1 + 40 = 42 J.
+        The optimum does the opposite, 4 + 4 + 10 = 18 J.
+        """
+        table = RateTable([1.0, 2.0], [1.0, 4.0])
+        tasks = [Task(cycles=1.0, deadline=1.0), Task(cycles=1.0, deadline=2.0),
+                 Task(cycles=10.0, deadline=11.0)]
+        instance = inst(tasks, table=table)
+        heur = edf_rate_descent(instance)
+        exact = solve_deadline_single_core(instance)
+        assert heur is not None and exact is not None
+        assert heur.rates == (1.0, 1.0, 2.0)
+        assert heur.total_energy == pytest.approx(42.0)
+        assert exact.total_energy == pytest.approx(18.0)
+        assert heur.total_energy > 2.0 * exact.total_energy
 
 
 class TestLPTMultiCore:

@@ -98,7 +98,8 @@ class TestVectorizedAgreesWithSimulator:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(0.5, 200.0), min_size=1, max_size=15))
     def test_three_way_agreement(self, cycles):
-        from repro.models.vectorized import optimal_cost_vectorized
+        from repro.core.dominating import DominatingRanges
+        from repro.models.vectorized import wbg_optimal_cost
         from repro.schedulers import wbg_plan
         from repro.simulator import run_batch
 
@@ -107,6 +108,6 @@ class TestVectorizedAgreesWithSimulator:
         plan = wbg_plan(tasks, TABLE_II, 1, 0.1, 0.4)
         simulated = run_batch(plan, TABLE_II).cost(0.1, 0.4).total_cost
         analytic = model.schedule_cost(plan).total_cost
-        vectorised = optimal_cost_vectorized(model, cycles)
+        vectorised = wbg_optimal_cost([DominatingRanges.cached(model)], cycles)
         assert simulated == pytest.approx(analytic, rel=1e-9)
         assert vectorised == pytest.approx(analytic, rel=1e-9)

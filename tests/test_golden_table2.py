@@ -20,7 +20,22 @@ import pytest
 from repro.core.dominating import DominatingRanges, invalidate_dominating_cache
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
-from repro.models.vectorized import backward_cost_matrix
+
+
+def backward_cost_matrix(model: CostModel, max_position: int) -> np.ndarray:
+    """Batched ``CB(k, p)`` — shape ``(max_position, |P|)``.
+
+    Row ``k-1`` holds the backward positional cost of every rate at
+    position ``k``; ``min`` along axis 1 is ``CB*`` and ``argmin`` (with
+    the paper's tie-to-higher-rate rule: reverse argmin) reproduces the
+    brute-force rate scan without a Python loop.
+    """
+    table = model.table
+    k = np.arange(1, max_position + 1, dtype=np.float64)[:, None]
+    e = np.asarray(table.energy_per_cycle)
+    t = np.asarray(table.time_per_cycle)
+    return model.re * e + k * model.rt * t
+
 
 # (re, rt) -> [(rate, lo, hi-exclusive-or-None), ...]
 GOLDEN_RANGES = {

@@ -61,7 +61,8 @@ class TestReporting:
     def test_list_rules_names_all_codes(self, capsys):
         assert main(["lint", "--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in ("RP000", "RP001", "RP002", "RP003", "RP004", "RP005", "RP006"):
+        for code in ("RP000", "RP001", "RP002", "RP003", "RP004", "RP005", "RP006",
+                     "RP007", "RP008"):
             assert code in out
 
     def test_verbose_lists_suppressions(self, tmp_path, capsys):

@@ -212,6 +212,37 @@ class TestRP007PoolBoundary:
         assert r.ok
 
 
+class TestRP008BareAssert:
+    def test_flags_assert(self):
+        r = lint({"core/x.py": "def f(x):\n    assert x is not None\n    return x\n"})
+        assert codes(r) == ["RP008"]
+        assert "python -O" in r.findings[0].message
+
+    def test_flags_assert_in_any_package(self):
+        r = lint({"obs/x.py": "assert True\n", "verify/y.py": "assert 1\n"})
+        assert codes(r) == ["RP008", "RP008"]
+
+    def test_lint_package_is_exempt(self):
+        r = lint({"lint/x.py": "def f(tree):\n    assert tree is not None\n"})
+        assert r.ok
+
+    def test_raise_passes(self):
+        r = lint({"core/x.py": (
+            "def f(x):\n"
+            "    if x is None:\n"
+            "        raise ValueError('x is required')\n"
+            "    return x\n"
+        )})
+        assert r.ok
+
+    def test_justified_suppression(self):
+        r = lint({"core/x.py": (
+            "def check_invariants(x):\n"
+            "    assert x  # repro-lint: disable=RP008 -- callers catch AssertionError\n"
+        )})
+        assert r.ok
+
+
 class TestSuppressions:
     def test_justified_suppression_silences_finding(self):
         r = lint({

@@ -69,12 +69,13 @@ class TestExtremeCycleCounts:
     def test_vectorized_stable_across_magnitudes(self, cycles):
         from repro.core.batch_single import schedule_cost_lower_bound
         from repro.models.task import Task
-        from repro.models.vectorized import optimal_cost_vectorized
+        from repro.core.dominating import DominatingRanges
+        from repro.models.vectorized import wbg_optimal_cost
 
         model = CostModel(TABLE_II, 0.1, 0.4)
         cycles = [max(c, 1e-9) for c in cycles]
         tasks = [Task(cycles=c) for c in cycles]
-        assert optimal_cost_vectorized(model, cycles) == pytest.approx(
+        assert wbg_optimal_cost([DominatingRanges.cached(model)], cycles) == pytest.approx(
             schedule_cost_lower_bound(tasks, model), rel=1e-9
         )
 

@@ -273,7 +273,7 @@ class TestStaticAnalysis:
 
         codes = {r.code for r in all_rules()}
         assert {"RP000", "RP001", "RP002", "RP003", "RP004", "RP005",
-                "RP006"} <= codes
+                "RP006", "RP007", "RP008"} <= codes
 
     def test_in_tree_suppressions_carry_justifications(self):
         from repro.lint import Project

@@ -9,12 +9,15 @@ import math
 
 import pytest
 
+import repro.core.budget as budget
+from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.batch_single import brute_force_single_core
 from repro.core.dynamic import DynamicCostIndex
 from repro.core.weighted import WeightedTask
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
+from repro.obs.metrics import MetricsRegistry
 from repro.schedulers.yds import yds_schedule
 
 
@@ -79,3 +82,32 @@ class TestDynamicIndexBoundaries:
         index._alpha[1] = None
         with pytest.raises(RuntimeError, match="range 1 is non-empty"):
             index.delete(index.tree.min_node())
+
+
+class TestWorkloadBasedGreedy:
+    def test_schedule_cost_of_no_schedules_raises(self):
+        with pytest.raises(ValueError, match="at least one core schedule"):
+            WorkloadBasedGreedy([CostModel(TABLE_II, 0.1, 0.4)]).schedule_cost([])
+
+
+class TestEnergyBudget:
+    def test_no_feasible_multiplier_raises(self, monkeypatch):
+        # A solver that never fits the budget, although the min-rate
+        # schedule does, breaks the search's premise.
+        def never_fits(tasks, table, lam):
+            return budget.BudgetSchedule(schedule=None, flow_time=0.0,
+                                         energy=math.inf, multiplier=lam)
+
+        monkeypatch.setattr(budget, "_solve_at", never_fits)
+        tasks = [Task(cycles=1.0)]
+        with pytest.raises(RuntimeError, match="no multiplier"):
+            budget.schedule_with_energy_budget(tasks, TABLE_II, budget.min_energy(tasks, TABLE_II))
+
+
+class TestMetricsRegistry:
+    def test_kind_clash_raises(self):
+        reg = MetricsRegistry()
+        reg.counter("x")
+        for make in (reg.gauge, lambda name: reg.histogram(name, [1.0])):
+            with pytest.raises(ValueError, match="already registered as a counter"):
+                make("x")
