@@ -43,10 +43,13 @@ from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
 from repro.structures.rangetree import RangeTree, RangeTreeNode
 
 
-#: A value leaving a range triggers an aggregate refresh when it exceeds
-#: the remaining sum by this factor: subtracting a dominant term leaves
-#: ulp-of-the-dominant-value residue (catastrophic absorption), which is
-#: unbounded *relative to the remainder*.
+#: A range's aggregates are refreshed from the tree once the largest sum
+#: it held since its last exact recompute exceeds what remains by this
+#: factor: subtracting dominant terms leaves ulp-of-the-peak residue
+#: (catastrophic absorption), which is unbounded *relative to the
+#: remainder*. Comparing against the peak, not against the single
+#: departing value, also catches a chain of deletes that each stay
+#: below the ratio (1e9 → 2e6 → 1e3 → 1).
 _ABSORPTION_RATIO = 2.0 ** 16
 
 
@@ -95,6 +98,8 @@ class DynamicCostIndex:
         self._beta: list[Optional[RangeTreeNode]] = [None] * n_ranges
         self._x = [0.0] * n_ranges
         self._d = [0.0] * n_ranges
+        # high-water mark of _x since the range's last exact recompute
+        self._peak = [0.0] * n_ranges
         # cached Re·E(p̂_i) and Rt·T(p̂_i) factors of Equation 32
         self._ree = [model.re * model.table.energy(r.rate) for r in self.ranges.ranges]
         self._rtt = [model.rt * model.table.time(r.rate) for r in self.ranges.ranges]
@@ -204,6 +209,8 @@ class DynamicCostIndex:
             self._beta[i] = ptr
         self._b[i] += 1
         self._x[i] += cycles
+        if self._x[i] > self._peak[i]:
+            self._peak[i] = self._x[i]
         # the new node contributes local position (kb - a_i + 1); everything
         # after it inside the range shifts one local position later.
         self._d[i] += (kb - self._a[i] + 1) * cycles + self.tree.range_sum(kb + 1, self._b[i])
@@ -222,12 +229,15 @@ class DynamicCostIndex:
                 self._beta[i] = None
                 self._x[i] = 0.0  # snap float residue: the range is empty
                 self._d[i] = 0.0
+                self._peak[i] = 0.0
             i += 1
             self._alpha[i] = moved
             if self._a[i] > self._b[i]:
                 self._beta[i] = moved
             self._b[i] += 1
             self._x[i] += moved.value
+            if self._x[i] > self._peak[i]:
+                self._peak[i] = self._x[i]
             # moved enters at local position 1; prior occupants shift +1 each:
             # Δ gains x_i(old) + moved.value = x_i(new).
             self._d[i] += self._x[i]
@@ -261,19 +271,22 @@ class DynamicCostIndex:
             self._b[i] -= 1
             if self._a[i] <= self._b[i]:
                 self._alpha[i] = tptr.next
-                if tptr.value > _ABSORPTION_RATIO * self._x[i]:
+                if self._peak[i] > _ABSORPTION_RATIO * self._x[i]:
                     refresh.append(i)
             else:
                 self._alpha[i] = None
                 self._beta[i] = None
                 self._x[i] = 0.0  # snap float residue: the range is empty
                 self._d[i] = 0.0
+                self._peak[i] = 0.0
             i -= 1
             self._beta[i] = tptr
             if self._a[i] > self._b[i]:
                 self._alpha[i] = tptr
             self._b[i] += 1
             self._x[i] += tptr.value
+            if self._x[i] > self._peak[i]:
+                self._peak[i] = self._x[i]
             self._d[i] += (self._b[i] - self._a[i] + 1) * tptr.value
 
         # remove ptr from range i (it still occupies rank kb in the tree).
@@ -287,25 +300,27 @@ class DynamicCostIndex:
             self._beta[i] = None
             self._x[i] = 0.0  # snap float residue: the range is empty
             self._d[i] = 0.0
+            self._peak[i] = 0.0
         else:
             if self._alpha[i] is ptr:
                 self._alpha[i] = ptr.next
             elif self._beta[i] is ptr:
                 self._beta[i] = ptr.prev
-            if ptr.value > _ABSORPTION_RATIO * self._x[i]:
+            if self._peak[i] > _ABSORPTION_RATIO * self._x[i]:
                 refresh.append(i)
 
         self.tree.delete(ptr)
-        # Re-derive aggregates wherever the departed value dominated what
-        # remains: the incremental subtraction leaves ulp-of-the-big-value
+        # Re-derive aggregates wherever the range's peak sum dominates
+        # what remains: the incremental subtractions leave ulp-of-the-peak
         # residue (catastrophic absorption), unbounded relative to the
         # small remainder. The treap recomputes subtree sums along the
         # delete path, so these queries are absorption-free. O(log N)
-        # each, and only dominant removals trigger them.
+        # each, and only dominant drops trigger them.
         for j in refresh:
             if self._a[j] <= self._b[j]:
                 self._x[j] = self.tree.range_sum(self._a[j], self._b[j])
                 self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
+                self._peak[j] = self._x[j]
         self._recompute_cost()
         if self._tracer is not None:
             self._trace_mutation(self._tracer, "dynamic.delete", deleted_cycles, kb,

@@ -85,6 +85,15 @@ BISECT_REL_TOL = 1e-12
 #: rounding of its own.
 CYCLE_OVERRUN_TOL = 1e-6
 
+#: Clock resolution slack, in ulps of the absolute simulated time. A
+#: completion event fires at the task's finish rounded to the clock, so
+#: at that instant the work left (or overrun) is worth up to about one
+#: ulp of ``now`` at each end of the last interval. At a clock of 1e9 s
+#: that is ~1e-7 s, more than :data:`CYCLE_EPS` of a tiny task's cycles
+#: and more than :data:`CYCLE_OVERRUN_TOL` of a slow core's. Used only
+#: through :func:`repro.simulator.platform.finish_tolerance`.
+CLOCK_ULPS = 2.0
+
 #: Relative tolerance for the order-statistic tree's self-check of its
 #: ``sum``/``wsum`` aggregates against a from-scratch recomputation
 #: (the aggregates are maintained incrementally across thousands of
@@ -97,6 +106,7 @@ __all__ = [
     "AGG_ABS_TOL",
     "AGG_REL_TOL",
     "BISECT_REL_TOL",
+    "CLOCK_ULPS",
     "CYCLE_EPS",
     "CYCLE_OVERRUN_TOL",
     "IMPROVE_TOL",

@@ -4,6 +4,11 @@ A :class:`Simulation` owns a clock and a priority queue of timestamped
 callbacks. Events at equal timestamps fire in schedule order (FIFO), so
 runs are fully deterministic. Callbacks may schedule further events and
 may cancel previously scheduled ones via the returned handle.
+
+A long, already time-sorted input (the arrivals of an online trace)
+need not enter the queue at all: :meth:`Simulation.run_stream` merges
+it with the queue, so the heap holds only the events the run itself
+schedules.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from repro.models.tolerances import STRICT_ABS_TOL
+
+T = TypeVar("T")
 
 
 class EventHandle:
@@ -100,6 +107,37 @@ class Simulation:
             if self._events_fired > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
             self._fire(head)
+
+    def run_stream(
+        self,
+        stream: Iterable[tuple[float, T]],
+        callback: Callable[[T], None],
+        max_events: int = 50_000_000,
+    ) -> None:
+        """Fire a time-sorted ``(time, item)`` stream merged with the queue.
+
+        Each stream entry (an arrival) calls ``callback(item)`` at
+        ``time``; queued events fire as in :meth:`run`, which drains the
+        queue once the stream is exhausted. A stream entry fires before
+        any queued event at the same time, as if it had been scheduled
+        before all of them. Stream entries count in :attr:`events_fired`
+        and show up in the tracer as ``sim.event`` labelled
+        ``"arrive"``. A stream time earlier than the clock (out of order,
+        or NaN) raises ``ValueError``.
+        """
+        for time, item in stream:
+            if not time >= self.now:
+                raise ValueError(f"stream out of order: t={time} < now={self.now}")
+            # queued events strictly before the entry fire first
+            self.run(until=math.nextafter(time, -math.inf), max_events=max_events)
+            self.now = time
+            self._events_fired += 1
+            if self._events_fired > max_events:
+                raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
+            if self._tracer is not None:
+                self._tracer.emit("sim.event", {"time": time, "label": "arrive"}, time=time)
+            callback(item)
+        self.run(max_events=max_events)
 
     def step(self) -> bool:
         """Fire exactly one (non-cancelled) event. Returns False if drained."""

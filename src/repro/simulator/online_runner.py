@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Protocol, Sequence
 
 from repro.governors.base import Governor
@@ -295,7 +296,7 @@ def run_online(
     cores: list[_CoreState] = []
     for j in range(n):
         gov = governors[j] if governors is not None else None
-        sc = SimCore(j, table_for(j), keep_trace=False)
+        sc = SimCore(j, table_for(j), metered=False)
         rate = gov.initial_rate() if gov is not None else table_for(j).max_rate
         sc.rate = rate
         cores.append(_CoreState(sim=sc, governor=gov, current_rate=rate))
@@ -308,9 +309,12 @@ def run_online(
     core_views = tuple(CoreView(j, cs) for j, cs in enumerate(cores))
 
     def advance_all() -> None:
+        # idle meterless cores are left alone: start/set_rate advance a
+        # core before touching it, and busy cores keep every breakpoint
         now = sim.now
         for sc in sim_cores:
-            sc.advance(now)
+            if sc.current is not None:
+                sc.advance(now)
 
     def schedule_completion(j: int) -> None:
         cs = cores[j]
@@ -325,7 +329,7 @@ def run_online(
                 f"core {j}: task {cs.running.task.task_id} ({cs.running.task.name!r}) "
                 f"has non-finite completion time {t_done!r}"
             )
-        cs.completion = sim.at(t_done, lambda j=j: on_completion(j), label="done")
+        cs.completion = sim.at(t_done, completion_callbacks[j], label="done")
 
     def set_core_rate(j: int, rate: float) -> None:
         cs = cores[j]
@@ -513,16 +517,17 @@ def run_online(
         new_rate = gov.on_sample(load, cs.current_rate)
         set_core_rate(j, new_rate)
         if outstanding > 0:
-            sim.after(window, lambda j=j: on_tick(j), label="tick")
+            sim.after(window, tick_callbacks[j], label="tick")
 
-    # ---- schedule the trace --------------------------------------------------------
-    for task in sorted(trace, key=lambda t: (t.arrival, t.task_id)):
-        sim.at(task.arrival, lambda t=task: on_arrival(t), label="arrive")
+    completion_callbacks = [partial(on_completion, j) for j in range(n)]
+    tick_callbacks = [partial(on_tick, j) for j in range(n)]
+
+    # ---- run: arrivals stream past the heap, which holds completions and ticks ----
     if governors is not None:
         for j, gov in enumerate(governors):
-            sim.after(gov.sampling_period, lambda j=j: on_tick(j), label="tick")
-
-    sim.run()
+            sim.after(gov.sampling_period, tick_callbacks[j], label="tick")
+    arrivals = sorted(trace, key=lambda t: (t.arrival, t.task_id))
+    sim.run_stream(((task.arrival, task) for task in arrivals), on_arrival)
 
     if outstanding != 0:
         raise RuntimeError(f"{outstanding} tasks never completed — scheduling deadlock?")

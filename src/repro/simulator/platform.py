@@ -5,8 +5,15 @@ current frequency. Progress is integrated piecewise: every state change
 (rate switch, preemption, co-run count change, completion) first calls
 :meth:`SimCore.advance`, which converts the elapsed wall time since the
 last update into completed cycles (through the optional
-:class:`~repro.simulator.contention.ContentionModel`) and books the
-consumed energy with the core's :class:`~repro.simulator.power.PowerMeter`.
+:class:`~repro.simulator.contention.ContentionModel`), charges the
+running task its energy and, on a metered core, books the consumed
+energy with the core's :class:`~repro.simulator.power.PowerMeter`.
+A core built with ``metered=False`` has no meter (``meter is None``);
+the online runner builds its cores that way, because an online run
+prices the task records, never the meters. Advancing an idle core
+without a meter only moves its last-update stamp, which every state
+change refreshes itself, so callers may leave idle meterless cores
+alone.
 
 The effective seconds per cycle and the busy watts depend only on the
 (rate, co-runner count) state, so the core caches both and recomputes
@@ -27,9 +34,27 @@ from typing import Optional
 
 from repro.models.rates import RateTable
 from repro.models.task import Task
-from repro.models.tolerances import CYCLE_EPS, CYCLE_OVERRUN_TOL
+from repro.models.tolerances import CLOCK_ULPS, CYCLE_EPS, CYCLE_OVERRUN_TOL
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.power import PowerMeter
+
+
+def finish_tolerance(cycles: float, now: float, time_per_cycle: float) -> float:
+    """Cycles a task may be short of, or past, its exact finish when its
+    completion event fires at ``now``, and still count as finished.
+
+    Two roundings add up: piecewise integration leaves a remainder on the
+    scale of the task's own size (:data:`CYCLE_EPS` of it, as in
+    :attr:`TaskExecution.done`), and the event time is the finish rounded
+    to the clock, up to :data:`CLOCK_ULPS` ulps of ``now`` — at a clock
+    of 1e9 s about 1e-7 s, more than ``CYCLE_EPS`` of a tiny task. The
+    simulator treats this residue one way: it is dropped, never charged,
+    whether it is work left at :meth:`SimCore.complete` or an overshoot
+    clipped in :meth:`SimCore.advance`. A task's busy time and energy can
+    thus fall short of its exact cycle count by this many cycles' worth,
+    and its busy time never exceeds the wall span it ran in.
+    """
+    return CYCLE_EPS * max(1.0, cycles) + CLOCK_ULPS * math.ulp(now) / time_per_cycle
 
 
 @dataclass
@@ -67,11 +92,14 @@ class SimCore:
         contention: ContentionModel = NO_CONTENTION,
         idle_power: float = 0.0,
         keep_trace: bool = False,
+        metered: bool = True,
     ) -> None:
         self.index = index
         self.table = table
         self.contention = contention
-        self.meter = PowerMeter(idle_power=idle_power, keep_trace=keep_trace)
+        self.meter: Optional[PowerMeter] = (
+            PowerMeter(idle_power=idle_power, keep_trace=keep_trace) if metered else None
+        )
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
         self._set_state(table.min_rate, 0)
@@ -146,18 +174,23 @@ class SimCore:
         if not dt > 0.0:
             return
         current = self.current
+        meter = self.meter
         # dt > 0 rules out NaN and backwards intervals, and the rate
         # table keeps the watts finite and positive, so the meter's
         # unchecked booking applies
         if current is None:
-            self.meter.book_idle(last, now)
+            if meter is not None:
+                meter.book_idle(last, now)
         else:
             tpc = self._time_per_cycle
             cycles_done = dt / tpc
             remaining = current.remaining_cycles
             # guard: never execute more cycles than remain (caller should
-            # schedule the completion event at the exact finish time)
-            if cycles_done > remaining + CYCLE_OVERRUN_TOL:
+            # schedule the completion event at the exact finish time, which
+            # lands within finish_tolerance of it)
+            if cycles_done > remaining + CYCLE_OVERRUN_TOL and (
+                    cycles_done - remaining
+                    > CYCLE_OVERRUN_TOL + finish_tolerance(current.task.cycles, now, tpc)):
                 raise RuntimeError(
                     f"core {self.index} overran task "
                     f"{current.task.task_id}: {cycles_done} > {remaining} cycles"
@@ -174,7 +207,8 @@ class SimCore:
             current.busy_seconds += dt
             watts = self._busy_watts
             current.energy_joules += watts * dt
-            self.meter.book_busy(last, now, watts)
+            if meter is not None:
+                meter.book_busy(last, now, watts)
         self._last_update = now
 
     # -- state changes (caller must advance() to `now` first or pass now) -------------
@@ -206,7 +240,8 @@ class SimCore:
             # model the dispatch/DVFS latency as lost wall time at busy power
             overhead_end = now + self.contention.switch_overhead_s
             watts = self._busy_watts
-            self.meter.record_busy(now, overhead_end, watts)
+            if self.meter is not None:
+                self.meter.record_busy(now, overhead_end, watts)
             execution.energy_joules += watts * self.contention.switch_overhead_s
             execution.busy_seconds += self.contention.switch_overhead_s
             self._last_update = overhead_end
@@ -222,12 +257,16 @@ class SimCore:
         return execution
 
     def complete(self, now: float) -> TaskExecution:
-        """Finish the running task at ``now`` (must have zero cycles left)."""
+        """Finish the running task at ``now`` (at most
+        :func:`finish_tolerance` cycles may be left)."""
         self.advance(now)
         if self.current is None:
             raise RuntimeError(f"core {self.index} has nothing to complete")
         execution = self.current
-        if not execution.done:
+        # the residue within finish_tolerance is dropped, uncharged, as
+        # the overrun clip in advance drops an overshoot (NaN raises)
+        if not execution.remaining_cycles <= finish_tolerance(
+                execution.task.cycles, now, self._time_per_cycle):
             raise RuntimeError(
                 f"task {execution.task.task_id} completed with "
                 f"{execution.remaining_cycles} cycles remaining"

@@ -15,8 +15,8 @@ Two complementary layers:
   have no other home, such as Algorithm 3's heap loop.
 """
 
-from repro.verify.differential import ALL_CHECKS, replay, run_case
-from repro.verify.fuzz import FuzzFailure, FuzzReport, render_repro, run_fuzz, shrink, summarize
+import importlib
+
 from repro.verify.invariants import (
     InvariantReport,
     InvariantViolation,
@@ -43,3 +43,26 @@ __all__ = [
     "shrink",
     "summarize",
 ]
+
+#: The fuzzing half loads on first use, so importing only the audits
+#: (paperbench's correctness gate does) neither imports nor compiles it.
+_FUZZING = {
+    "ALL_CHECKS": "repro.verify.differential",
+    "replay": "repro.verify.differential",
+    "run_case": "repro.verify.differential",
+    "FuzzFailure": "repro.verify.fuzz",
+    "FuzzReport": "repro.verify.fuzz",
+    "render_repro": "repro.verify.fuzz",
+    "run_fuzz": "repro.verify.fuzz",
+    "shrink": "repro.verify.fuzz",
+    "summarize": "repro.verify.fuzz",
+}
+
+
+def __getattr__(name: str):
+    module = _FUZZING.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -21,7 +21,14 @@ or from-scratch reference and compares them on a randomized instance:
   choice vs. naive recomputation;
 * ``online`` — every online policy (LMC, OLB, SJF, ondemand-RR) run
   through the event simulator on one trace, audited by the
-  conservation-law invariant checker.
+  conservation-law invariant checker;
+* ``online_extreme`` — LMC, OLB and On-demand (with governors) on
+  traces at the simulator's boundaries: cycle counts from 1e-6 to 1e9,
+  identical arrival instants, zero-gap bursts, all-interactive storms
+  and arrivals landing exactly on completion instants; every task must
+  complete once, the per-task energy must sum to the run's, no task may
+  finish sooner than it ran, and only non-interactive tasks may be
+  preempted.
 
 A check's ``run(case)`` returns a list of human-readable failure
 messages (empty = agreement). Cases are JSON-able dicts produced by
@@ -45,14 +52,15 @@ from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.governors import OnDemandGovernor
 from repro.models.cost import CostModel
-from repro.models.task import Task
-from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
+from repro.models.task import Task, TaskKind
+from repro.models.tolerances import ABS_TOL, AGG_ABS_TOL, REL_TOL
 from repro.obs.tracer import RecordingTracer
 from repro.schedulers.lmc import LMCOnlineScheduler
 from repro.schedulers.olb import OLBOnlineScheduler
 from repro.schedulers.ondemand_rr import OnDemandRoundRobinScheduler
 from repro.schedulers.sjf import SJFMaxRateScheduler
 from repro.simulator.online_runner import run_online
+from repro.simulator.platform import finish_tolerance
 from repro.verify import generators as gen
 from repro.verify.invariants import check_batch_schedules, check_dynamic_index, check_online_result
 from repro.verify.reference import wbg_heap_picks, wbg_heap_plan
@@ -485,6 +493,126 @@ class OnlineCheck(DifferentialCheck):
         return failures
 
 
+class OnlineExtremeCheck(OnlineCheck):
+    """The online runner at its boundaries, under LMC, OLB and On-demand.
+
+    Every run is audited by :func:`check_online_result`, unchanged, with
+    one exception. Its two physical-bound checks (``record-energy-bounds``,
+    ``record-busy-bounds``) give a fixed 1e-9 absolute slack, and at these
+    boundaries a correct run falls short of the lower bounds by more: the
+    simulator drops up to :func:`~repro.simulator.platform.finish_tolerance`
+    cycles of residue at each completion, which is ``CYCLE_EPS`` of a
+    sub-gigacycle task or a clock ulp of ~1e-7 s at a clock of 1e9 s.
+    This check re-judges exactly those two bounds with the dropped
+    residue's worth taken off the lower bound (:meth:`_bound_violations`);
+    the upper bounds keep the audit's slack.
+    """
+
+    name = "online_extreme"
+
+    POLICIES = ("lmc", "olb", "odrr")
+    #: Governor ticks per core are capped near this many per run: a
+    #: 1e9-cycle task runs for up to ~1e10 simulated seconds, so the
+    #: paper's 1 s sampling period would tick billions of times.
+    TICKS_PER_RUN = 256
+    #: Audit checks this check re-judges in :meth:`_bound_violations`.
+    REJUDGED = frozenset({"record-energy-bounds", "record-busy-bounds"})
+
+    def generate(self, rng: random.Random) -> dict:
+        style = rng.choice(gen.EXTREME_STYLES)
+        n_cores = rng.randint(1, 3)
+        if style == "on-completion":
+            tables = [gen.DYADIC_TABLE for _ in range(n_cores)]
+        else:
+            tables = gen.gen_tables(rng, n_cores)
+        re, rt = gen.gen_pricing(rng)
+        return {
+            "style": style,
+            "tables": tables,
+            "re": re,
+            "rt": rt,
+            "trace": gen.gen_extreme_trace_dicts(rng, rng.randint(1, 24), style),
+        }
+
+    def run(self, case: dict) -> list[str]:
+        tables = [gen.table_from_dict(spec) for spec in case["tables"]]
+        n_cores = len(tables)
+        trace = gen.trace_from_dicts(case["trace"])
+        # the longest the run can take: everything serialised at the
+        # slowest rate of any core, after the last arrival
+        slowest = max(t.time(t.min_rate) for t in tables)
+        span = max((t.arrival for t in trace), default=0.0) + slowest * math.fsum(
+            t.cycles for t in trace)
+        period = max(1.0, span / self.TICKS_PER_RUN)
+        failures: list[str] = []
+        for name in self.POLICIES:
+            policy, governors = self._make_policy(
+                name, tables, n_cores, case["re"], case["rt"]
+            )
+            for gov in governors or ():
+                gov.sampling_period = period
+            try:
+                result = run_online(trace, policy, tables, governors=governors)
+            except Exception as exc:  # a crash is a finding, not a fuzzer error
+                failures.append(f"{name}: run_online raised {type(exc).__name__}: {exc}")
+                continue
+            report = check_online_result(trace, result, n_cores, tables)
+            failures.extend(f"{name}: {v}" for v in report.violations
+                            if v.check not in self.REJUDGED)
+            failures.extend(f"{name}: {v}" for v in self._bound_violations(result, tables))
+            failures.extend(f"{name}: {v}" for v in self._extreme_violations(result))
+            if governors is None and result.events != 2 * len(trace):
+                failures.append(f"{name}: {result.events} events for {len(trace)} tasks; "
+                                "want one arrival and one completion each")
+        return failures
+
+    @staticmethod
+    def _bound_violations(result, tables) -> list[str]:
+        """The audit's energy and busy-time bounds, with the lower bounds
+        lowered by the residue the simulator may drop at completion.
+
+        Every cycle a task ran cost at least ``E(pmin)`` and ``T(pmax)``,
+        so dropping ``r`` cycles takes at most ``r·E(pmin)`` and
+        ``r·T(pmax)`` off the exact minimum; ``r`` is largest at the
+        fastest rate, the one with the smallest seconds per cycle.
+        """
+        out = []
+        for r in result.records:
+            table = tables[r.core]
+            e_min, t_min = table.energy(table.min_rate), table.time(table.max_rate)
+            residue = finish_tolerance(r.task.cycles, r.finish, t_min)
+            lo_e, hi_e = r.task.cycles * e_min, r.task.cycles * table.energy(table.max_rate)
+            if not (lo_e * (1 - REL_TOL) - ABS_TOL - residue * e_min
+                    <= r.energy_joules <= hi_e * (1 + REL_TOL) + ABS_TOL):
+                out.append(f"[record-energy-bounds] task {r.task.task_id}: energy "
+                           f"{r.energy_joules!r} outside [{lo_e!r}, {hi_e!r}] "
+                           f"less {residue!r} cycles")
+            lo_t, hi_t = r.task.cycles * t_min, r.task.cycles * table.time(table.min_rate)
+            if not (lo_t * (1 - REL_TOL) - ABS_TOL - residue * t_min
+                    <= r.busy_seconds <= hi_t * (1 + REL_TOL) + AGG_ABS_TOL):
+                out.append(f"[record-busy-bounds] task {r.task.task_id}: busy "
+                           f"{r.busy_seconds!r} outside [{lo_t!r}, {hi_t!r}] "
+                           f"less {residue!r} cycles")
+        return out
+
+    @staticmethod
+    def _extreme_violations(result) -> list[str]:
+        """What the online audit does not cover; it already checks that
+        every task completes once and that the task energy sums to the
+        run's."""
+        out = []
+        for r in result.records:
+            # busy time sums one clock difference per interval the task
+            # ran, so it rounds relative to that sum
+            if r.turnaround + AGG_ABS_TOL + REL_TOL * r.busy_seconds < r.busy_seconds:
+                out.append(f"task {r.task.task_id}: turnaround {r.turnaround!r} "
+                           f"< busy {r.busy_seconds!r}")
+            if r.preemptions and r.task.kind is not TaskKind.NONINTERACTIVE:
+                out.append(f"task {r.task.task_id}: {r.task.kind.value} task "
+                           f"preempted {r.preemptions}x")
+        return out
+
+
 # ---------------------------------------------------------------------------
 # registry + replay
 # ---------------------------------------------------------------------------
@@ -492,7 +620,7 @@ class OnlineCheck(DifferentialCheck):
 ALL_CHECKS: dict[str, DifferentialCheck] = {
     c.name: c
     for c in (DominatingCheck(), WbgCheck(), WbgKernelCheck(), DynamicCheck(),
-              LmcCheck(), OnlineCheck())
+              LmcCheck(), OnlineCheck(), OnlineExtremeCheck())
 }
 
 

@@ -173,6 +173,60 @@ def gen_trace_dicts(rng: random.Random, n_tasks: int, duration: float = 10.0) ->
     return out
 
 
+#: An exact platform for online traces: ``T = 1/p`` is a power of two,
+#: so dyadic cycle counts finish at exact instants.
+DYADIC_TABLE = {"rates": [1.0, 2.0, 4.0], "energy": [1.0, 2.5, 7.0],
+                "time": [1.0, 0.5, 0.25]}
+
+#: Arrival patterns of :func:`gen_extreme_trace_dicts`.
+EXTREME_STYLES = ("same-instant", "bursts", "storm", "on-completion")
+
+
+def gen_extreme_trace_dicts(rng: random.Random, n_tasks: int, style: str) -> list[dict]:
+    """An online trace spec at the simulator's boundaries.
+
+    Cycle counts span 1e-6 to 1e9 in every style; ``style`` picks the
+    arrival pattern:
+
+    * ``same-instant`` — every task arrives at one instant;
+    * ``bursts`` — zero-gap bursts separated by idle gaps;
+    * ``storm`` — zero-gap bursts of interactive tasks only;
+    * ``on-completion`` — dyadic cycles (2⁻²⁰ … 2³⁰) on
+      :data:`DYADIC_TABLE`, each arrival placed exactly where the
+      previous tasks finish when run back to back at the top rate, so
+      arrivals land on completion instants.
+    """
+    if style not in EXTREME_STYLES:
+        raise ValueError(f"unknown extreme trace style {style!r}")
+    out = []
+    if style == "on-completion":
+        clock = free_at = float(rng.randint(0, 4))
+        for _ in range(n_tasks):
+            cycles = float(2 ** rng.choice([-20, -10, 0, 1, 2, 3, 10, 20, 30]))
+            if rng.random() < 0.7:
+                clock = free_at
+            kind = "interactive" if rng.random() < 0.35 else "noninteractive"
+            out.append({"cycles": cycles, "arrival": clock, "kind": kind})
+            free_at = max(free_at, clock) + cycles * DYADIC_TABLE["time"][-1]
+        return out
+    clock = rng.uniform(0.0, 10.0)
+    burst_left = 0
+    for _ in range(n_tasks):
+        if rng.random() < 0.3:
+            cycles = rng.choice([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])  # repro-lint: disable=RP001 -- extreme-scale cycle counts for fuzzing, not tolerances
+        else:
+            cycles = 10.0 ** rng.uniform(-6.0, 9.0)
+        if style != "same-instant":
+            if burst_left == 0:
+                clock += rng.choice([1e-6, 1.0, rng.uniform(0.0, 1e3)])  # repro-lint: disable=RP001 -- gap magnitudes for fuzzing, not tolerances
+                burst_left = rng.randint(1, 8)
+            burst_left -= 1
+        interactive = style == "storm" or rng.random() < 0.35
+        out.append({"cycles": cycles, "arrival": clock,
+                    "kind": "interactive" if interactive else "noninteractive"})
+    return out
+
+
 def trace_from_dicts(specs: Sequence[dict], base_id: int = 0) -> list[Task]:
     return [
         Task(

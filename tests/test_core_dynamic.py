@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cost_models
 from repro.core.batch_single import schedule_cost_lower_bound
 from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.models.cost import CostModel
-from repro.models.rates import TABLE_II
+from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
 from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
 
@@ -230,6 +230,19 @@ def _assert_probe(idx, naive, cycles):
 _EXTREME = st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e9])
 _CYCLES = st.one_of(_EXTREME, st.floats(1e-6, 1e9))
 
+#: ``(model, queued, extra, deletions)``: deleting the first handles in
+#: insertion order walks a range's sum down 1e9 → 2e6 → 1e3 → 1, each
+#: step below the absorption ratio.
+ABSORPTION_CHAIN_CASES = [
+    (CostModel(RateTable([0.125, 1.0, 1.5, 2.0], [1.0, 3.0, 4.0, 5.0]), 4.0, 0.5),
+     [1e-6, 1e9, 314725640.4602283, 380153666.10275024, 442976356.49041104, 1e-6, 1e-6,
+      1e9, 5758.428676560521, 1e-6, 0.001, 1.0, 1000.0],
+     [], [0] * 5),
+    (CostModel(RateTable([1.0, 2.0, 2.75, 3.0], [1.0, 2.0, 2.5, 3.5]), 0.5, 0.5),
+     [1e-6, 1e-6, 1e-6, 1e9, 1e9, 2096151.0, 2096151.0, 1e-6, 0.001, 1.0, 1000.0],
+     [], [0] * 7),
+]
+
 
 class TestClosedFormProbe:
     """The closed-form probe against the insert delta, the naive index,
@@ -253,21 +266,48 @@ class TestClosedFormProbe:
 
     @settings(max_examples=60, deadline=None)
     @given(cost_models(min_rates=1, max_rates=6),
-           st.lists(_CYCLES, max_size=40), st.lists(_CYCLES, max_size=4), st.data())
-    def test_probe_matches_insert_delta_naive_and_exact(self, model, queued, extra, data):
+           st.lists(_CYCLES, max_size=40), st.lists(_CYCLES, max_size=4),
+           st.lists(st.integers(0, 39), max_size=40))
+    @example(*ABSORPTION_CHAIN_CASES[0])
+    @example(*ABSORPTION_CHAIN_CASES[1])
+    def test_probe_matches_insert_delta_naive_and_exact(self, model, queued, extra, deletions):
+        """``deletions`` pops handles by index (mod the handles left)."""
         idx = DynamicCostIndex(model)
         naive = NaiveCostIndex(model, idx.ranges)
         handles = []
         for v in queued:
             handles.append((idx.insert(v), v))
             naive.insert(v)
-        for _ in range(data.draw(st.integers(0, len(handles)))):
-            node, v = handles.pop(data.draw(st.integers(0, len(handles) - 1)))
+        for k in deletions[:len(handles)]:
+            node, v = handles.pop(k % len(handles))
             idx.delete(node)
             naive.delete(v)
         for probe in _landing_probes(idx) + extra:
             _assert_probe(idx, naive, probe)
         idx.check_invariants()
+
+    @pytest.mark.parametrize("case", range(len(ABSORPTION_CHAIN_CASES)))
+    def test_absorption_chain_is_refreshed(self, case):
+        """Deletes that each stay below the absorption ratio still add up
+        to a dominant drop (1e9 → 2e6 → 1e3 → 1); the range's aggregates
+        must be refreshed, not left with ulp-of-1e9 residue."""
+        model, queued, _, deletions = ABSORPTION_CHAIN_CASES[case]
+        idx = DynamicCostIndex(model)
+        naive = NaiveCostIndex(model, idx.ranges)
+        handles = [idx.insert(v) for v in queued]
+        for v in queued:
+            naive.insert(v)
+        for node, v in zip(handles[:len(deletions)], queued):
+            idx.delete(node)
+            naive.delete(v)
+        idx.check_invariants()
+        for i in range(len(idx.ranges)):
+            a, b = idx._a[i], idx._b[i]
+            if a <= b:
+                exact = idx.tree.range_delta(a, b)
+                assert abs(idx._d[i] - exact) <= REL_TOL * exact
+        for probe in _landing_probes(idx):
+            _assert_probe(idx, naive, probe)
 
 
 class TestFuzzAgainstNaive:

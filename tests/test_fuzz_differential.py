@@ -14,7 +14,14 @@ flushed out while this subsystem was built:
   governor-sampled runs of large tasks crashed with ~1e-9 residual
   cycles ("completed with cycles remaining");
 * the completion event's clock rounding overshot the final ``dt``, so a
-  tiny task could be billed more energy than its physical upper bound.
+  tiny task could be billed more energy than its physical upper bound;
+* at clocks near 1e8–1e10 s (behind 1e9-cycle tasks) the completion
+  event rounds by a clock ulp, which left a tiny task "completed with
+  cycles remaining" and tripped the overrun guard of a governed giant;
+  the simulator now drops up to ``finish_tolerance`` cycles of residue;
+* the online audit's absolute energy/busy slack is finer than that
+  dropped residue for sub-gigacycle tasks and at large clocks, so the
+  ``online_extreme`` check re-judges those two bounds with it.
 """
 
 from __future__ import annotations
@@ -173,4 +180,63 @@ class TestFoundRegressions:
                        "kind": "interactive"},
                       {"arrival": 5.04200072827672, "cycles": 1e-06,
                        "kind": "interactive"}],
+        })
+
+    def test_governed_giant_task_does_not_trip_overrun_guard(self):
+        # found by: python -m repro fuzz (case 0:online_extreme:3, shrunk)
+        # a 1e9-cycle task's remainder rounds at ulp(1e9) ≈ 1.2e-7 cycles
+        # per governor sample; the absolute 1e-6 overrun slack raised
+        # "core 0 overran task" near its finish
+        replay("online_extreme", {
+            "re": 1.0, "rt": 1.0, "style": "same-instant",
+            "tables": [{"rates": [1.0], "energy": [5.401021908737367], "time": [1.0]}],
+            "trace": [{"arrival": 2.3184049090086156, "cycles": 1e9,
+                       "kind": "noninteractive"}],
+        })
+
+    def test_tiny_task_at_a_large_clock_completes(self):
+        # found by: python -m repro fuzz (case 0:online_extreme:8, shrunk)
+        # behind a 1e9-cycle task the clock reads ~2.5e8 s, where one ulp
+        # is 3e-8 s; the tiny task's completion event rounded short and
+        # left 1.2e-8 cycles, which raised "completed with cycles remaining"
+        # (now dropped, within finish_tolerance)
+        replay("online_extreme", {
+            "re": 1.0, "rt": 1.0, "style": "storm",
+            "tables": [{"rates": [4.0], "energy": [1.75], "time": [0.25]}],
+            "trace": [{"arrival": 898.8337094824091, "cycles": 1e9, "kind": "interactive"},
+                      {"arrival": 1535.1538286159698, "cycles": 0.004572999952012651,
+                       "kind": "interactive"}],
+        })
+
+    def test_sub_gigacycle_task_done_residue_within_bounds(self):
+        # found by: python -m repro fuzz (case 0:online_extreme:58, shrunk)
+        # a 0.31-gigacycle task counts as done with up to CYCLE_EPS cycles
+        # left; at 1.9 J per gigacycle that is more than the audit's 1e-9 J
+        # absolute slack, so a correct run failed "record-energy-bounds"
+        # (online_extreme re-judges it less the dropped residue)
+        replay("online_extreme", {
+            "re": 1.0, "rt": 1.0, "style": "same-instant",
+            "tables": [{"rates": [23.0], "energy": [1.903901407340571],
+                        "time": [2.604087310618047]}],
+            "trace": [{"arrival": 7.868643208636168, "cycles": 93925580.28153771,
+                       "kind": "noninteractive"},
+                      {"arrival": 7.868643208636168, "cycles": 0.31279792766307274,
+                       "kind": "noninteractive"}],
+        })
+
+    def test_tiny_task_behind_two_giants_completes_within_bounds(self):
+        # found by: python -m repro fuzz (case 4:online_extreme:1207, shrunk)
+        # behind two 1e9-cycle tasks at 8.7 s per cycle the clock reads
+        # ~1.7e10 s, where one ulp is 3.8e-6 s; the tiny last task must
+        # complete, stay inside its clock-quantised span (the audit's
+        # record-busy-in-span, unchanged) and miss its busy/energy lower
+        # bounds by no more than the dropped residue
+        replay("online_extreme", {
+            "re": 1.0, "rt": 1.0, "style": "bursts",
+            "tables": [{"rates": [0.11449054914475025], "energy": [6.748412618938935],
+                        "time": [8.73434538894299]}],
+            "trace": [{"arrival": 2.770598969928365, "cycles": 1e9, "kind": "noninteractive"},
+                      {"arrival": 502.3626376887376, "cycles": 1e9, "kind": "noninteractive"},
+                      {"arrival": 809.6987613997567, "cycles": 0.0020668242757674034,
+                       "kind": "noninteractive"}],
         })

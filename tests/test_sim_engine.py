@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import RecordingTracer
 from repro.simulator.engine import Simulation
 
 
@@ -126,6 +127,87 @@ class TestRunControl:
         assert sim.events_fired == 3
 
 
+class TestStream:
+    """``run_stream``: a time-sorted stream merged with the queue."""
+
+    def test_stream_fires_before_queued_event_at_same_time(self):
+        sim = Simulation()
+        fired = []
+        sim.at(1.0, lambda: fired.append("queued@1"))
+        sim.at(2.0, lambda: fired.append("queued@2"))
+        sim.run_stream([(0.5, "s@0.5"), (1.0, "s@1"), (2.0, "s@2")], fired.append)
+        assert fired == ["s@0.5", "s@1", "queued@1", "s@2", "queued@2"]
+        assert sim.now == 2.0
+
+    def test_stream_fires_before_events_its_callback_schedules_at_same_time(self):
+        # a zero-delay event scheduled by one stream item queues behind
+        # the next stream item at the same instant
+        sim = Simulation()
+        fired = []
+
+        def on_item(item):
+            fired.append(item)
+            sim.after(0.0, lambda: fired.append(f"after {item}"))
+
+        sim.run_stream([(1.0, "a"), (1.0, "b")], on_item)
+        assert fired == ["a", "b", "after a", "after b"]
+
+    def test_queue_drains_after_stream(self):
+        sim = Simulation()
+        fired = []
+        sim.run_stream([(1.0, "s")], lambda item: sim.after(4.0, lambda: fired.append(sim.now)))
+        assert fired == [5.0]
+        assert sim.now == 5.0
+
+    def test_cancelled_queued_events_are_skipped(self):
+        sim = Simulation()
+        fired = []
+        h = sim.at(0.5, lambda: fired.append("cancelled"))
+        h.cancel()
+        sim.run_stream([(1.0, "s")], fired.append)
+        assert fired == ["s"]
+        assert sim.events_fired == 1
+
+    def test_events_fired_counts_streamed_events(self):
+        sim = Simulation()
+        sim.at(1.5, lambda: None)
+        sim.run_stream([(1.0, "a"), (2.0, "b"), (3.0, "c")], lambda item: None)
+        assert sim.events_fired == 4
+
+    def test_max_events_raises_runtime_error(self):
+        sim = Simulation()
+        with pytest.raises(RuntimeError, match="runaway"):
+            sim.run_stream(((float(t), t) for t in range(10)), lambda item: None, max_events=5)
+        assert sim.events_fired == 6
+
+    def test_max_events_counts_queued_events_too(self):
+        sim = Simulation()
+
+        def rearm():
+            sim.after(0.001, rearm)
+
+        sim.after(0.001, rearm)
+        with pytest.raises(RuntimeError, match="runaway"):
+            sim.run_stream([(1.0, "late")], lambda item: None, max_events=100)
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan])
+    def test_past_or_nan_time_raises_value_error(self, bad):
+        sim = Simulation()
+        fired = []
+        with pytest.raises(ValueError, match="out of order"):
+            sim.run_stream([(1.0, "a"), (bad, "b")], fired.append)
+        assert fired == ["a"]
+
+    def test_tracer_sees_streamed_events(self):
+        tracer = RecordingTracer()
+        sim = Simulation(tracer=tracer)
+        sim.at(1.0, lambda: None, label="done")
+        sim.run_stream([(1.0, "a"), (2.0, "b")], lambda item: None)
+        seen = [(e.kind, e.data["label"], e.time) for e in tracer.events]
+        assert seen == [("sim.event", "arrive", 1.0), ("sim.event", "done", 1.0),
+                        ("sim.event", "arrive", 2.0)]
+
+
 class TestPropertyBased:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=0, max_size=50))
@@ -137,3 +219,25 @@ class TestPropertyBased:
         sim.run()
         assert fired == sorted(times)
         assert sim.events_fired == len(times)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3, allow_nan=False), max_size=30),
+           st.lists(st.floats(0.0, 1e3, allow_nan=False), max_size=30))
+    def test_stream_matches_scheduling_the_stream_first(self, streamed, queued):
+        """Streaming equals scheduling the stream items before anything else."""
+        def fire_order(use_stream):
+            sim = Simulation()
+            fired = []
+            stream = [(t, ("s", i)) for i, t in enumerate(sorted(streamed))]
+            if not use_stream:
+                for t, item in stream:
+                    sim.at(t, lambda item=item: fired.append(item))
+            for i, t in enumerate(queued):
+                sim.at(t, lambda i=i: fired.append(("q", i)))
+            if use_stream:
+                sim.run_stream(stream, fired.append)
+            else:
+                sim.run()
+            return fired, sim.events_fired, sim.now
+
+        assert fire_order(True) == fire_order(False)

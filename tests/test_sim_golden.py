@@ -11,13 +11,18 @@ operations changes the last digits and fails here.
 Together the scenarios cover the ideal and the contention batch paths
 (co-runner refresh, switch overhead, meter traces), the online runner
 under LMC, OLB and On-demand with governors (rate switches and ticks),
-and one heterogeneous platform.
+one heterogeneous platform, and one platform whose times are exact
+integers, so that arrivals land on completion instants and cores sit
+idle between bursts.
 """
+
+import random
 
 import pytest
 
 from repro.governors import OnDemandGovernor
-from repro.models.rates import TABLE_II, rate_table_from_power_law
+from repro.models.rates import TABLE_II, RateTable, rate_table_from_power_law
+from repro.models.task import Task, TaskKind
 from repro.schedulers import (
     LMCOnlineScheduler,
     OLBOnlineScheduler,
@@ -34,6 +39,8 @@ RE_BATCH, RT_BATCH = 0.1, 0.4
 RE_ONLINE, RT_ONLINE = 0.4, 0.1
 
 LITTLE = rate_table_from_power_law([0.6, 0.9, 1.2, 1.5], dynamic_coefficient=0.25, name="little")
+#: T(p) = 1/p is exact in binary, so integer cycles give exact times
+EXACT = RateTable([1.0, 2.0], [1.0, 3.0], name="exact")
 
 
 def _judge_trace():
@@ -93,6 +100,28 @@ def online_lmc_heterogeneous():
         trace, LMCOnlineScheduler(tables, N_CORES, RE_ONLINE, RT_ONLINE), tables))
 
 
+def _exact_ties_trace():
+    """Integer arrivals and even cycle counts (integer seconds at 2.0).
+
+    Completions fall on integer instants, so many arrivals coincide
+    with a completion; the long gaps leave every core idle.
+    """
+    rng = random.Random(13)
+    tasks, t = [], 0
+    for _ in range(120):
+        t += rng.choice((0, 0, 1, 1, 2, 3, 12))
+        kind = TaskKind.INTERACTIVE if rng.random() < 0.4 else TaskKind.NONINTERACTIVE
+        tasks.append(Task(cycles=float(2 * rng.randint(1, 4)), arrival=float(t), kind=kind))
+    return tasks
+
+
+def online_exact_ties():
+    trace = _exact_ties_trace()
+    olb = run_online(trace, OLBOnlineScheduler(EXACT, 2), EXACT)
+    lmc = run_online(trace, LMCOnlineScheduler(EXACT, 2, RE_ONLINE, RT_ONLINE), EXACT)
+    return _online_digest(olb) + _online_digest(lmc)
+
+
 SCENARIOS = {
     "batch_wbg_ideal": batch_wbg_ideal,
     "batch_wbg_contention_traced": batch_wbg_contention_traced,
@@ -100,11 +129,13 @@ SCENARIOS = {
     "online_olb": online_olb,
     "online_ondemand_governed": online_ondemand_governed,
     "online_lmc_heterogeneous": online_lmc_heterogeneous,
+    "online_exact_ties": online_exact_ties,
 }
 
 GOLDEN = {
     'batch_wbg_contention_traced': '(59723.50665899157, 94904.00446195994, 1473.4505017702033, (24452.78770464004, 0.0, 24460.65643250366), (24049.954917920226, 45.61311602008277, 24109.083804604168), (23393.879681466227, 153.88930071522464, 23556.092202872536), (23007.38215793337, 210.0457833743003, 23228.79462711493))',
     'batch_wbg_ideal': '(52623.279099824795, 84076.67775710883, 1321.3323076033494)',
+    'online_exact_ties': '(782.0000000000001, 1812.0, 301.0, 240, 13, 553.8, 1092.0, 305.0, 240, 17)',
     'online_lmc': '(1174.0746539948486, 2597.3937262583513, 231.68619043864325, 3080, 363)',
     'online_lmc_heterogeneous': '(379.32797685682, 290.4439716889833, 285.47932894447524, 614, 252)',
     'online_olb': '(2232.8953717047116, 5375.005607861717, 178.1366365568373, 3080, 497)',
@@ -115,3 +146,17 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_digest_is_bit_identical(name):
     assert repr(SCENARIOS[name]()) == GOLDEN[name]
+
+
+def test_exact_ties_trace_has_ties_and_idle_gaps():
+    """The exact scenario keeps exercising what it was built for."""
+    trace = _exact_ties_trace()
+    result = run_online(trace, OLBOnlineScheduler(EXACT, 2), EXACT)
+    finishes = {r.finish for r in result.records}
+    assert sum(t.arrival in finishes for t in trace) >= 20
+    finish_of = {r.task.task_id: r.finish for r in result.records}
+    busy_until, idle_gaps = 0.0, 0
+    for task in sorted(trace, key=lambda t: (t.arrival, t.task_id)):
+        idle_gaps += task.arrival > busy_until
+        busy_until = max(busy_until, finish_of[task.task_id])
+    assert idle_gaps >= 5

@@ -6,6 +6,10 @@ three seeded runs and reduce the readings to a SHA-256 digest. The
 expected digests were recorded while views were still per-arrival
 snapshots; a view that reads a stale or differently computed field
 changes the digest.
+
+The same scenarios also pin the cores behind the views: an online run
+builds meterless cores, never advances an idle one outside the state
+change that wakes it, and keeps arrivals out of the event heap.
 """
 
 import hashlib
@@ -16,7 +20,10 @@ from repro.governors import OnDemandGovernor
 from repro.models.rates import TABLE_II
 from repro.schedulers import OLBOnlineScheduler, OnDemandRoundRobinScheduler
 from repro.simulator import run_online
+from repro.simulator import online_runner
+from repro.simulator.engine import Simulation
 from repro.simulator.online_runner import CoreView
+from repro.simulator.platform import SimCore
 from repro.workloads import JudgeTraceConfig, generate_judge_trace, generate_open_loop_trace
 
 N_CORES = 4
@@ -92,3 +99,92 @@ def test_view_readings_are_bit_identical(name):
     trace, readings = SCENARIOS[name]()
     assert len(readings) == len(trace)
     assert _digest(readings) == GOLDEN[name]
+
+
+class _SpyCore(SimCore):
+    """A core that counts advances made while idle outside a state change.
+
+    ``start`` and ``set_rate`` advance the core before touching it, so
+    an idle core is advanced there; any other idle advance would be the
+    runner integrating a core that has nothing to integrate.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stray_idle_advances = 0
+        self.advances = 0
+        self._changing = 0
+        CORES.append(self)
+
+    def advance(self, now):
+        self.advances += 1
+        if self.current is None and not self._changing:
+            self.stray_idle_advances += 1
+        super().advance(now)
+
+    def start(self, execution, rate, now):
+        self._changing += 1
+        try:
+            super().start(execution, rate, now)
+        finally:
+            self._changing -= 1
+
+    def set_rate(self, rate, now):
+        self._changing += 1
+        try:
+            super().set_rate(rate, now)
+        finally:
+            self._changing -= 1
+
+
+CORES: list[_SpyCore] = []
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_online_cores_are_meterless_and_idle_cores_left_alone(name, monkeypatch):
+    labels = []
+    at = Simulation.at
+
+    def spy_at(self, time, callback, label=""):
+        labels.append(label)
+        return at(self, time, callback, label)
+
+    CORES.clear()
+    monkeypatch.setattr(online_runner, "SimCore", _SpyCore)
+    monkeypatch.setattr(Simulation, "at", spy_at)
+    trace, readings = SCENARIOS[name]()
+    assert _digest(readings) == GOLDEN[name]
+    assert CORES and all(core.meter is None for core in CORES)
+    assert all(core.advances > 0 for core in CORES)
+    assert [core.stray_idle_advances for core in CORES] == [0] * len(CORES)
+    # arrivals are streamed: the heap only ever holds completions and ticks
+    assert "arrive" not in labels
+    assert set(labels) <= {"done", "tick"}
+
+
+def test_meterless_core_charges_tasks_exactly_as_a_metered_one():
+    """Dropping the meter changes no task's books, switch overhead included."""
+    from repro.models.task import Task
+    from repro.simulator.contention import CALIBRATED_X86
+    from repro.simulator.platform import TaskExecution
+
+    def books(metered):
+        core = SimCore(0, TABLE_II, contention=CALIBRATED_X86, metered=metered)
+        first = TaskExecution(task=Task(cycles=3.0), remaining_cycles=3.0)
+        second = TaskExecution(task=Task(cycles=0.7), remaining_cycles=0.7)
+        core.advance(0.25)  # idle
+        core.start(first, 2.0, 0.5)
+        core.set_rate(3.0, 0.9)
+        core.preempt(1.1)
+        core.start(second, 1.6, 1.1)
+        core.complete(core.next_completion_time(1.1))
+        core.start(first, 2.4, core.last_update + 0.5)
+        core.complete(core.next_completion_time(core.last_update))
+        return core, [(e.energy_joules, e.busy_seconds, e.remaining_cycles, e.finished_at)
+                      for e in (first, second)]
+
+    metered, metered_books = books(True)
+    meterless, meterless_books = books(False)
+    assert meterless.meter is None and metered.meter is not None
+    assert meterless_books == metered_books
+    assert metered.meter.busy_joules > 0
