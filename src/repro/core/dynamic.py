@@ -114,7 +114,7 @@ class DynamicCostIndex:
 
     # -- queries -------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tree)
+        return self.tree.size
 
     @property
     def total_cost(self) -> float:

@@ -12,6 +12,12 @@ smallest *marginal* cost, without migrating anything already queued:
   the delay it inflicts on the ``N_j`` tasks it pushes back). The task
   preempts whatever non-interactive work is running and executes at
   ``pm``. On homogeneous cores this reduces to "least ``N_j``".
+  ``N_j`` depends on what each core is running, which only the
+  simulator knows, so the choice is made in one pass by
+  :meth:`repro.schedulers.lmc.LMCOnlineScheduler.select_core`, where the
+  core views and these queues meet. Its readable form, an argmin over
+  :meth:`~repro.models.cost.CostModel.interactive_marginal_cost`, is the
+  test oracle :func:`repro.verify.reference.choose_core_interactive`.
 
 * **Non-interactive** task → each core's waiting queue is kept in the
   cost-optimal order of Theorem 3, so the insertion position is the
@@ -52,11 +58,11 @@ class LeastMarginalCostPolicy:
     tracer:
         Optional decision tracer (:mod:`repro.obs`). Records one
         ``ranges.build`` event per core at construction, an
-        ``lmc.interactive`` / ``lmc.noninteractive`` event per core
-        choice (the per-core marginal costs Equation 27 / the
-        Equation 32 increase compared, and the argmin), and — through
-        the per-core queue indices — every real insert/delete and probe.
-        Decisions are bit-identical with and without a tracer.
+        ``lmc.noninteractive`` event per non-interactive core choice
+        (the per-core Equation 32 increases compared, and the argmin),
+        and — through the per-core queue indices — every real
+        insert/delete and probe. Decisions are bit-identical with and
+        without a tracer.
     """
 
     def __init__(self, models: Sequence[CostModel], seed: int = 0x5EED,
@@ -85,31 +91,6 @@ class LeastMarginalCostPolicy:
         return len(self.models)
 
     # -- core selection -----------------------------------------------------------
-    def choose_core_interactive(self, cycles: float, delayed_counts: Sequence[int],
-                                task: Any = None) -> int:
-        """Equation 27 over all cores; returns the argmin core index.
-
-        ``delayed_counts[j]`` is ``N_j`` — how many tasks on core ``j``
-        the interactive task would push back (the caller counts waiting
-        non-interactive tasks plus any task it would preempt).
-        Ties break to the lowest core index. ``task`` only annotates the
-        trace event (when a tracer is attached) — it never affects the
-        decision.
-        """
-        if len(delayed_counts) != self.n_cores:
-            raise ValueError("delayed_counts must have one entry per core")
-        costs = [m.interactive_marginal_cost(cycles, n)
-                 for m, n in zip(self.models, delayed_counts)]
-        chosen = costs.index(min(costs))
-        if self._tracer is not None:
-            data = {
-                "cycles": cycles, "costs": costs, "chosen": chosen,
-                "delayed": list(delayed_counts),
-            }
-            self._annotate_task(data, task)
-            self._tracer.emit("lmc.interactive", data)
-        return chosen
-
     def choose_core_noninteractive(
         self, cycles: float, head_delays: Optional[Sequence[float]] = None,
         task: Any = None,

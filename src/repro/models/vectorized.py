@@ -200,12 +200,13 @@ def interactive_marginal_batch(
     entries, and therefore the argmin core choice, are bit-identical to
     the scalar loop.
 
-    The LMC policy no longer calls this: over a handful of cores the
-    scalar loop in
-    :meth:`~repro.core.online_lmc.LeastMarginalCostPolicy.choose_core_interactive`
-    is faster than one NumPy call (about 8 µs against 14 µs per
-    four-core decision on a 2-vCPU Xeon). The kernel stays as a batch
-    evaluator, tested bit-for-bit against that loop.
+    The LMC policy does not call this: over a handful of cores the
+    one-pass scalar loop in
+    :meth:`~repro.schedulers.lmc.LMCOnlineScheduler.select_core` is
+    faster than one NumPy call (about 3 µs against 14 µs per four-core
+    decision on a 2-vCPU Xeon). The kernel stays as a batch evaluator,
+    tested bit-for-bit against the scalar costs and against that loop's
+    choice.
     """
     if cycles <= 0:
         raise ValueError("cycles must be positive")

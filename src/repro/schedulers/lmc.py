@@ -4,10 +4,18 @@ Bridges :class:`repro.core.online_lmc.LeastMarginalCostPolicy` (which
 owns the per-core optimal queues and the marginal-cost mathematics) to
 the :class:`~repro.simulator.online_runner.OnlinePolicy` protocol the
 event-driven runner drives.
+
+Equation 27's interactive core choice lives here, where the runner's
+core views and the policy's queues meet: one pass over the cores with
+each core's ``E(pm)``/``T(pm)`` read once at construction and ``N_j``
+read straight off the queue's range tree. Its readable form — an argmin
+over :meth:`~repro.models.cost.CostModel.interactive_marginal_cost` —
+is the test oracle :func:`repro.verify.reference.choose_core_interactive`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.online_lmc import LeastMarginalCostPolicy
@@ -16,6 +24,10 @@ from repro.models.rates import RateTable
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
 from repro.structures.rangetree import RangeTreeNode
+
+# bound once: every arrival tests them, and an Enum member lookup through
+# the class costs several times a module-global read
+INTERACTIVE, NONINTERACTIVE = TaskKind.INTERACTIVE, TaskKind.NONINTERACTIVE
 
 
 class LMCOnlineScheduler:
@@ -49,27 +61,66 @@ class LMCOnlineScheduler:
             [CostModel(t, re, rt) for t in table_list], seed=seed, tracer=tracer
         )
         self.estimator = estimator
+        self._tracer = tracer
         self._handles: dict[int, tuple[int, RangeTreeNode]] = {}  # task_id -> (core, node)
+        # Equation 27's per-core constants: the queue's range tree (N_j is
+        # its size) and E(pm), T(pm), the last entries of the rate table
+        models = self.policy.models
+        self._re, self._rt = models[0].re, models[0].rt
+        self._eq27 = tuple(
+            (q.tree, m.table.energy_per_cycle[-1], m.table.time_per_cycle[-1])
+            for q, m in zip(self.policy.queues, models)
+        )
 
     def _cycles(self, task: Task) -> float:
         if self.estimator is None:
             return task.cycles
         est = self.estimator.estimate(task)
-        if not (est > 0):
-            raise ValueError(f"estimator returned non-positive cycles {est!r}")
+        if not 0 < est < math.inf:
+            raise ValueError(
+                f"estimator returned non-positive or non-finite cycles {est!r} for "
+                f"task {task.task_id} ({task.name!r}); cycles must be positive and finite"
+            )
         return est
 
     # -- OnlinePolicy protocol --------------------------------------------------------
     def select_core(self, task: Task, views: Sequence[CoreView]) -> int:
         """The least-marginal-cost core: Eq. 27 for interactive tasks,
-        the dynamic-index marginal insert cost for non-interactive."""
-        if task.kind is TaskKind.INTERACTIVE:
-            delayed = [
-                len(queue) + (1 if view.running_kind is TaskKind.NONINTERACTIVE else 0)
-                for queue, view in zip(self.policy.queues, views)
-            ]
-            return self.policy.choose_core_interactive(self._cycles(task), delayed,
-                                                       task=task)
+        the dynamic-index marginal insert cost for non-interactive.
+
+        Equation 27 is one pass over the cores. ``N_j`` counts core
+        ``j``'s waiting queue plus the non-interactive task the newcomer
+        would preempt; each cost is ``(Re·L·E_j + x) + x·N_j`` with
+        ``x = Rt·L·T_j``, the operations of
+        :meth:`~repro.models.cost.CostModel.interactive_marginal_cost`
+        in its order. The first strict minimum wins, so ties go to the
+        lowest core index. With a tracer the same pass also collects the
+        costs and ``N_j`` for the ``lmc.interactive`` event; the choice
+        never depends on it.
+        """
+        if task.kind is INTERACTIVE:
+            cycles = task.cycles if self.estimator is None else self._cycles(task)
+            rc, tc = self._re * cycles, self._rt * cycles
+            tracer = self._tracer
+            rows: Optional[list[tuple[float, int]]] = None if tracer is None else []
+            chosen, best = 0, math.nan
+            for j, ((tree, e_pm, t_pm), view) in enumerate(zip(self._eq27, views)):
+                n = tree.size
+                if view.running_kind is NONINTERACTIVE:
+                    n += 1
+                x = tc * t_pm
+                cost = (rc * e_pm + x) + x * n
+                if j == 0 or cost < best:
+                    chosen, best = j, cost
+                if rows is not None:
+                    rows.append((cost, n))
+            if rows is not None:
+                tracer.emit("lmc.interactive", {
+                    "cycles": cycles, "costs": [c for c, _ in rows], "chosen": chosen,
+                    "delayed": [n for _, n in rows],
+                    "task_id": task.task_id, "task": task.name,
+                })
+            return chosen
         # seconds of head-of-line work not represented in the queue index:
         # the running task plus any preempted task, at the core's current rate
         head_delays = [

@@ -125,11 +125,21 @@ class Simulation:
         ``"arrive"``. A stream time earlier than the clock (out of order,
         or NaN) raises ``ValueError``.
         """
+        queue = self._queue
+        heappop = heapq.heappop
         for time, item in stream:
             if not time >= self.now:
                 raise ValueError(f"stream out of order: t={time} < now={self.now}")
             # queued events strictly before the entry fire first
-            self.run(until=math.nextafter(time, -math.inf), max_events=max_events)
+            while queue and queue[0][0] < time:
+                qtime, _, head = heappop(queue)
+                if head.cancelled:
+                    continue
+                self.now = qtime
+                self._events_fired += 1
+                if self._events_fired > max_events:
+                    raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
+                self._fire(head)
             self.now = time
             self._events_fired += 1
             if self._events_fired > max_events:

@@ -306,6 +306,8 @@ def run_online(
 
     # ---- helpers -------------------------------------------------------------
     sim_cores = [cs.sim for cs in cores]
+    # optional completion feedback (estimators learn from it), looked up once
+    on_complete_hook = getattr(policy, "on_complete", None)
     core_views = tuple(CoreView(j, cs) for j, cs in enumerate(cores))
 
     def advance_all() -> None:
@@ -442,7 +444,6 @@ def run_online(
                          "energy_joules": execution.energy_joules,
                          "turnaround": execution.finished_at - execution.task.arrival},
                         time=sim.now)
-        on_complete_hook = getattr(policy, "on_complete", None)
         if on_complete_hook is not None:
             on_complete_hook(j, execution.task)
         start_next(j)

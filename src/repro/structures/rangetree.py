@@ -11,6 +11,8 @@ Supported operations (``N`` = number of stored tasks):
 
 * ``insert(value, payload)`` → node, ``O(log N)`` expected;
 * ``delete(node)``, ``O(log N)`` expected;
+* ``size`` (also ``len(tree)``) — the node count, a plain attribute
+  read in ``Θ(1)``;
 * ``rank(node)`` — 1-based rank, ``O(log N)``; ``Θ(1)`` for the last
   node (the queue head), whose rank is ``N``;
 * ``select(k)`` — node of rank ``k``, ``O(log N)``;
@@ -112,11 +114,13 @@ class RangeTree:
         self._rng = random.Random(seed)
         self._root: Optional[RangeTreeNode] = None
         self._seq = 0
+        #: Number of stored nodes, kept by ``insert``/``delete``: an
+        #: ``O(1)`` read with no call (hot callers read it directly).
+        self.size = 0
 
     # -- basics ----------------------------------------------------------------
     def __len__(self) -> int:
-        root = self._root
-        return root.size if root is not None else 0
+        return self.size
 
     def __bool__(self) -> bool:
         return self._root is not None
@@ -213,6 +217,7 @@ class RangeTree:
         key = (-float(value), self._seq)
         node = RangeTreeNode(float(value), payload, key, self._rng.random())
         node._tree = self
+        self.size += 1
 
         cur = self._root
         if cur is None:
@@ -289,6 +294,7 @@ class RangeTree:
             node.next.prev = node.prev
         node.prev = node.next = node.parent = None
         node._tree = None
+        self.size -= 1
 
     # -- order statistics ----------------------------------------------------------
     def rank(self, node: RangeTreeNode) -> int:
@@ -300,7 +306,7 @@ class RangeTree:
         if node._tree is not self:
             raise ValueError("node does not belong to this tree")
         if node.next is None:
-            return len(self)
+            return self.size
         left = node.left
         r = left.size + 1 if left is not None else 1
         cur, p = node, node.parent
@@ -408,7 +414,7 @@ class RangeTree:
         """Return ``(Σ v_k, Σ k·v_k)`` over global ranks ``k ∈ [a, b]``."""
         if a < 1:
             a = 1
-        n = len(self)
+        n = self.size
         if b > n:
             b = n
         if a > b or self._root is None:
@@ -450,6 +456,7 @@ class RangeTree:
         ``O(N)``; intended for tests only.
         """
         nodes = self._collect(self._root, None)
+        assert self.size == len(nodes), "size counter out of sync"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         # threading must visit the same nodes in the same order
         threaded = list(self)
         assert [id(n) for n in nodes] == [id(n) for n in threaded], "threading out of sync"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError

@@ -5,6 +5,11 @@ specification it must match lives here, written as the paper states
 it. :func:`wbg_heap_plan` is Algorithm 3 as a min-heap loop; the
 production :class:`~repro.core.batch_multi.WorkloadBasedGreedy` merge
 must agree with it exactly (cores, slots, bitwise-equal rates).
+:func:`choose_core_interactive` is Equation 27 as an argmin over
+per-core :meth:`~repro.models.cost.CostModel.interactive_marginal_cost`
+calls; LMC's one-pass choice in
+:meth:`repro.schedulers.lmc.LMCOnlineScheduler.select_core` must pick
+the same core from bitwise-equal costs.
 """
 
 from __future__ import annotations
@@ -49,3 +54,19 @@ def wbg_heap_plan(models: Sequence[CostModel], tasks: Iterable[Task]) -> list[Co
     for task, (j, _, rate, _) in zip(by_weight, wbg_heap_picks(ranges, len(by_weight))):
         backward[j].append(Placement(task=task, rate=rate))
     return [CoreSchedule(reversed(b), core_index=j) for j, b in enumerate(backward)]
+
+
+def choose_core_interactive(models: Sequence[CostModel], cycles: float,
+                            delayed_counts: Sequence[int]) -> int:
+    """Equation 27 over all cores; returns the argmin core index.
+
+    ``delayed_counts[j]`` is ``N_j`` — how many tasks on core ``j`` an
+    interactive task of ``cycles`` would push back (the waiting
+    non-interactive tasks plus any task it would preempt). Ties break
+    to the lowest core index.
+    """
+    if len(delayed_counts) != len(models):
+        raise ValueError("delayed_counts must have one entry per core")
+    costs = [m.interactive_marginal_cost(cycles, n)
+             for m, n in zip(models, delayed_counts)]
+    return costs.index(min(costs))

@@ -17,6 +17,7 @@ probe. None of them may change any observable result:
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,12 +29,12 @@ from repro.core.dominating import (
     invalidate_dominating_cache,
 )
 from repro.core.dynamic import DynamicCostIndex
-from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
-from repro.models.task import Task
+from repro.models.task import Task, TaskKind
 from repro.models.tolerances import AGG_ABS_TOL, REL_TOL
 from repro.obs.tracer import RecordingTracer
+from repro.schedulers.lmc import LMCOnlineScheduler
 from repro.schedulers.wbg import wbg_plan
 from repro.verify.reference import wbg_heap_plan
 from repro.models.vectorized import (
@@ -244,6 +245,11 @@ def test_interactive_marginal_batch_bit_identical_to_scalar() -> None:
         assert int(batch.argmin()) == min(
             range(len(models)), key=scalar.__getitem__
         )
-        # the policy's scalar loop picks the kernel's first minimum
-        policy = LeastMarginalCostPolicy(models)
-        assert policy.choose_core_interactive(cycles, counts) == int(batch.argmin())
+        # LMC's one-pass Eq. 27 choice picks the kernel's first minimum
+        sched = LMCOnlineScheduler([m.table for m in models], len(models), re, rt)
+        for j, n in enumerate(counts):
+            for _ in range(n):
+                sched.policy.enqueue(j, 1.0)
+        idle = [SimpleNamespace(running_kind=None) for _ in models]
+        task = Task(cycles=cycles, kind=TaskKind.INTERACTIVE)
+        assert sched.select_core(task, idle) == int(batch.argmin())

