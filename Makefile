@@ -52,6 +52,8 @@ examples:
 	$(PYTHON) examples/dynamic_queue.py
 	$(PYTHON) examples/energy_frontier.py
 	$(PYTHON) examples/online_judge.py --small
+	$(PYTHON) examples/traced_run.py
+	$(PYTHON) examples/profiled_estimation.py
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks

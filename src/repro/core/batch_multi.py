@@ -45,11 +45,10 @@ class WorkloadBasedGreedy:
         and ``Rt`` (they are properties of the pricing, not of a core).
         A homogeneous platform simply repeats the same model.
 
-    The per-core dominating ranges come from the process-wide
-    Algorithm 1 memo (Lemma 1: they do not depend on the workload), so
-    repeated scheduler constructions over the same platform/pricing —
-    sweeps, the online rerun baseline, the bench harness — share both
-    the ranges and their vectorized positional-cost prefixes.
+    Each core's dominating ranges are built once, here (Lemma 1: they
+    do not depend on the workload), so repeated :meth:`schedule` calls
+    on one instance reuse both the ranges and their vectorized
+    positional-cost prefixes.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) records one
     ``ranges.build`` event per core at construction, and one
@@ -67,7 +66,7 @@ class WorkloadBasedGreedy:
             if m.re != re or m.rt != rt:
                 raise ValueError("all cores must share the same Re and Rt")
         self.models = list(models)
-        self.ranges = [DominatingRanges.cached(m) for m in models]
+        self.ranges = [DominatingRanges.from_cost_model(m) for m in models]
         self._tracer = tracer
         if tracer is not None:
             from repro.obs.events import ranges_event_data
@@ -174,7 +173,7 @@ def schedule_homogeneous_round_robin(
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
     if ranges is None:
-        ranges = DominatingRanges.cached(model)
+        ranges = DominatingRanges.from_cost_model(model)
     by_weight = sorted(tasks, key=lambda t: (-t.cycles, t.task_id))
     backward: list[list[Placement]] = [[] for _ in range(n_cores)]
     for i, task in enumerate(by_weight):

@@ -25,32 +25,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.models.cost import CostModel
 from repro.models.tolerances import TIE_EPS as _TIE_EPS
-
-#: Hashable identity of an Algorithm 1 instance: the rate menu
-#: (``P``, ``E``, ``T``) plus the pricing (``Re``, ``Rt``). Two cost
-#: models with equal keys have bit-identical dominating ranges.
-RangesKey = tuple[
-    tuple[float, ...], tuple[float, ...], tuple[float, ...], float, float
-]
-
-
-def ranges_key(model: CostModel) -> RangesKey:
-    """The memo key for ``model`` — everything Algorithm 1 reads."""
-    table = model.table
-    return (
-        table.rates,
-        table.energy_per_cycle,
-        table.time_per_cycle,
-        model.re,
-        model.rt,
-    )
-
 
 @dataclass(frozen=True)
 class DominatingRange:
@@ -153,22 +132,6 @@ class DominatingRanges:
         ranges.append(DominatingRange(rate=stack[-1][2], lo=lb, hi=None))
         return cls(model, ranges)
 
-    # -- construction: memoized -----------------------------------------------------
-    @classmethod
-    def cached(cls, model: CostModel) -> "DominatingRanges":
-        """Algorithm 1 through the process-wide memo.
-
-        Lemma 1 makes the ranges a pure function of the rate menu and
-        the pricing, so every scheduler component that shares a
-        ``(P, E, T, Re, Rt)`` tuple — each WBG core, each LMC queue
-        index, every dynamic-churn probe — can share one instance.
-        Sharing is also what makes the per-``n`` vectorized cost tables
-        (:func:`repro.models.vectorized.positional_cost_prefix`)
-        amortise across callers. Use :func:`invalidate_dominating_cache`
-        to drop entries explicitly.
-        """
-        return _RANGES_CACHE.get(model)
-
     # -- queries -------------------------------------------------------------------
     @property
     def effective_rates(self) -> list[float]:
@@ -207,84 +170,6 @@ class DominatingRanges:
             f"{r.rate:g}:[{r.lo},{'inf' if r.hi is None else r.hi})" for r in self.ranges
         )
         return f"DominatingRanges({parts})"
-
-
-class _RangesCache:
-    """Bounded LRU memo of :class:`DominatingRanges` by :func:`ranges_key`.
-
-    Bounded because the differential fuzzer constructs thousands of
-    one-shot random rate tables per run; real workloads use a handful of
-    keys, so an LRU of a few hundred never evicts in production paths.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[RangesKey, DominatingRanges] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, model: CostModel) -> DominatingRanges:
-        key = ranges_key(model)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = DominatingRanges.from_cost_model(model)
-        self._entries[key] = entry
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return entry
-
-    def invalidate(self, model: Optional[CostModel] = None) -> int:
-        """Drop one entry (or all with ``model=None``); returns the count dropped."""
-        if model is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-        else:
-            dropped = 1 if self._entries.pop(ranges_key(model), None) is not None else 0
-        self.invalidations += dropped
-        return dropped
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
-#: The process-wide memo behind :meth:`DominatingRanges.cached`.
-_RANGES_CACHE = _RangesCache()
-
-
-def invalidate_dominating_cache(model: Optional[CostModel] = None) -> int:
-    """Explicit invalidation hook for the Algorithm 1 memo.
-
-    With ``model`` drops that one entry; with ``None`` flushes
-    everything. Returns how many entries were dropped. Callers that
-    mutate a rate menu in place (none in-tree — :class:`RateTable` is
-    frozen — but extensions may) must call this before the next
-    :meth:`DominatingRanges.cached` lookup.
-    """
-    return _RANGES_CACHE.invalidate(model)
-
-
-def dominating_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the Algorithm 1 memo (``repro bench`` reads these)."""
-    return _RANGES_CACHE.stats()
 
 
 def _integer_crossover(

@@ -82,7 +82,7 @@ class DynamicCostIndex:
                  seed: int = 0x5EED, tracer: "Optional[Tracer]" = None,
                  label: str = "") -> None:
         self.model = model
-        self.ranges = ranges if ranges is not None else DominatingRanges.cached(model)
+        self.ranges = ranges if ranges is not None else DominatingRanges.from_cost_model(model)
         self.tree = RangeTree(seed=seed)
         self._tracer = tracer
         self.label = label

@@ -74,7 +74,7 @@ class LeastMarginalCostPolicy:
             if m.re != re or m.rt != rt:
                 raise ValueError("all cores must share the same Re and Rt")
         self.models = list(models)
-        self.ranges = [DominatingRanges.cached(m) for m in models]
+        self.ranges = [DominatingRanges.from_cost_model(m) for m in models]
         self._tracer = tracer
         if tracer is not None:
             from repro.obs.events import ranges_event_data

@@ -20,10 +20,10 @@ Two guarantees matter more than raw speed:
   — verified by the ``wbg_kernel`` differential fuzz check and the
   cache-correctness tests.
 * **Amortised reuse.** Per-position prefixes (``CB*(1..n)`` and the
-  per-position optimal rate) are memoized per shared
+  per-position optimal rate) are memoized per
   :class:`~repro.core.dominating.DominatingRanges` instance and grown
-  on demand, completing the ``(rate menu, Re, Rt, n)`` cache key that
-  :meth:`DominatingRanges.cached` starts (see docs/PERFORMANCE.md).
+  on demand, so a scheduler that replans repeatedly fills them once
+  (see docs/PERFORMANCE.md).
 
 Agreement with the scalar implementations is property-tested; the
 speedup is measured in ``benchmarks/bench_ablation_vectorized.py`` and
@@ -90,9 +90,9 @@ def _fill_positional(
 
 
 #: Per-DominatingRanges grown prefix arrays: ranges -> (CB* array, rate array).
-#: Keyed weakly so fuzzer-generated throwaway instances don't pin memory;
-#: instances shared through ``DominatingRanges.cached`` make this a
-#: process-wide ``(rate menu, Re, Rt, n)`` memo.
+#: Keyed weakly so an entry lives exactly as long as its ranges instance
+#: (each scheduler builds its own), and fuzzer-generated throwaway
+#: instances don't pin memory.
 _PREFIX_CACHE: "weakref.WeakKeyDictionary[DominatingRanges, tuple[np.ndarray, np.ndarray]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -115,7 +115,7 @@ def _prefix_arrays(ranges: DominatingRanges, n: int) -> tuple[np.ndarray, np.nda
 
 
 def positional_cost_prefix(ranges: DominatingRanges, n: int) -> np.ndarray:
-    """Memoized read-only ``CB*(1..n)`` for a shared ranges instance."""
+    """Memoized read-only ``CB*(1..n)`` for a ranges instance."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _prefix_arrays(ranges, n)[0][:n]

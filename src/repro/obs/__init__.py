@@ -12,8 +12,8 @@ without changing them:
   (in-memory ring), and :class:`JsonlTracer` (streaming file sink).
 * :mod:`repro.obs.metrics` — counters / gauges / histograms and a
   :class:`MetricsRegistry`; :func:`scheduler_metrics` unifies the
-  pre-existing ad-hoc stats (dominating-range cache, LMC probe
-  counters, dynamic-index counters) under one namespace.
+  pre-existing ad-hoc stats (LMC probe counters, dynamic-index
+  counters, tracer event counts) under one namespace.
 * :mod:`repro.obs.explain` — reconstructs *why* a task got its core,
   queue position, and rate from a recorded trace, citing the paper's
   equations (the engine behind ``repro explain``).

@@ -1,12 +1,11 @@
 """Metrics registry: one vocabulary for the scheduler's ad-hoc counters.
 
 Before this module existed the repo kept operational statistics in
-three unrelated shapes: the Algorithm 1 memo's
-:func:`~repro.core.dominating.dominating_cache_stats` dict, each
-:class:`~repro.core.dynamic.DynamicCostIndex`'s ``counters`` dict, and
-the per-scenario ``ops`` dicts ``repro bench`` records. This registry
-unifies them behind three instrument types with explicit merge/reset
-semantics:
+unrelated shapes: each
+:class:`~repro.core.dynamic.DynamicCostIndex`'s ``counters`` dict, a
+policy's probe counters, and the per-scenario ``ops`` dicts
+``repro bench`` records. This registry unifies them behind three
+instrument types with explicit merge/reset semantics:
 
 * :class:`Counter` — monotone event count; merging **adds**.
 * :class:`Gauge` — last-observed value; merging **takes the other
@@ -16,7 +15,7 @@ semantics:
   adds bucket-wise and requires identical bucket layouts.
 
 Metric names are dotted lowercase (``component.metric``), e.g.
-``dominating_cache.hits``, ``dynamic.core0.inserts``,
+``lmc.probes``, ``dynamic.core0.inserts``,
 ``trace.events.wbg.slot_pick`` — the full catalog is in
 docs/OBSERVABILITY.md. Everything here is plain deterministic
 arithmetic: no host clock, no background threads, no sampling.
@@ -257,15 +256,12 @@ def scheduler_metrics(
     policy: Any = None,
     indexes: Sequence[Any] = (),
     tracer: Any = None,
-    cache: bool = True,
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
     """Collect the repo's scattered operational counters into one registry.
 
     Unifies, under the documented metric names:
 
-    * ``dominating_cache.*`` — the process-wide Algorithm 1 memo
-      (:func:`~repro.core.dominating.dominating_cache_stats`);
     * ``lmc.*`` — a policy's aggregated probe counters
       (``policy.probe_counters()`` or a scheduler's ``counters()``);
     * ``dynamic.queue<i>.*`` — each supplied
@@ -277,16 +273,6 @@ def scheduler_metrics(
     themselves cumulative).
     """
     reg = registry if registry is not None else MetricsRegistry()
-    if cache:
-        from repro.core.dominating import dominating_cache_stats
-
-        stats = dominating_cache_stats()
-        for key in ("hits", "misses", "evictions", "invalidations"):
-            c = reg.counter(f"dominating_cache.{key}")
-            c.reset()
-            c.inc(stats[key])
-        reg.gauge("dominating_cache.entries").set(stats["entries"])
-        reg.gauge("dominating_cache.capacity").set(stats["capacity"])
     if policy is not None:
         source = getattr(policy, "probe_counters", None) or getattr(policy, "counters")
         _counters_into(reg, "lmc", source())

@@ -1,8 +1,8 @@
 """Deterministic performance harness behind ``repro bench``.
 
-Measures the perf-kernel hot paths (cached dominating ranges, the
-vectorized WBG merge, closed-form marginal probes, the online simulator)
-on pinned seeded workloads, writes ``BENCH_schedulers.json`` at the
+Measures the perf-kernel hot paths (the vectorized WBG merge,
+closed-form marginal probes, the online simulator) on pinned seeded
+workloads, writes ``BENCH_schedulers.json`` at the
 repo root, and gates changes against the committed baseline: exact
 match required for ops counters / checksums, a relative threshold
 (default 25%) for wall times. See docs/PERFORMANCE.md.

@@ -2,8 +2,8 @@
 
 ``repro bench`` measures two kinds of quantities per scenario:
 
-* **Deterministic** — ops counters (queue mutations, probes, memo hits,
-  simulator events) and a checksum over the scenario's numeric outputs.
+* **Deterministic** — ops counters (queue mutations, probes, simulator
+  events) and a checksum over the scenario's numeric outputs.
   These are machine-independent: any difference against the committed
   baseline means *behaviour* changed, which is always a failure.
 * **Noisy** — wall-clock timings (best-of-``repeats`` via

@@ -27,11 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.core.batch_multi import WorkloadBasedGreedy
-from repro.core.dominating import (
-    DominatingRanges,
-    dominating_cache_stats,
-    invalidate_dominating_cache,
-)
 from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
@@ -219,41 +214,6 @@ def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
     )
 
 
-def dominating_cache(quick: bool, repeats: int) -> ScenarioResult:
-    """Algorithm 1 memo under repeated platform/pricing lookups.
-
-    Cycles through 16 distinct pricings many times; after the first
-    pass every lookup must hit the process-wide LRU. The hit/miss
-    deltas are gated ops, so a key or eviction bug that silently turned
-    lookups back into Algorithm 1 runs fails the gate.
-    """
-    n_lookups = 2_000 if quick else 10_000
-    pricings = [(0.05 * (i + 1), RT_BATCH) for i in range(8)] + [
-        (RE_BATCH, 0.05 * (i + 1)) for i in range(8)
-    ]
-
-    def run():
-        invalidate_dominating_cache()
-        before = dominating_cache_stats()
-        models = [CostModel(TABLE_II, re, rt) for re, rt in pricings]
-        rate_sum = 0.0
-        for i in range(n_lookups):
-            ranges = DominatingRanges.cached(models[i % len(models)])
-            rate_sum += ranges.rate_for(i % 7 + 1)
-        after = dominating_cache_stats()
-        delta = {k: after[k] - before[k] for k in ("hits", "misses")}
-        return delta, rate_sum
-
-    t_run, (delta, rate_sum) = _timed(run, repeats)
-    return ScenarioResult(
-        name="dominating_cache",
-        params={"n_lookups": n_lookups, "n_pricings": len(pricings)},
-        wall_time_s={"run": t_run},
-        ops={"lookups": n_lookups, **delta},
-        checksum=_checksum(rate_sum),
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A registered bench scenario: a name, a blurb, and its runner."""
@@ -269,6 +229,5 @@ ALL_SCENARIOS: dict[str, Scenario] = {
         Scenario("wbg_scaling", "Algorithm 3 batch: heap oracle vs merge kernel", wbg_scaling),
         Scenario("lmc_online_trace", "LMC policy over a pinned online trace", lmc_online_trace),
         Scenario("dynamic_churn", "DynamicCostIndex insert/delete/probe churn", dynamic_churn),
-        Scenario("dominating_cache", "Algorithm 1 memo hit behaviour", dominating_cache),
     )
 }

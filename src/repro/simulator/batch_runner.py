@@ -104,7 +104,8 @@ def run_batch(
         schedulers. ``core_index`` fields must be unique.
     tables:
         Either one :class:`RateTable` shared by all cores (homogeneous)
-        or a sequence indexed by ``core_index`` (heterogeneous).
+        or a sequence indexed by ``core_index`` (heterogeneous); every
+        ``core_index`` must then index into it.
     contention:
         Interference model; :data:`NO_CONTENTION` reproduces the
         analytical model exactly (the property tests assert equality
@@ -117,6 +118,12 @@ def run_batch(
     indices = [s.core_index for s in schedules]
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate core_index in schedules: {indices}")
+    if not isinstance(tables, RateTable):
+        for i in indices:
+            if not 0 <= i < len(tables):
+                raise ValueError(
+                    f"core_index {i} has no rate table: got {len(tables)} tables"
+                )
 
     def table_for(core_index: int) -> RateTable:
         if isinstance(tables, RateTable):

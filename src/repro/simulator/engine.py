@@ -86,20 +86,15 @@ class Simulation:
         return self.at(self.now + delay, callback, label)
 
     # -- execution --------------------------------------------------------------
-    def run(self, until: float = math.inf, max_events: int = 50_000_000) -> None:
-        """Fire events in time order until the queue drains or ``until``.
+    def run(self, max_events: int = 50_000_000) -> None:
+        """Fire events in time order until the queue drains.
 
-        Events scheduled exactly at ``until`` still fire; the clock
-        never advances past the last fired event (or ``until`` if
-        finite and events remain beyond it).
+        The clock stops at the last fired event. More than
+        ``max_events`` fired events in total raise ``RuntimeError``.
         """
         queue = self._queue
         while queue:
-            time, _, head = queue[0]
-            if time > until:
-                self.now = until if not math.isinf(until) else self.now
-                return
-            heapq.heappop(queue)
+            time, _, head = heapq.heappop(queue)
             if head.cancelled:
                 continue
             self.now = time
@@ -148,18 +143,6 @@ class Simulation:
                 self._tracer.emit("sim.event", {"time": time, "label": "arrive"}, time=time)
             callback(item)
         self.run(max_events=max_events)
-
-    def step(self) -> bool:
-        """Fire exactly one (non-cancelled) event. Returns False if drained."""
-        while self._queue:
-            time, _, head = heapq.heappop(self._queue)
-            if head.cancelled:
-                continue
-            self.now = time
-            self._events_fired += 1
-            self._fire(head)
-            return True
-        return False
 
     def _fire(self, head: EventHandle) -> None:
         if self._tracer is not None:

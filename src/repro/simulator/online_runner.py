@@ -288,6 +288,8 @@ def run_online(
         raise ValueError("policy must manage at least one core")
     if governors is not None and len(governors) != n:
         raise ValueError("need one governor per core")
+    if not isinstance(tables, RateTable) and len(tables) != n:
+        raise ValueError(f"need one rate table per core: got {len(tables)} for {n} cores")
 
     def table_for(j: int) -> RateTable:
         return tables if isinstance(tables, RateTable) else tables[j]

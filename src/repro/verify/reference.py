@@ -48,7 +48,7 @@ def wbg_heap_picks(
 
 def wbg_heap_plan(models: Sequence[CostModel], tasks: Iterable[Task]) -> list[CoreSchedule]:
     """Algorithm 3 as written: one :class:`CoreSchedule` per core, shortest task first."""
-    ranges = [DominatingRanges.cached(m) for m in models]
+    ranges = [DominatingRanges.from_cost_model(m) for m in models]
     by_weight = sorted(tasks, key=lambda t: (-t.cycles, t.task_id))
     backward: list[list[Placement]] = [[] for _ in ranges]
     for task, (j, _, rate, _) in zip(by_weight, wbg_heap_picks(ranges, len(by_weight))):

@@ -1,15 +1,12 @@
 """Cache-correctness tests for the perf kernel layer.
 
-The perf layer (docs/PERFORMANCE.md) adds two memos — the process-wide
-Algorithm 1 LRU and the per-ranges vectorized positional prefixes — plus
-vectorized kernels that replace scalar loops and a closed-form marginal
+The perf layer (docs/PERFORMANCE.md) adds one memo — the per-ranges
+vectorized positional prefixes — plus vectorized kernels that replace scalar loops and a closed-form marginal
 probe. None of them may change any observable result:
 
 * churn through ``DynamicCostIndex`` interleaved with probes must
   match a fresh solver built from the surviving values, and a probe
   must leave the index untouched;
-* the LRU must hit on equal keys, miss on different ones, and evict
-  beyond capacity without ever returning a wrong table;
 * every vectorized kernel must reproduce its scalar counterpart
   bit-for-bit where it feeds decisions.
 """
@@ -23,11 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch_multi import WorkloadBasedGreedy
-from repro.core.dominating import (
-    DominatingRanges,
-    dominating_cache_stats,
-    invalidate_dominating_cache,
-)
+from repro.core.dominating import DominatingRanges
 from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
@@ -111,60 +104,12 @@ def test_probe_does_not_mutate_or_invalidate() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the Algorithm 1 LRU
-# ---------------------------------------------------------------------------
-
-
-def test_ranges_cache_hits_on_equal_key_misses_on_distinct() -> None:
-    invalidate_dominating_cache()
-    base = dominating_cache_stats()
-    a = DominatingRanges.cached(_model(0.3, 0.7))
-    b = DominatingRanges.cached(_model(0.3, 0.7))  # distinct CostModel, same key
-    c = DominatingRanges.cached(_model(0.3, 0.8))
-    stats = dominating_cache_stats()
-    assert a is b
-    assert c is not a
-    assert stats["hits"] - base["hits"] == 1
-    assert stats["misses"] - base["misses"] == 2
-
-
-def test_ranges_cache_invalidate_single_entry() -> None:
-    invalidate_dominating_cache()
-    model = _model(0.2, 0.9)
-    first = DominatingRanges.cached(model)
-    assert invalidate_dominating_cache(model) == 1
-    assert invalidate_dominating_cache(model) == 0  # already gone
-    second = DominatingRanges.cached(model)
-    assert second is not first
-    assert [(r.rate, r.lo, r.hi) for r in second] == [
-        (r.rate, r.lo, r.hi) for r in first
-    ]
-
-
-def test_ranges_cache_eviction_never_corrupts_results() -> None:
-    """Push far past capacity; every lookup must still be correct."""
-    invalidate_dominating_cache()
-    capacity = dominating_cache_stats()["capacity"]
-    pricings = [(0.01 * (i + 1), 0.4) for i in range(capacity + 40)]
-    for re, rt in pricings:
-        model = _model(re, rt)
-        cached = DominatingRanges.cached(model)
-        fresh = DominatingRanges.from_cost_model(model)
-        assert [(r.rate, r.lo, r.hi) for r in cached] == [
-            (r.rate, r.lo, r.hi) for r in fresh
-        ]
-    stats = dominating_cache_stats()
-    assert stats["entries"] <= capacity
-    assert stats["evictions"] >= 40
-
-
-# ---------------------------------------------------------------------------
 # vectorized kernels vs scalar counterparts (bit-identity)
 # ---------------------------------------------------------------------------
 
 
 def test_positional_prefix_bit_identical_to_scalar_costs() -> None:
-    ranges = DominatingRanges.cached(_model())
+    ranges = DominatingRanges.from_cost_model(_model())
     costs = positional_cost_prefix(ranges, 300)
     rates = positional_rate_prefix(ranges, 300)
     for k in range(1, 301):
@@ -175,7 +120,7 @@ def test_positional_prefix_bit_identical_to_scalar_costs() -> None:
 
 
 def test_positional_prefix_grows_monotonically() -> None:
-    ranges = DominatingRanges.cached(_model(0.15, 0.35))
+    ranges = DominatingRanges.from_cost_model(_model(0.15, 0.35))
     short = positional_cost_prefix(ranges, 4)
     longer = positional_cost_prefix(ranges, 64)
     assert list(longer[:4]) == list(short)

@@ -108,6 +108,6 @@ class TestVectorizedAgreesWithSimulator:
         plan = wbg_plan(tasks, TABLE_II, 1, 0.1, 0.4)
         simulated = run_batch(plan, TABLE_II).cost(0.1, 0.4).total_cost
         analytic = model.schedule_cost(plan).total_cost
-        vectorised = wbg_optimal_cost([DominatingRanges.cached(model)], cycles)
+        vectorised = wbg_optimal_cost([DominatingRanges.from_cost_model(model)], cycles)
         assert simulated == pytest.approx(analytic, rel=1e-9)
         assert vectorised == pytest.approx(analytic, rel=1e-9)

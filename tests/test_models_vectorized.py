@@ -95,7 +95,8 @@ class TestPositionalTable:
     @settings(max_examples=40, deadline=None)
     @given(cost_models(min_rates=1, max_rates=6), st.integers(1, 300))
     def test_matches_best_backward_cost(self, model, n):
-        table = positional_cost_prefix(DominatingRanges.cached(model), n)
+        ranges = DominatingRanges.from_cost_model(model)
+        table = positional_cost_prefix(ranges, n)
         assert table.shape == (n,)
         for kb in {1, n, max(1, n // 2)}:
             assert table[kb - 1] == pytest.approx(
@@ -103,9 +104,11 @@ class TestPositionalTable:
             )
 
     def test_monotone_increasing(self, batch_model):
-        table = positional_cost_prefix(DominatingRanges.cached(batch_model), 100)
+        ranges = DominatingRanges.from_cost_model(batch_model)
+        table = positional_cost_prefix(ranges, 100)
         assert np.all(np.diff(table) > 0)
 
     def test_validation(self, batch_model):
+        ranges = DominatingRanges.from_cost_model(batch_model)
         with pytest.raises(ValueError):
-            positional_cost_prefix(DominatingRanges.cached(batch_model), 0)
+            positional_cost_prefix(ranges, 0)

@@ -75,7 +75,8 @@ class TestExtremeCycleCounts:
         model = CostModel(TABLE_II, 0.1, 0.4)
         cycles = [max(c, 1e-9) for c in cycles]
         tasks = [Task(cycles=c) for c in cycles]
-        assert wbg_optimal_cost([DominatingRanges.cached(model)], cycles) == pytest.approx(
+        ranges = DominatingRanges.from_cost_model(model)
+        assert wbg_optimal_cost([ranges], cycles) == pytest.approx(
             schedule_cost_lower_bound(tasks, model), rel=1e-9
         )
 

@@ -170,14 +170,12 @@ class TestSchedulerMetrics:
         assert snap["dynamic.queue0.probes"] == 2
         assert "dynamic.queue0.probe_memo_hits" not in snap
         assert snap["trace.events.dynamic.insert"] == tracer.counts["dynamic.insert"]
-        assert "dominating_cache.hits" in snap
-        assert "dominating_cache.entries" in snap
 
     def test_counters_are_absolute_not_doubled(self):
         index = self._churned_index()
-        reg = scheduler_metrics(indexes=[index], cache=False)
+        reg = scheduler_metrics(indexes=[index])
         first = reg.snapshot()["dynamic.queue0.inserts"]
-        reg = scheduler_metrics(indexes=[index], cache=False, registry=reg)
+        reg = scheduler_metrics(indexes=[index], registry=reg)
         assert reg.snapshot()["dynamic.queue0.inserts"] == first
 
     def test_policy_counters(self):
@@ -187,6 +185,6 @@ class TestSchedulerMetrics:
             [CostModel(TABLE_II, 0.4, 0.1) for _ in range(2)]
         )
         policy.choose_core_noninteractive(3.0)
-        reg = scheduler_metrics(policy=policy, cache=False)
+        reg = scheduler_metrics(policy=policy)
         snap = reg.snapshot()
         assert any(name.startswith("lmc.") for name in snap)

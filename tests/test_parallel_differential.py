@@ -29,7 +29,7 @@ from repro.verify import ALL_CHECKS, run_fuzz
 from repro.verify.differential import DifferentialCheck
 
 #: Cheap bench scenarios for the identity check (full sweep is CI's job).
-_BENCH_SCENARIOS = ["dominating_cache", "dynamic_churn"]
+_BENCH_SCENARIOS = ["dynamic_churn", "wbg_scaling"]
 
 
 class _PlantedCheck(DifferentialCheck):

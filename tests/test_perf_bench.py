@@ -152,9 +152,9 @@ def test_load_rejects_bad_schema(tmp_path) -> None:
 
 
 def test_run_bench_scenario_deterministic_ops_and_checksum() -> None:
-    first = run_bench(scenarios=["dominating_cache"], quick=True, repeats=1)
-    second = run_bench(scenarios=["dominating_cache"], quick=True, repeats=1)
-    a, b = first.scenarios["dominating_cache"], second.scenarios["dominating_cache"]
+    first = run_bench(scenarios=["dynamic_churn"], quick=True, repeats=1)
+    second = run_bench(scenarios=["dynamic_churn"], quick=True, repeats=1)
+    a, b = first.scenarios["dynamic_churn"], second.scenarios["dynamic_churn"]
     assert a.ops == b.ops
     assert a.checksum == b.checksum
     assert a.params == b.params
@@ -180,7 +180,7 @@ def test_scenario_catalog_is_pinned() -> None:
 def test_cli_bench_writes_report_and_gates(tmp_path, capsys) -> None:
     out = tmp_path / "BENCH_schedulers.json"
     args = ["bench", "--quick", "--repeats", "1",
-            "--scenario", "dominating_cache", "--out", str(out)]
+            "--scenario", "dynamic_churn", "--out", str(out)]
     assert main(args) == EXIT_CLEAN  # no baseline yet → records fresh
     assert out.exists()
     # second run gates against the file just written; generous threshold
@@ -193,11 +193,11 @@ def test_cli_bench_writes_report_and_gates(tmp_path, capsys) -> None:
 def test_cli_bench_detects_planted_regression(tmp_path) -> None:
     out = tmp_path / "BENCH_schedulers.json"
     args = ["bench", "--quick", "--repeats", "1",
-            "--scenario", "dominating_cache", "--out", str(out)]
+            "--scenario", "dynamic_churn", "--out", str(out)]
     assert main(args) == EXIT_CLEAN
     raw = json.loads(out.read_text())
-    scenario = raw["profiles"]["quick"]["scenarios"]["dominating_cache"]
-    scenario["ops"]["hits"] -= 1  # pretend the baseline behaved differently
+    scenario = raw["profiles"]["quick"]["scenarios"]["dynamic_churn"]
+    scenario["ops"]["probes"] -= 1  # pretend the baseline behaved differently
     out.write_text(json.dumps(raw))
     assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
 
@@ -211,7 +211,7 @@ def test_cli_bench_corrupt_baseline_is_error(tmp_path, capsys) -> None:
     out = tmp_path / "BENCH.json"
     out.write_text("{not json")
     code = main(["bench", "--quick", "--repeats", "1",
-                 "--scenario", "dominating_cache", "--out", str(out)])
+                 "--scenario", "dynamic_churn", "--out", str(out)])
     assert code == EXIT_ERROR
 
 
@@ -234,5 +234,5 @@ def test_cli_bench_list_short_alias(capsys) -> None:
 def test_cli_bench_rejects_bad_jobs(tmp_path) -> None:
     out = tmp_path / "BENCH.json"
     code = main(["bench", "--quick", "--repeats", "1", "--jobs", "0",
-                 "--scenario", "dominating_cache", "--out", str(out)])
+                 "--scenario", "dynamic_churn", "--out", str(out)])
     assert code == EXIT_ERROR

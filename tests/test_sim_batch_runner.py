@@ -168,3 +168,16 @@ class TestHeterogeneousTables:
         by_core = {r.core: r for r in res.records}
         assert by_core[0].finish == pytest.approx(3.0 * 0.33)
         assert by_core[1].finish == pytest.approx(3.0 / 1.5)
+
+    @pytest.mark.parametrize("core_index", [-1, 2, 5])
+    def test_core_index_outside_table_list_rejected(self, core_index):
+        from repro.models.rates import rate_table_from_power_law
+
+        slow = rate_table_from_power_law([1.0, 1.5], dynamic_coefficient=0.3)
+        sched = CoreSchedule([Placement(Task(cycles=3.0), 1.5)], core_index=core_index)
+        with pytest.raises(ValueError, match=f"core_index {core_index} .* 2 tables"):
+            run_batch([sched], [TABLE_II, slow])
+
+    def test_shared_table_accepts_any_core_index(self):
+        sched = CoreSchedule([Placement(Task(cycles=4.0), 2.0)], core_index=50)
+        assert run_batch([sched], TABLE_II).makespan == pytest.approx(2.0)

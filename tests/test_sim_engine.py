@@ -81,34 +81,6 @@ class TestScheduling:
 
 
 class TestRunControl:
-    def test_run_until_stops_clock(self):
-        sim = Simulation()
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.at(5.0, lambda: fired.append(5))
-        sim.run(until=3.0)
-        assert fired == [1]
-        assert sim.now == 3.0
-        sim.run()
-        assert fired == [1, 5]
-
-    def test_event_exactly_at_until_fires(self):
-        sim = Simulation()
-        fired = []
-        sim.at(3.0, lambda: fired.append(3))
-        sim.run(until=3.0)
-        assert fired == [3]
-
-    def test_step_fires_one(self):
-        sim = Simulation()
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.at(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
     def test_runaway_guard(self):
         sim = Simulation()
 

@@ -125,6 +125,12 @@ class TestPolicyContractViolations:
         with pytest.raises(KeyError):
             run_online([ni(1.0, 0.0)], BadRate(1), TABLE_II)
 
+    @pytest.mark.parametrize("n_tables", [1, 3])
+    def test_table_count_must_match_cores(self, n_tables):
+        with pytest.raises(ValueError, match=f"got {n_tables} for 2 cores"):
+            run_online([ni(1.0, 0.0)], LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1),
+                       [TABLE_II] * n_tables)
+
 
 class TestCoreViewSnapshot:
     def test_views_reflect_progress(self):
