@@ -30,7 +30,6 @@ kind                      decision it records
 ``sim.complete``          a task completion (energy, turnaround)
 ``sim.preempt``           an interactive arrival preempting a running task
 ``sim.rate``              a per-core frequency change (DVFS action)
-``sim.event``             a raw engine callback firing (opt-in, engine-level)
 ``span.begin``/``.end``   logical span brackets (no wall-clock durations)
 ========================  =======================================================
 """
@@ -100,7 +99,6 @@ EVENT_SPECS: dict[str, EventSpec] = {
               "running task preempted by interactive arrival"),
         _spec("sim.rate", ("time", "core", "rate", "prev_rate"), (),
               "per-core frequency change"),
-        _spec("sim.event", ("time", "label"), (), "raw engine callback fired"),
         _spec("span.begin", ("name",),
               ("n_tasks", "n_cores", "kernel", "scenario", "n_events"),
               "logical span opened"),

@@ -3,8 +3,6 @@
 This substrate replaces the paper's quad-core i7-950 testbed and
 DW-6091 power meter (see DESIGN.md, "Substitutions"):
 
-* :mod:`repro.simulator.engine` — discrete-event simulation core
-  (clock + priority queue of timestamped callbacks).
 * :mod:`repro.simulator.platform` — cores with per-core frequency
   state; piecewise-constant execution with exact cycle/energy
   integration across rate changes and preemption.
@@ -19,10 +17,10 @@ DW-6091 power meter (see DESIGN.md, "Substitutions"):
   plans (with or without contention) and reports measured costs.
 * :mod:`repro.simulator.online_runner` — executes online traces under
   a pluggable scheduling policy with preemption, per-core queues, and
-  governor-driven frequency changes.
+  governor-driven frequency changes; its event loop merges the sorted
+  arrivals with a heap of completions and governor ticks.
 """
 
-from repro.simulator.engine import Simulation
 from repro.simulator.platform import SimCore, TaskExecution
 from repro.simulator.power import PowerMeter
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
@@ -30,7 +28,6 @@ from repro.simulator.batch_runner import BatchResult, TaskRecord, run_batch
 from repro.simulator.online_runner import OnlineResult, OnlineTaskRecord, run_online
 
 __all__ = [
-    "Simulation",
     "SimCore",
     "TaskExecution",
     "PowerMeter",

@@ -21,19 +21,23 @@ tasks.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
 from repro.governors.base import Governor
 from repro.models.cost import ScheduleCost
 from repro.models.rates import RateTable
 from repro.models.task import Task, TaskKind
-from repro.models.tolerances import TIME_SLACK
-from repro.simulator.engine import EventHandle, Simulation
+from repro.models.tolerances import STRICT_ABS_TOL, TIME_SLACK
 from repro.simulator.platform import SimCore, TaskExecution
+
+#: Events one run may fire (arrivals, completions and governor ticks)
+#: before it is stopped as a runaway loop.
+MAX_EVENTS = 50_000_000
 
 
 class CoreView:
@@ -121,7 +125,7 @@ class OnlinePolicy(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnlineTaskRecord:
     """Measured outcome of one online task.
 
@@ -150,6 +154,36 @@ class OnlineTaskRecord:
     @property
     def kind(self) -> TaskKind:
         return self.task.kind
+
+
+def _record_factory():
+    """``OnlineTaskRecord(...)`` with positional fields, minus ``__init__``.
+
+    The frozen ``__init__`` sets each field through
+    ``object.__setattr__``; filling the slot descriptors directly builds
+    an equal record in about a quarter of the time. The record stays
+    frozen: only this factory writes its slots.
+    """
+    new = object.__new__
+    setters = tuple(OnlineTaskRecord.__dict__[f.name].__set__ for f in fields(OnlineTaskRecord))
+    set_task, set_core, set_first_start, set_finish, set_energy, set_preemptions, set_busy = setters
+
+    def make(task: Task, core: int, first_start: float, finish: float,
+             energy_joules: float, preemptions: int, busy_seconds: float) -> OnlineTaskRecord:
+        record = new(OnlineTaskRecord)
+        set_task(record, task)
+        set_core(record, core)
+        set_first_start(record, first_start)
+        set_finish(record, finish)
+        set_energy(record, energy_joules)
+        set_preemptions(record, preemptions)
+        set_busy(record, busy_seconds)
+        return record
+
+    return make
+
+
+_make_record = _record_factory()
 
 
 @dataclass
@@ -250,7 +284,7 @@ class _CoreState:
     running_kind: Optional[TaskKind] = None
     interactive_queue: deque = field(default_factory=deque)
     preempted: Optional[TaskExecution] = None
-    completion: Optional[EventHandle] = None
+    completion: Optional[int] = None  # seq of the latest completion entry pushed
     busy_accum: float = 0.0
     busy_since: Optional[float] = None
     total_busy: float = 0.0
@@ -275,13 +309,24 @@ def run_online(
         One :class:`RateTable` (homogeneous) or one per core.
     governors:
         Optional per-core governors. When given, they sample load every
-        ``sampling_period`` seconds and set frequencies whenever the
-        policy declines to (returns ``None`` from a rate method).
+        ``sampling_period`` seconds (positive and finite, or
+        ``ValueError``) and set frequencies whenever the policy declines
+        to (returns ``None`` from a rate method).
     tracer:
         Optional decision tracer (:mod:`repro.obs`): records
         ``sim.dispatch`` / ``sim.complete`` / ``sim.preempt`` /
         ``sim.rate`` events at simulated time. Measurements are
         bit-identical with and without it.
+
+    The event loop merges the time-sorted arrivals with a heap of
+    ``(time, seq, j)`` entries: ``j`` is the core whose running task
+    completes, ``~j`` core ``j``'s governor tick. An arrival fires
+    before any queued entry at the same time; queued entries at equal
+    times fire in ``seq`` (push) order. A core's live completion is the
+    last entry pushed for it, whose ``seq`` the core holds. A rate change
+    or a preempting task's start pushes a new one; the superseded entry
+    is skipped when popped, not fired and not counted in
+    :attr:`OnlineResult.events`.
     """
     n = policy.n_cores
     if n < 1:
@@ -290,11 +335,16 @@ def run_online(
         raise ValueError("need one governor per core")
     if not isinstance(tables, RateTable) and len(tables) != n:
         raise ValueError(f"need one rate table per core: got {len(tables)} for {n} cores")
+    periods = [gov.sampling_period for gov in governors or ()]
+    for j, period in enumerate(periods):
+        if not 0.0 < period < math.inf:
+            raise ValueError(
+                f"governor {j}: sampling_period must be positive and finite, got {period!r}"
+            )
 
     def table_for(j: int) -> RateTable:
         return tables if isinstance(tables, RateTable) else tables[j]
 
-    sim = Simulation()
     cores: list[_CoreState] = []
     for j in range(n):
         gov = governors[j] if governors is not None else None
@@ -305,6 +355,13 @@ def run_online(
 
     records: list[OnlineTaskRecord] = []
     outstanding = len(trace)  # tasks arrived-or-future and not yet completed
+    heap: list[tuple[float, int, int]] = []  # (time, seq, j): completion j, tick ~j
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    next_seq = itertools.count().__next__
+    max_events = MAX_EVENTS
+    now = 0.0
+    events = 0
 
     # ---- helpers -------------------------------------------------------------
     sim_cores = [cs.sim for cs in cores]
@@ -315,25 +372,24 @@ def run_online(
     def advance_all() -> None:
         # idle meterless cores are left alone: start/set_rate advance a
         # core before touching it, and busy cores keep every breakpoint
-        now = sim.now
         for sc in sim_cores:
             if sc.current is not None:
                 sc.advance(now)
 
     def schedule_completion(j: int) -> None:
+        """Queue the running task's completion; it supersedes any earlier one."""
         cs = cores[j]
-        if cs.completion is not None:
-            cs.completion.cancel()
-            cs.completion = None
-        if cs.running is None:
-            return
-        t_done = cs.sim.next_completion_time(sim.now)
+        t_done = cs.sim.next_completion_time(now)
         if not math.isfinite(t_done):
             raise RuntimeError(
                 f"core {j}: task {cs.running.task.task_id} ({cs.running.task.name!r}) "
                 f"has non-finite completion time {t_done!r}"
             )
-        cs.completion = sim.at(t_done, completion_callbacks[j], label="done")
+        if t_done < now - STRICT_ABS_TOL:
+            raise ValueError(f"cannot schedule in the past: t={t_done} < now={now}")
+        seq = next_seq()
+        heappush(heap, (max(t_done, now), seq, j))
+        cs.completion = seq
 
     def set_core_rate(j: int, rate: float) -> None:
         cs = cores[j]
@@ -341,10 +397,10 @@ def run_online(
             return
         if tracer is not None:
             tracer.emit("sim.rate",
-                        {"time": sim.now, "core": j, "rate": rate,
+                        {"time": now, "core": j, "rate": rate,
                          "prev_rate": cs.current_rate},
-                        time=sim.now)
-        cs.sim.set_rate(rate, sim.now)
+                        time=now)
+        cs.sim.set_rate(rate, now)
         cs.current_rate = rate
         if cs.running is not None:
             schedule_completion(j)
@@ -352,12 +408,12 @@ def run_online(
     def mark_busy(j: int) -> None:
         cs = cores[j]
         if cs.busy_since is None:
-            cs.busy_since = sim.now
+            cs.busy_since = now
 
     def mark_idle(j: int) -> None:
         cs = cores[j]
         if cs.busy_since is not None:
-            elapsed = sim.now - cs.busy_since
+            elapsed = now - cs.busy_since
             cs.busy_accum += elapsed
             cs.total_busy += elapsed
             cs.busy_since = None
@@ -367,20 +423,20 @@ def run_online(
         cs = cores[j]
         if cs.running is not None:
             raise RuntimeError(
-                f"core {j}: cannot start task {execution.task.task_id} at t={sim.now!r} "
+                f"core {j}: cannot start task {execution.task.task_id} at t={now!r} "
                 f"while task {cs.running.task.task_id} is running"
             )
         if rate is not None:
             set_core_rate(j, rate)
-        cs.sim.start(execution, cs.current_rate, sim.now)
+        cs.sim.start(execution, cs.current_rate, now)
         cs.running = execution
         cs.running_kind = kind
         if tracer is not None:
             tracer.emit("sim.dispatch",
-                        {"time": sim.now, "core": j, "task_id": execution.task.task_id,
+                        {"time": now, "core": j, "task_id": execution.task.task_id,
                          "task": execution.task.name, "task_kind": kind.name,
                          "rate": cs.current_rate},
-                        time=sim.now)
+                        time=now)
         mark_busy(j)
         schedule_completion(j)
 
@@ -389,7 +445,7 @@ def run_online(
         cs = cores[j]
         if cs.running is not None:
             raise RuntimeError(
-                f"core {j}: asked to fill at t={sim.now!r} "
+                f"core {j}: asked to fill at t={now!r} "
                 f"while task {cs.running.task.task_id} is running"
             )
         if cs.interactive_queue:
@@ -417,35 +473,27 @@ def run_online(
         nonlocal outstanding
         cs = cores[j]
         advance_all()
-        execution = cs.sim.complete(sim.now)
+        execution = cs.sim.complete(now)
         cs.running = None
         cs.running_kind = None
-        cs.completion = None
         if execution.started_at is None or execution.finished_at is None:
             raise RuntimeError(
-                f"core {j}: task {execution.task.task_id} completed at t={sim.now!r} "
+                f"core {j}: task {execution.task.task_id} completed at t={now!r} "
                 f"without start/finish stamps ({execution.started_at!r}, "
                 f"{execution.finished_at!r})"
             )
-        records.append(
-            OnlineTaskRecord(
-                task=execution.task,
-                core=j,
-                first_start=execution.started_at,
-                finish=execution.finished_at,
-                energy_joules=execution.energy_joules,
-                preemptions=execution.preemptions,
-                busy_seconds=execution.busy_seconds,
-            )
-        )
+        records.append(_make_record(
+            execution.task, j, execution.started_at, execution.finished_at,
+            execution.energy_joules, execution.preemptions, execution.busy_seconds,
+        ))
         outstanding -= 1
         if tracer is not None:
             tracer.emit("sim.complete",
-                        {"time": sim.now, "core": j, "task_id": execution.task.task_id,
+                        {"time": now, "core": j, "task_id": execution.task.task_id,
                          "task": execution.task.name,
                          "energy_joules": execution.energy_joules,
                          "turnaround": execution.finished_at - execution.task.arrival},
-                        time=sim.now)
+                        time=now)
         if on_complete_hook is not None:
             on_complete_hook(j, execution.task)
         start_next(j)
@@ -466,20 +514,19 @@ def run_online(
                 # preempt the lower-priority task (Section IV mechanics)
                 if cs.preempted is not None:
                     raise RuntimeError(
-                        f"core {j}: an NI task is running at t={sim.now!r} while task "
+                        f"core {j}: an NI task is running at t={now!r} while task "
                         f"{cs.preempted.task.task_id} is preempted; cannot preempt for "
                         f"task {task.task_id}"
                     )
-                if cs.completion is not None:
-                    cs.completion.cancel()
-                    cs.completion = None
-                cs.preempted = cs.sim.preempt(sim.now)
+                # the interactive task's completion, pushed by
+                # start_execution below, supersedes the preempted one's
+                cs.preempted = cs.sim.preempt(now)
                 if tracer is not None:
                     tracer.emit("sim.preempt",
-                                {"time": sim.now, "core": j,
+                                {"time": now, "core": j,
                                  "task_id": cs.preempted.task.task_id,
                                  "task": cs.preempted.task.name},
-                                time=sim.now)
+                                time=now)
                 cs.running = None
                 cs.running_kind = None
                 execution = TaskExecution(task=task, remaining_cycles=task.cycles)
@@ -506,31 +553,51 @@ def run_online(
         cs = cores[j]
         gov = cs.governor
         if gov is None:
-            raise RuntimeError(f"core {j}: governor tick at t={sim.now!r} without a governor")
+            raise RuntimeError(f"core {j}: governor tick at t={now!r} without a governor")
         advance_all()
-        window = gov.sampling_period
+        window = periods[j]
         busy = cs.busy_accum
         if cs.busy_since is not None:
-            elapsed = sim.now - cs.busy_since
+            elapsed = now - cs.busy_since
             busy += elapsed
             cs.total_busy += elapsed
-            cs.busy_since = sim.now
+            cs.busy_since = now
         cs.busy_accum = 0.0
-        load = min(1.0, busy / window) if window > 0 else 0.0
-        new_rate = gov.on_sample(load, cs.current_rate)
+        new_rate = gov.on_sample(min(1.0, busy / window), cs.current_rate)
         set_core_rate(j, new_rate)
         if outstanding > 0:
-            sim.after(window, tick_callbacks[j], label="tick")
+            heappush(heap, (now + window, next_seq(), ~j))
 
-    completion_callbacks = [partial(on_completion, j) for j in range(n)]
-    tick_callbacks = [partial(on_tick, j) for j in range(n)]
+    def fire_queued(limit: float) -> None:
+        """Fire the queued completions and ticks due strictly before ``limit``."""
+        nonlocal now, events
+        while heap and heap[0][0] < limit:
+            time, seq, j = heappop(heap)
+            if j >= 0 and cores[j].completion != seq:
+                continue  # superseded by a rate change or a preemption
+            now = time
+            events += 1
+            if events > max_events:
+                raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
+            if j >= 0:
+                on_completion(j)
+            else:
+                on_tick(~j)
 
     # ---- run: arrivals stream past the heap, which holds completions and ticks ----
-    if governors is not None:
-        for j, gov in enumerate(governors):
-            sim.after(gov.sampling_period, tick_callbacks[j], label="tick")
-    arrivals = sorted(trace, key=lambda t: (t.arrival, t.task_id))
-    sim.run_stream(((task.arrival, task) for task in arrivals), on_arrival)
+    for j, period in enumerate(periods):
+        heappush(heap, (now + period, next_seq(), ~j))
+    for task in sorted(trace, key=lambda t: (t.arrival, t.task_id)):
+        time = task.arrival
+        if not time >= now:
+            raise ValueError(f"stream out of order: t={time} < now={now}")
+        fire_queued(time)
+        now = time
+        events += 1
+        if events > max_events:
+            raise RuntimeError(f"simulation exceeded {max_events} events — runaway loop?")
+        on_arrival(task)
+    fire_queued(math.inf)
 
     if outstanding != 0:
         raise RuntimeError(f"{outstanding} tasks never completed — scheduling deadlock?")
@@ -539,6 +606,6 @@ def run_online(
         records=records,
         horizon=horizon,
         energy_joules=sum(r.energy_joules for r in records),
-        events=sim.events_fired,
+        events=events,
         core_busy_seconds=tuple(cs.total_busy for cs in cores),
     )

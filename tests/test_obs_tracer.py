@@ -45,7 +45,6 @@ PINNED_SPECS = {
                       "turnaround"], []),
     "sim.preempt": (["core", "task", "task_id", "time"], []),
     "sim.rate": (["core", "prev_rate", "rate", "time"], []),
-    "sim.event": (["label", "time"], []),
     "span.begin": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
     "span.end": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
 }
@@ -78,12 +77,12 @@ class TestValidation:
 
     def test_missing_required_field_rejected(self):
         with pytest.raises(EventSchemaError, match="missing required"):
-            validate_event(TraceEvent(0, "sim.event", {"time": 1.0}))
+            validate_event(TraceEvent(0, "span.begin", {"n_tasks": 1}))
 
     def test_undeclared_field_rejected(self):
         with pytest.raises(EventSchemaError, match="undeclared"):
-            validate_event(TraceEvent(0, "sim.event",
-                                      {"time": 1.0, "label": "x", "extra": 1}))
+            validate_event(TraceEvent(0, "span.begin",
+                                      {"name": "x", "extra": 1}))
 
     def test_optional_fields_accepted(self):
         validate_event(TraceEvent(
@@ -105,28 +104,28 @@ class TestNullTracer:
 class TestRecordingTracer:
     def test_seq_is_monotone_and_counts_by_kind(self):
         t = RecordingTracer()
-        t.emit("sim.event", {"time": 0.0, "label": "a"}, time=0.0)
-        t.emit("sim.event", {"time": 1.0, "label": "b"}, time=1.0)
+        t.emit("span.begin", {"name": "a"}, time=0.0)
+        t.emit("span.begin", {"name": "b"}, time=1.0)
         t.emit("wbg.schedule", {"n_tasks": 1, "n_cores": 1, "kernel": "scalar"})
         assert [e.seq for e in t.events] == [0, 1, 2]
-        assert t.counts == {"sim.event": 2, "wbg.schedule": 1}
-        assert len(t.by_kind("sim.event")) == 2
+        assert t.counts == {"span.begin": 2, "wbg.schedule": 1}
+        assert len(t.by_kind("span.begin")) == 2
 
     def test_validates_at_emission(self):
         t = RecordingTracer()
         with pytest.raises(EventSchemaError):
-            t.emit("sim.event", {"time": 0.0})  # missing label
+            t.emit("span.begin", {"n_tasks": 0})  # missing name
         t_lax = RecordingTracer(validate=False)
-        t_lax.emit("sim.event", {"time": 0.0})  # tolerated when asked
+        t_lax.emit("span.begin", {"n_tasks": 0})  # tolerated when asked
 
     def test_ring_buffer_counts_drops(self):
         t = RecordingTracer(capacity=3)
         for i in range(5):
-            t.emit("sim.event", {"time": float(i), "label": f"e{i}"})
+            t.emit("span.begin", {"name": f"e{i}"})
         assert len(t) == 3
         assert t.dropped == 2
-        assert [e.data["label"] for e in t.events] == ["e2", "e3", "e4"]
-        assert t.counts["sim.event"] == 5  # counts survive eviction
+        assert [e.data["name"] for e in t.events] == ["e2", "e3", "e4"]
+        assert t.counts["span.begin"] == 5  # counts survive eviction
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -134,10 +133,10 @@ class TestRecordingTracer:
 
     def test_clear_keeps_seq_rising(self):
         t = RecordingTracer()
-        t.emit("sim.event", {"time": 0.0, "label": "a"})
+        t.emit("span.begin", {"name": "a"})
         t.clear()
         assert len(t) == 0 and t.counts == {}
-        t.emit("sim.event", {"time": 1.0, "label": "b"})
+        t.emit("span.begin", {"name": "b"})
         assert t.events[0].seq == 1
 
     def test_span_brackets(self):
@@ -154,13 +153,13 @@ class TestJsonlRoundTrip:
     def test_jsonl_tracer_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTracer(path) as t:
-            t.emit("sim.event", {"time": 0.5, "label": "go"}, time=0.5)
+            t.emit("span.begin", {"name": "go"}, time=0.5)
             t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1, "kernel": "vector"})
         events = read_trace(path)
-        assert [e.kind for e in events] == ["sim.event", "wbg.schedule"]
+        assert [e.kind for e in events] == ["span.begin", "wbg.schedule"]
         assert events[0].time == 0.5
         assert events[1].time is None
-        assert events[0].data["label"] == "go"
+        assert events[0].data["name"] == "go"
 
     def test_recording_write_then_read(self, tmp_path):
         t = RecordingTracer()
@@ -172,13 +171,13 @@ class TestJsonlRoundTrip:
         assert back == t.events
 
     def test_write_trace_counts(self, tmp_path):
-        events = [TraceEvent(i, "sim.event", {"time": float(i), "label": ""})
+        events = [TraceEvent(i, "span.begin", {"name": ""})
                   for i in range(4)]
         assert write_trace(tmp_path / "t.jsonl", events) == 4
 
     def test_read_trace_reports_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"seq": 0, "kind": "sim.event", "data": {"time": 0, "label": ""}}\n'
+        path.write_text('{"seq": 0, "kind": "span.begin", "data": {"name": ""}}\n'
                         "not json\n")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_trace(path)
@@ -186,7 +185,7 @@ class TestJsonlRoundTrip:
     def test_read_trace_validates_unless_told_not_to(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text(json.dumps(
-            {"seq": 0, "kind": "sim.event", "data": {"time": 0}}) + "\n")
+            {"seq": 0, "kind": "span.begin", "data": {"n_tasks": 0}}) + "\n")
         with pytest.raises(EventSchemaError):
             read_trace(path)
         assert len(read_trace(path, validate=False)) == 1

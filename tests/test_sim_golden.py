@@ -16,6 +16,7 @@ integers, so that arrivals land on completion instants and cores sit
 idle between bursts.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from repro.schedulers import (
     OnDemandRoundRobinScheduler,
     wbg_plan,
 )
-from repro.simulator import run_batch, run_online
+from repro.simulator import OnlineTaskRecord, run_batch, run_online
 from repro.simulator.contention import CALIBRATED_X86, NO_CONTENTION
 from repro.workloads import JudgeTraceConfig, generate_judge_trace, generate_open_loop_trace
 from repro.workloads.synthetic import lognormal_batch
@@ -160,3 +161,33 @@ def test_exact_ties_trace_has_ties_and_idle_gaps():
         idle_gaps += task.arrival > busy_until
         busy_until = max(busy_until, finish_of[task.task_id])
     assert idle_gaps >= 5
+
+
+def test_runner_records_equal_field_by_field_records():
+    """The runner's records equal ones built through ``__init__``, and
+    stay frozen, slotted dataclasses."""
+    result = run_online(_judge_trace(), LMCOnlineScheduler(TABLE_II, N_CORES, RE_ONLINE,
+                                                           RT_ONLINE), TABLE_II)
+    assert repr(_online_digest(result)) == GOLDEN["online_lmc"]
+    for record in result.records:
+        rebuilt = OnlineTaskRecord(
+            task=record.task,
+            core=record.core,
+            first_start=record.first_start,
+            finish=record.finish,
+            energy_joules=record.energy_joules,
+            preemptions=record.preemptions,
+            busy_seconds=record.busy_seconds,
+        )
+        assert record == rebuilt
+        assert dataclasses.astuple(record) == dataclasses.astuple(rebuilt)
+    record = result.records[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.finish = 0.0
+    moved = dataclasses.replace(record, core=record.core + 1)
+    assert moved.core == record.core + 1 and moved.task is record.task
+    assert moved != record
+    assert [f.name for f in dataclasses.fields(OnlineTaskRecord)] == [
+        "task", "core", "first_start", "finish", "energy_joules", "preemptions",
+        "busy_seconds"]

@@ -1,5 +1,7 @@
 """Edge-case and failure-injection tests for the online runner."""
 
+import math
+
 import pytest
 
 from repro.governors import ConservativeGovernor, OnDemandGovernor, PerformanceGovernor
@@ -97,6 +99,21 @@ class TestGovernorEdgeCases:
                          governors=[gov])
         # initial rate is max; no tick ever changes it
         assert res.records[0].finish == pytest.approx(10.0 * 0.33)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_sampling_period_must_be_positive_and_finite(self, period):
+        # rejected before the run: 0 would re-arm ticks at one instant
+        # until the runaway guard, inf would fire ticks at t = inf
+        bad = OnDemandGovernor(TABLE_II)
+        bad.sampling_period = period
+        policy = OnDemandRoundRobinScheduler(2)
+        arrivals = []
+        policy.select_core = lambda task, views: arrivals.append(task) or 0
+        with pytest.raises(ValueError, match="governor 1: sampling_period must be "
+                                             "positive and finite"):
+            run_online([ni(1.0, 0.0)], policy, TABLE_II,
+                       governors=[OnDemandGovernor(TABLE_II), bad])
+        assert arrivals == []
 
     def test_ticks_stop_after_last_completion(self):
         gov = OnDemandGovernor(TABLE_II)

@@ -13,6 +13,8 @@ change that wakes it, and keeps arrivals out of the event heap.
 """
 
 import hashlib
+import heapq
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +23,6 @@ from repro.models.rates import TABLE_II
 from repro.schedulers import OLBOnlineScheduler, OnDemandRoundRobinScheduler
 from repro.simulator import run_online
 from repro.simulator import online_runner
-from repro.simulator.engine import Simulation
 from repro.simulator.online_runner import CoreView
 from repro.simulator.platform import SimCore
 from repro.workloads import JudgeTraceConfig, generate_judge_trace, generate_open_loop_trace
@@ -142,24 +143,27 @@ CORES: list[_SpyCore] = []
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_online_cores_are_meterless_and_idle_cores_left_alone(name, monkeypatch):
-    labels = []
-    at = Simulation.at
+    pushed = []
 
-    def spy_at(self, time, callback, label=""):
-        labels.append(label)
-        return at(self, time, callback, label)
+    def spy_heappush(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
 
     CORES.clear()
     monkeypatch.setattr(online_runner, "SimCore", _SpyCore)
-    monkeypatch.setattr(Simulation, "at", spy_at)
+    monkeypatch.setattr(online_runner, "heapq",
+                        SimpleNamespace(heappush=spy_heappush, heappop=heapq.heappop))
     trace, readings = SCENARIOS[name]()
     assert _digest(readings) == GOLDEN[name]
     assert CORES and all(core.meter is None for core in CORES)
     assert all(core.advances > 0 for core in CORES)
     assert [core.stray_idle_advances for core in CORES] == [0] * len(CORES)
-    # arrivals are streamed: the heap only ever holds completions and ticks
-    assert "arrive" not in labels
-    assert set(labels) <= {"done", "tick"}
+    # arrivals are streamed: the heap only ever holds completions (core
+    # j) and ticks (~j), never a task
+    assert pushed and all(type(j) is int and -len(CORES) <= j < len(CORES)
+                          for _, _, j in pushed)
+    labels = {"done" if j >= 0 else "tick" for _, _, j in pushed}
+    assert labels == ({"done", "tick"} if name == "ondemand_governed" else {"done"})
 
 
 def test_meterless_core_charges_tasks_exactly_as_a_metered_one():
