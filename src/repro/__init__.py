@@ -25,7 +25,6 @@ paper-vs-measured record of every table and figure.
 from repro.models import (
     CostModel,
     CoreSchedule,
-    EnergyModel,
     EXYNOS_4412,
     I7_950,
     Placement,
@@ -79,7 +78,6 @@ __all__ = [
     # models
     "CostModel",
     "CoreSchedule",
-    "EnergyModel",
     "EXYNOS_4412",
     "I7_950",
     "Placement",

@@ -106,6 +106,15 @@ class ScheduleCost:
 ZERO_COST = ScheduleCost(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
 
+def check_prices(re: float, rt: float) -> None:
+    """Reject ``Re``/``Rt`` that are not positive and finite (``ValueError``)."""
+    if re <= 0 or rt <= 0:
+        raise ValueError("Re and Rt must be positive")
+    for label, value in (("Re", re), ("Rt", rt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
+
+
 class CostModel:
     """The weighted energy + flow-time objective with rates ``Re`` and ``Rt``.
 
@@ -125,11 +134,7 @@ class CostModel:
     """
 
     def __init__(self, table: RateTable, re: float, rt: float) -> None:
-        if re <= 0 or rt <= 0:
-            raise ValueError("Re and Rt must be positive")
-        for label, value in (("Re", re), ("Rt", rt)):
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value!r}")
+        check_prices(re, rt)
         self.table = table
         self.re = float(re)
         self.rt = float(rt)

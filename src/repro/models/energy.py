@@ -1,15 +1,12 @@
-"""Energy-consumption model (Section II-C).
+"""Continuous-rate energy model (Section II-C).
 
-For a task ``j_k`` executed entirely at rate ``p``:
-
-* energy  ``e_k = L_k · E(p)``   (Equation 1)
-* time    ``t_k = L_k · T(p)``   (Equation 2)
-
-:class:`EnergyModel` wraps a :class:`~repro.models.rates.RateTable` and
-adds platform-level accounting: busy power, an idle/system power floor
-(the paper measures total wall power and subtracts the idle reading),
-and energy for partial executions at mixed rates — needed by the online
-mode, where a core may change frequency mid-queue.
+The discrete model — energy ``e_k = L_k · E(p)`` (Equation 1) and time
+``t_k = L_k · T(p)`` (Equation 2) for a task run at rate ``p`` — takes
+the per-cycle ``E(p)`` and ``T(p)`` from
+:meth:`RateTable.energy <repro.models.rates.RateTable.energy>` and
+:meth:`RateTable.time <repro.models.rates.RateTable.time>`; the
+simulator's :class:`~repro.simulator.power.PowerMeter` books busy and
+idle power over a run.
 
 :class:`PowerLawEnergy` is the continuous-rate analytic model
 (``power = c·p^α``) the related work (Yao et al.) and our YDS baseline
@@ -19,71 +16,9 @@ positional cost ``C(k, p)``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.models.rates import RateTable
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Discrete-rate energy accounting on top of a :class:`RateTable`.
-
-    Parameters
-    ----------
-    table:
-        The per-core rate table (``P``, ``E``, ``T``).
-    idle_power:
-        Watts drawn by the core (plus its share of uncore/system) when
-        idle. The paper's measurement procedure subtracts the idle
-        reading, so schedulers evaluate *net* energy by default; the
-        simulator can still account for idle power explicitly.
-    """
-
-    table: RateTable
-    idle_power: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.idle_power < 0:
-            raise ValueError("idle_power must be non-negative")
-
-    # -- Equations 1 and 2 -----------------------------------------------------
-    def task_energy(self, cycles: float, rate: float) -> float:
-        """``e = L·E(p)`` — net joules to run ``cycles`` at ``rate``."""
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        return cycles * self.table.energy(rate)
-
-    def task_time(self, cycles: float, rate: float) -> float:
-        """``t = L·T(p)`` — seconds to run ``cycles`` at ``rate``."""
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        return cycles * self.table.time(rate)
-
-    def busy_power(self, rate: float) -> float:
-        """Watts drawn while executing at ``rate`` (net of idle floor)."""
-        return self.table.power(rate)
-
-    # -- mixed-rate segments (online mode) --------------------------------------
-    def segmented_energy(self, segments: list[tuple[float, float]]) -> float:
-        """Energy of an execution split into ``(cycles, rate)`` segments."""
-        return sum(self.task_energy(c, p) for c, p in segments)
-
-    def segmented_time(self, segments: list[tuple[float, float]]) -> float:
-        """Duration of an execution split into ``(cycles, rate)`` segments."""
-        return sum(self.task_time(c, p) for c, p in segments)
-
-    def cycles_in(self, duration: float, rate: float) -> float:
-        """How many cycles complete in ``duration`` seconds at ``rate``."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return duration / self.table.time(rate)
-
-    def idle_energy(self, duration: float) -> float:
-        """Joules burned idling for ``duration`` seconds."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return self.idle_power * duration
 
 
 @dataclass(frozen=True)
@@ -148,37 +83,3 @@ class PowerLawEnergy:
             name=name or f"power-law(a={self.alpha:g})",
         )
 
-
-@dataclass
-class EnergyLedger:
-    """Mutable accumulator for simulated energy, mirroring the power meter.
-
-    The paper integrates a wall-power reading over the execution period
-    and subtracts the idle baseline. :class:`EnergyLedger` keeps the two
-    components separate so reports can show either net or gross energy.
-    """
-
-    net_joules: float = 0.0
-    idle_joules: float = 0.0
-    _events: int = field(default=0, repr=False)
-
-    def add_busy(self, joules: float) -> None:
-        if joules < 0:
-            raise ValueError("busy energy increment must be non-negative")
-        self.net_joules += joules
-        self._events += 1
-
-    def add_idle(self, joules: float) -> None:
-        if joules < 0:
-            raise ValueError("idle energy increment must be non-negative")
-        self.idle_joules += joules
-        self._events += 1
-
-    @property
-    def gross_joules(self) -> float:
-        return self.net_joules + self.idle_joules
-
-    def merge(self, other: "EnergyLedger") -> None:
-        self.net_joules += other.net_joules
-        self.idle_joules += other.idle_joules
-        self._events += other._events

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,18 @@ def rate_table_from_power_law(
     return RateTable(rates, energies, name=name)
 
 
-def _ghz_table(freqs_ghz: Sequence[float], energies: Mapping[float, float], name: str) -> RateTable:
-    rates = [f * 1.0 for f in freqs_ghz]
-    return RateTable(rates, [energies[f] for f in freqs_ghz], name=name)
+def per_core_tables(tables: RateTable | Sequence[RateTable], n_cores: int) -> list[RateTable]:
+    """One rate table per core: a single :class:`RateTable` serves all
+    ``n_cores`` (homogeneous), a sequence must hold exactly one per core
+    (heterogeneous) or ``ValueError``."""
+    if isinstance(tables, RateTable):
+        return [tables] * n_cores
+    table_list = list(tables)
+    if len(table_list) != n_cores:
+        raise ValueError(
+            f"need one rate table per core: got {len(table_list)} for {n_cores} cores"
+        )
+    return table_list
 
 
 #: The paper's Table II — the five frequencies the batch-mode experiments

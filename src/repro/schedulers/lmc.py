@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CostModel
-from repro.models.rates import RateTable
+from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
 from repro.structures.rangetree import RangeTreeNode
@@ -54,11 +54,9 @@ class LMCOnlineScheduler:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         self.n_cores = n_cores
-        table_list = [tables] * n_cores if isinstance(tables, RateTable) else list(tables)
-        if len(table_list) != n_cores:
-            raise ValueError("need one rate table per core")
         self.policy = LeastMarginalCostPolicy(
-            [CostModel(t, re, rt) for t in table_list], seed=seed, tracer=tracer
+            [CostModel(t, re, rt) for t in per_core_tables(tables, n_cores)],
+            seed=seed, tracer=tracer,
         )
         self.estimator = estimator
         self._tracer = tracer

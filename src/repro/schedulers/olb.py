@@ -16,7 +16,7 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from repro.models.cost import CoreSchedule, Placement
-from repro.models.rates import RateTable
+from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
 
@@ -62,11 +62,7 @@ class OLBOnlineScheduler:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         self.n_cores = n_cores
-        self._tables = (
-            [tables] * n_cores if isinstance(tables, RateTable) else list(tables)
-        )
-        if len(self._tables) != n_cores:
-            raise ValueError("need one rate table per core")
+        self._tables = per_core_tables(tables, n_cores)
         self._queues: list[deque[Task]] = [deque() for _ in range(n_cores)]
 
     # -- ready-time estimation ----------------------------------------------------
@@ -83,8 +79,12 @@ class OLBOnlineScheduler:
         committed = interactive_ahead + view.preempted_remaining_cycles
         if view.running_kind is TaskKind.NONINTERACTIVE:
             committed += view.running_remaining_cycles
-        committed += sum(t.cycles for t in self._queues[j])
+        committed += self._queued_cycles(j)
         return self._seconds(j, committed)
+
+    def _queued_cycles(self, j: int) -> float:
+        """Cycles waiting in core ``j``'s non-interactive queue."""
+        return sum(t.cycles for t in self._queues[j])
 
     # -- OnlinePolicy protocol -------------------------------------------------------
     def select_core(self, task: Task, views: Sequence[CoreView]) -> int:

@@ -21,68 +21,36 @@ import bisect
 from typing import Optional, Sequence
 
 from repro.models.rates import RateTable
-from repro.models.task import Task, TaskKind
-from repro.simulator.online_runner import CoreView
+from repro.models.task import Task
+from repro.schedulers.olb import OLBOnlineScheduler
 
 
-class SJFMaxRateScheduler:
-    """Earliest-ready placement, shortest-job-first queues, max frequency."""
+class SJFMaxRateScheduler(OLBOnlineScheduler):
+    """Earliest-ready placement, shortest-job-first queues, max frequency.
+
+    OLB with its FIFO queues swapped for cycle-sorted ones: placement
+    and rates are OLB's, and the earliest-ready estimate counts the
+    sorted backlog through :meth:`_queued_cycles`.
+    """
 
     def __init__(self, tables: Sequence[RateTable] | RateTable, n_cores: int) -> None:
-        if n_cores < 1:
-            raise ValueError("n_cores must be >= 1")
-        self.n_cores = n_cores
-        self._tables = (
-            [tables] * n_cores if isinstance(tables, RateTable) else list(tables)
-        )
-        if len(self._tables) != n_cores:
-            raise ValueError("need one rate table per core")
+        super().__init__(tables, n_cores)
         # sorted waiting lists: (cycles, task_id) keeps ties deterministic
-        self._queues: list[list[tuple[float, int, Task]]] = [
-            [] for _ in range(n_cores)
-        ]
+        self._sorted: list[list[tuple[float, int, Task]]] = [[] for _ in range(n_cores)]
 
-    def _seconds(self, j: int, cycles: float) -> float:
-        return cycles * self._tables[j].time(self._tables[j].max_rate)
-
-    def _ready_in(self, j: int, view: CoreView, kind: TaskKind) -> float:
-        ahead = view.interactive_backlog_cycles
-        if view.running_kind is TaskKind.INTERACTIVE:
-            ahead += view.running_remaining_cycles
-        if kind is TaskKind.INTERACTIVE:
-            return self._seconds(j, ahead)
-        ahead += view.preempted_remaining_cycles
-        if view.running_kind is TaskKind.NONINTERACTIVE:
-            ahead += view.running_remaining_cycles
-        ahead += sum(c for c, _, _ in self._queues[j])
-        return self._seconds(j, ahead)
+    def _queued_cycles(self, j: int) -> float:
+        return sum(c for c, _, _ in self._sorted[j])
 
     # -- OnlinePolicy protocol --------------------------------------------------
-    def select_core(self, task: Task, views: Sequence[CoreView]) -> int:
-        """The core that could start this task soonest (ties → lowest
-        index), counting the cycle-sorted backlog ahead of it."""
-        return min(
-            range(self.n_cores),
-            key=lambda j: (self._ready_in(j, views[j], task.kind), j),
-        )
-
     def enqueue_noninteractive(self, core: int, task: Task) -> None:
         """Insert in shortest-job-first order: sorted by (cycles, task_id)."""
         entry = (task.cycles, task.task_id, task)
-        q = self._queues[core]
+        q = self._sorted[core]
         q.insert(bisect.bisect(q, entry[:2], key=lambda e: (e[0], e[1])), entry)
 
     def dequeue_noninteractive(self, core: int) -> Optional[Task]:
         """Pop the shortest queued job, if any."""
-        q = self._queues[core]
+        q = self._sorted[core]
         if not q:
             return None
         return q.pop(0)[2]
-
-    def rate_for_noninteractive(self, core: int, task: Task) -> Optional[float]:
-        """The core's maximum rate — SJF does not scale frequency."""
-        return self._tables[core].max_rate
-
-    def rate_for_interactive(self, core: int, task: Task) -> Optional[float]:
-        """The core's maximum rate — SJF does not scale frequency."""
-        return self._tables[core].max_rate

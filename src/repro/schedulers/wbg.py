@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.models.cost import CoreSchedule, CostModel
-from repro.models.rates import RateTable
+from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,12 +47,7 @@ def wbg_plan(
         raise ValueError("kernel='scalar' runs the untraced reference; drop the tracer")
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
-    if isinstance(table, RateTable):
-        models = [CostModel(table, re, rt) for _ in range(n_cores)]
-    else:
-        if len(table) != n_cores:
-            raise ValueError("need one rate table per core")
-        models = [CostModel(t, re, rt) for t in table]
+    models = [CostModel(t, re, rt) for t in per_core_tables(table, n_cores)]
     if kernel == "scalar":
         from repro.verify.reference import wbg_heap_plan
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.dominating import DominatingRanges
 from repro.models.cost import CostModel
-from repro.models.rates import RateTable
+from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
 
@@ -45,10 +45,7 @@ class WBGRerunScheduler:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         self.n_cores = n_cores
-        table_list = [tables] * n_cores if isinstance(tables, RateTable) else list(tables)
-        if len(table_list) != n_cores:
-            raise ValueError("need one rate table per core")
-        self.models = [CostModel(t, re, rt) for t in table_list]
+        self.models = [CostModel(t, re, rt) for t in per_core_tables(tables, n_cores)]
         self.wbg = WorkloadBasedGreedy(self.models)
         self.ranges: list[DominatingRanges] = self.wbg.ranges
         self._queues: list[deque[Task]] = [deque() for _ in range(n_cores)]

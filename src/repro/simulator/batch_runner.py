@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.models.cost import CoreSchedule, ScheduleCost
+from repro.models.cost import CoreSchedule, ScheduleCost, check_prices
 from repro.models.rates import RateTable
 from repro.models.task import Task
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.platform import SimCore, TaskExecution
+from repro.simulator.power import PowerMeter
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ class BatchResult:
 
     def cost(self, re: float, rt: float) -> ScheduleCost:
         """Convert measurements to money at rates ``Re`` (¢/J) and ``Rt`` (¢/s)."""
-        if re <= 0 or rt <= 0:
-            raise ValueError("Re and Rt must be positive")
+        check_prices(re, rt)
         return ScheduleCost(
             energy_cost=re * self.energy_joules,
             temporal_cost=rt * self.turnaround_sum,
@@ -135,8 +135,7 @@ def run_batch(
             s.core_index,
             table_for(s.core_index),
             contention=contention,
-            idle_power=idle_power,
-            keep_trace=keep_trace,
+            meter=PowerMeter(idle_power=idle_power, keep_trace=keep_trace),
         )
         for s in schedules
     }

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, Sequence
 
 from repro.governors.base import Governor
-from repro.models.cost import ScheduleCost
-from repro.models.rates import RateTable
+from repro.models.cost import ScheduleCost, check_prices
+from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.models.tolerances import STRICT_ABS_TOL, TIME_SLACK
 from repro.simulator.platform import SimCore, TaskExecution
@@ -61,7 +61,7 @@ class CoreView:
 
     @property
     def current_rate(self) -> float:
-        return self._state.current_rate
+        return self._state.sim.rate
 
     @property
     def running_kind(self) -> Optional[TaskKind]:
@@ -69,7 +69,7 @@ class CoreView:
 
     @property
     def running_remaining_cycles(self) -> float:
-        running = self._state.running
+        running = self._state.sim.current
         return running.remaining_cycles if running is not None else 0.0
 
     @property
@@ -208,8 +208,11 @@ class OnlineResult:
 
     def utilisation(self, core: int) -> float:
         """Busy fraction of ``core`` over the run's horizon."""
-        if not self.core_busy_seconds:
+        n = len(self.core_busy_seconds)
+        if not n:
             raise ValueError("this result carries no per-core accounting")
+        if not 0 <= core < n:
+            raise ValueError(f"core {core} out of range for {n} cores")
         if self.horizon <= 0:
             return 0.0
         return self.core_busy_seconds[core] / self.horizon
@@ -220,8 +223,7 @@ class OnlineResult:
         return sum(self.core_busy_seconds) / (len(self.core_busy_seconds) * self.horizon)
 
     def cost(self, re: float, rt: float) -> ScheduleCost:
-        if re <= 0 or rt <= 0:
-            raise ValueError("Re and Rt must be positive")
+        check_prices(re, rt)
         turnaround_sum = sum(r.turnaround for r in self.records)
         return ScheduleCost(
             energy_cost=re * self.energy_joules,
@@ -277,10 +279,11 @@ class OnlineResult:
 
 @dataclass
 class _CoreState:
+    """The runner's books for one core; its running task and rate are
+    the :class:`SimCore`'s own (``sim.current``, ``sim.rate``)."""
+
     sim: SimCore
     governor: Optional[Governor]
-    current_rate: float
-    running: Optional[TaskExecution] = None
     running_kind: Optional[TaskKind] = None
     interactive_queue: deque = field(default_factory=deque)
     preempted: Optional[TaskExecution] = None
@@ -333,8 +336,7 @@ def run_online(
         raise ValueError("policy must manage at least one core")
     if governors is not None and len(governors) != n:
         raise ValueError("need one governor per core")
-    if not isinstance(tables, RateTable) and len(tables) != n:
-        raise ValueError(f"need one rate table per core: got {len(tables)} for {n} cores")
+    table_list = per_core_tables(tables, n)
     periods = [gov.sampling_period for gov in governors or ()]
     for j, period in enumerate(periods):
         if not 0.0 < period < math.inf:
@@ -342,16 +344,12 @@ def run_online(
                 f"governor {j}: sampling_period must be positive and finite, got {period!r}"
             )
 
-    def table_for(j: int) -> RateTable:
-        return tables if isinstance(tables, RateTable) else tables[j]
-
     cores: list[_CoreState] = []
-    for j in range(n):
+    for j, table in enumerate(table_list):
         gov = governors[j] if governors is not None else None
-        sc = SimCore(j, table_for(j), metered=False)
-        rate = gov.initial_rate() if gov is not None else table_for(j).max_rate
-        sc.rate = rate
-        cores.append(_CoreState(sim=sc, governor=gov, current_rate=rate))
+        sc = SimCore(j, table)
+        sc.rate = gov.initial_rate() if gov is not None else table.max_rate
+        cores.append(_CoreState(sim=sc, governor=gov))
 
     records: list[OnlineTaskRecord] = []
     outstanding = len(trace)  # tasks arrived-or-future and not yet completed
@@ -381,8 +379,9 @@ def run_online(
         cs = cores[j]
         t_done = cs.sim.next_completion_time(now)
         if not math.isfinite(t_done):
+            task = cs.sim.current.task
             raise RuntimeError(
-                f"core {j}: task {cs.running.task.task_id} ({cs.running.task.name!r}) "
+                f"core {j}: task {task.task_id} ({task.name!r}) "
                 f"has non-finite completion time {t_done!r}"
             )
         if t_done < now - STRICT_ABS_TOL:
@@ -392,17 +391,17 @@ def run_online(
         cs.completion = seq
 
     def set_core_rate(j: int, rate: float) -> None:
-        cs = cores[j]
-        if rate == cs.current_rate:
+        sc = sim_cores[j]
+        prev_rate = sc.rate
+        if rate == prev_rate:
             return
         if tracer is not None:
             tracer.emit("sim.rate",
                         {"time": now, "core": j, "rate": rate,
-                         "prev_rate": cs.current_rate},
+                         "prev_rate": prev_rate},
                         time=now)
-        cs.sim.set_rate(rate, now)
-        cs.current_rate = rate
-        if cs.running is not None:
+        sc.set_rate(rate, now)
+        if sc.current is not None:
             schedule_completion(j)
 
     def mark_busy(j: int) -> None:
@@ -421,21 +420,21 @@ def run_online(
     def start_execution(j: int, execution: TaskExecution, kind: TaskKind,
                         rate: Optional[float]) -> None:
         cs = cores[j]
-        if cs.running is not None:
+        sc = cs.sim
+        if sc.current is not None:
             raise RuntimeError(
                 f"core {j}: cannot start task {execution.task.task_id} at t={now!r} "
-                f"while task {cs.running.task.task_id} is running"
+                f"while task {sc.current.task.task_id} is running"
             )
         if rate is not None:
             set_core_rate(j, rate)
-        cs.sim.start(execution, cs.current_rate, now)
-        cs.running = execution
+        sc.start(execution, sc.rate, now)
         cs.running_kind = kind
         if tracer is not None:
             tracer.emit("sim.dispatch",
                         {"time": now, "core": j, "task_id": execution.task.task_id,
                          "task": execution.task.name, "task_kind": kind.name,
-                         "rate": cs.current_rate},
+                         "rate": sc.rate},
                         time=now)
         mark_busy(j)
         schedule_completion(j)
@@ -443,10 +442,11 @@ def run_online(
     def start_next(j: int) -> None:
         """Fill an idle core per the fixed priority order."""
         cs = cores[j]
-        if cs.running is not None:
+        running = cs.sim.current
+        if running is not None:
             raise RuntimeError(
                 f"core {j}: asked to fill at t={now!r} "
-                f"while task {cs.running.task.task_id} is running"
+                f"while task {running.task.task_id} is running"
             )
         if cs.interactive_queue:
             task = cs.interactive_queue.popleft()
@@ -474,7 +474,6 @@ def run_online(
         cs = cores[j]
         advance_all()
         execution = cs.sim.complete(now)
-        cs.running = None
         cs.running_kind = None
         if execution.started_at is None or execution.finished_at is None:
             raise RuntimeError(
@@ -504,8 +503,9 @@ def run_online(
         if not (0 <= j < n):
             raise ValueError(f"policy selected invalid core {j}")
         cs = cores[j]
+        running = cs.sim.current
         if task.kind is TaskKind.INTERACTIVE:
-            if cs.running_kind is TaskKind.NONINTERACTIVE and cs.running is not None and cs.running.done:
+            if cs.running_kind is TaskKind.NONINTERACTIVE and running is not None and running.done:
                 # the running task finishes at exactly this instant; its
                 # completion event is already queued behind this arrival —
                 # queue up rather than preempting a zero-cycle remainder.
@@ -527,7 +527,6 @@ def run_online(
                                  "task_id": cs.preempted.task.task_id,
                                  "task": cs.preempted.task.name},
                                 time=now)
-                cs.running = None
                 cs.running_kind = None
                 execution = TaskExecution(task=task, remaining_cycles=task.cycles)
                 start_execution(j, execution, TaskKind.INTERACTIVE,
@@ -540,13 +539,13 @@ def run_online(
                                 policy.rate_for_interactive(j, task))
         else:
             policy.enqueue_noninteractive(j, task)
-            if cs.running is None:
+            if running is None:
                 start_next(j)
-            elif cs.running_kind is TaskKind.NONINTERACTIVE and not cs.running.done:
+            elif cs.running_kind is TaskKind.NONINTERACTIVE and not running.done:
                 # queue membership changed → the running task's positional
                 # rate may change ("adjusted according to C(k, p_k)")
-                new_rate = policy.rate_for_noninteractive(j, cs.running.task)
-                if new_rate is not None and new_rate != cs.current_rate:
+                new_rate = policy.rate_for_noninteractive(j, running.task)
+                if new_rate is not None:
                     set_core_rate(j, new_rate)
 
     def on_tick(j: int) -> None:
@@ -563,7 +562,7 @@ def run_online(
             cs.total_busy += elapsed
             cs.busy_since = now
         cs.busy_accum = 0.0
-        new_rate = gov.on_sample(min(1.0, busy / window), cs.current_rate)
+        new_rate = gov.on_sample(min(1.0, busy / window), cs.sim.rate)
         set_core_rate(j, new_rate)
         if outstanding > 0:
             heappush(heap, (now + window, next_seq(), ~j))

@@ -6,14 +6,13 @@ current frequency. Progress is integrated piecewise: every state change
 :meth:`SimCore.advance`, which converts the elapsed wall time since the
 last update into completed cycles (through the optional
 :class:`~repro.simulator.contention.ContentionModel`), charges the
-running task its energy and, on a metered core, books the consumed
-energy with the core's :class:`~repro.simulator.power.PowerMeter`.
-A core built with ``metered=False`` has no meter (``meter is None``);
-the online runner builds its cores that way, because an online run
-prices the task records, never the meters. Advancing an idle core
-without a meter only moves its last-update stamp, which every state
-change refreshes itself, so callers may leave idle meterless cores
-alone.
+running task its energy and, when the core was given a
+:class:`~repro.simulator.power.PowerMeter`, books the consumed energy
+with it. The batch runner hands each core a meter; the online runner
+hands none (``meter is None``), because an online run prices the task
+records, never the meters. Advancing an idle core without a meter only
+moves its last-update stamp, which every state change refreshes itself,
+so callers may leave idle meterless cores alone.
 
 The effective seconds per cycle and the busy watts depend only on the
 (rate, co-runner count) state, so the core caches both and recomputes
@@ -83,23 +82,23 @@ class TaskExecution:
 
 
 class SimCore:
-    """One core: current rate, current execution, progress integration."""
+    """One core: current rate, current execution, progress integration.
+
+    ``meter``, when given, books every interval the core integrates,
+    busy or idle; without one the core charges only its tasks.
+    """
 
     def __init__(
         self,
         index: int,
         table: RateTable,
         contention: ContentionModel = NO_CONTENTION,
-        idle_power: float = 0.0,
-        keep_trace: bool = False,
-        metered: bool = True,
+        meter: Optional[PowerMeter] = None,
     ) -> None:
         self.index = index
         self.table = table
         self.contention = contention
-        self.meter: Optional[PowerMeter] = (
-            PowerMeter(idle_power=idle_power, keep_trace=keep_trace) if metered else None
-        )
+        self.meter = meter
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
         self._set_state(table.min_rate, 0)

@@ -1,70 +1,9 @@
-"""Tests for the energy model (Section II-C, Equations 1-2)."""
+"""Tests for the continuous power-law energy model (Section II-C)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rate_tables
-from repro.models.energy import EnergyLedger, EnergyModel, PowerLawEnergy
-from repro.models.rates import TABLE_II
-
-
-class TestEnergyModel:
-    def test_equation_1_energy(self):
-        m = EnergyModel(TABLE_II)
-        # e = L·E(p)
-        assert m.task_energy(100.0, 1.6) == pytest.approx(337.5)
-        assert m.task_energy(100.0, 3.0) == pytest.approx(710.0)
-
-    def test_equation_2_time(self):
-        m = EnergyModel(TABLE_II)
-        # t = L·T(p)
-        assert m.task_time(100.0, 1.6) == pytest.approx(62.5)
-        assert m.task_time(100.0, 3.0) == pytest.approx(33.0)
-
-    def test_zero_cycles_cost_nothing(self):
-        m = EnergyModel(TABLE_II)
-        assert m.task_energy(0.0, 2.0) == 0.0
-        assert m.task_time(0.0, 2.0) == 0.0
-
-    def test_negative_cycles_rejected(self):
-        m = EnergyModel(TABLE_II)
-        with pytest.raises(ValueError):
-            m.task_energy(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            m.task_time(-1.0, 2.0)
-
-    def test_negative_idle_power_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyModel(TABLE_II, idle_power=-0.1)
-
-    def test_segmented_equals_sum_of_parts(self):
-        m = EnergyModel(TABLE_II)
-        segs = [(10.0, 1.6), (20.0, 3.0), (5.0, 2.4)]
-        assert m.segmented_energy(segs) == pytest.approx(
-            sum(m.task_energy(c, p) for c, p in segs)
-        )
-        assert m.segmented_time(segs) == pytest.approx(
-            sum(m.task_time(c, p) for c, p in segs)
-        )
-
-    def test_cycles_in_inverts_task_time(self):
-        m = EnergyModel(TABLE_II)
-        t = m.task_time(42.0, 2.8)
-        assert m.cycles_in(t, 2.8) == pytest.approx(42.0)
-
-    def test_idle_energy(self):
-        m = EnergyModel(TABLE_II, idle_power=30.0)
-        assert m.idle_energy(10.0) == pytest.approx(300.0)
-        with pytest.raises(ValueError):
-            m.idle_energy(-1.0)
-
-    @given(rate_tables(), st.floats(0.0, 1e6))
-    def test_faster_rate_never_cheaper_energy_nor_slower(self, table, cycles):
-        m = EnergyModel(table)
-        energies = [m.task_energy(cycles, p) for p in table.rates]
-        times = [m.task_time(cycles, p) for p in table.rates]
-        assert energies == sorted(energies)
-        assert times == sorted(times, reverse=True)
+from repro.models.energy import PowerLawEnergy
 
 
 class TestPowerLawEnergy:
@@ -123,22 +62,3 @@ class TestPowerLawEnergy:
         p = PowerLawEnergy(alpha=alpha)
         assert p.optimal_rate(0.5, 2.0, behind) > 0
 
-
-class TestEnergyLedger:
-    def test_accumulates_and_merges(self):
-        a = EnergyLedger()
-        a.add_busy(10.0)
-        a.add_idle(3.0)
-        b = EnergyLedger()
-        b.add_busy(5.0)
-        a.merge(b)
-        assert a.net_joules == pytest.approx(15.0)
-        assert a.idle_joules == pytest.approx(3.0)
-        assert a.gross_joules == pytest.approx(18.0)
-
-    def test_rejects_negative_increments(self):
-        led = EnergyLedger()
-        with pytest.raises(ValueError):
-            led.add_busy(-1.0)
-        with pytest.raises(ValueError):
-            led.add_idle(-1.0)

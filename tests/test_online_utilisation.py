@@ -66,6 +66,13 @@ class TestUtilisation:
             rec.finish - rec.first_start, rel=1e-9
         )
 
+    @pytest.mark.parametrize("core", [-1, 2])
+    def test_core_index_out_of_range_rejected(self, core):
+        res = run_online([ni(5.0, 0.0)], LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1),
+                         TABLE_II)
+        with pytest.raises(ValueError, match=f"core {core} out of range for 2 cores"):
+            res.utilisation(core)
+
     def test_mean_utilisation(self):
         trace = [ni(10.0, 0.0)]
         res = run_online(trace, LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1), TABLE_II)

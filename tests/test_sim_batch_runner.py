@@ -87,6 +87,13 @@ class TestIdealRuns:
         with pytest.raises(ValueError):
             res.cost(0.0, 1.0)
 
+    @pytest.mark.parametrize("re, rt", [(math.nan, 0.4), (0.1, math.nan),
+                                        (math.inf, 0.4), (0.1, math.inf), (0.1, -math.inf)])
+    def test_cost_rejects_non_finite_prices(self, re, rt):
+        res = run_batch([CoreSchedule([Placement(Task(cycles=1.0), 2.0)])], TABLE_II)
+        with pytest.raises(ValueError, match="must be (finite|positive)"):
+            res.cost(re, rt)
+
 
 class TestSimEqualsAnalyticModel:
     """Without contention the runner must reproduce Equations 1-8 exactly."""

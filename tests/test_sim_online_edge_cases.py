@@ -149,6 +149,15 @@ class TestPolicyContractViolations:
                        [TABLE_II] * n_tables)
 
 
+class TestPricing:
+    @pytest.mark.parametrize("re, rt", [(math.nan, 0.1), (0.4, math.nan),
+                                        (math.inf, 0.1), (0.4, math.inf), (0.4, -math.inf)])
+    def test_cost_rejects_non_finite_prices(self, re, rt):
+        res = run_online([ni(1.0, 0.0)], LMCOnlineScheduler(TABLE_II, 1, 0.4, 0.1), TABLE_II)
+        with pytest.raises(ValueError, match="must be (finite|positive)"):
+            res.cost(re, rt)
+
+
 class TestCoreViewSnapshot:
     def test_views_reflect_progress(self):
         observed = []

@@ -171,9 +171,11 @@ def test_meterless_core_charges_tasks_exactly_as_a_metered_one():
     from repro.models.task import Task
     from repro.simulator.contention import CALIBRATED_X86
     from repro.simulator.platform import TaskExecution
+    from repro.simulator.power import PowerMeter
 
     def books(metered):
-        core = SimCore(0, TABLE_II, contention=CALIBRATED_X86, metered=metered)
+        core = SimCore(0, TABLE_II, contention=CALIBRATED_X86,
+                       meter=PowerMeter() if metered else None)
         first = TaskExecution(task=Task(cycles=3.0), remaining_cycles=3.0)
         second = TaskExecution(task=Task(cycles=0.7), remaining_cycles=0.7)
         core.advance(0.25)  # idle

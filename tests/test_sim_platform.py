@@ -63,7 +63,7 @@ class TestIdealExecution:
         assert done.energy_joules == pytest.approx(5 * 3.375 + 5 * 7.1)
 
     def test_idle_time_booked_to_meter(self):
-        core = SimCore(0, TABLE_II, idle_power=12.0, keep_trace=True)
+        core = SimCore(0, TABLE_II, meter=PowerMeter(idle_power=12.0, keep_trace=True))
         core.advance(4.0)
         assert core.meter.idle_joules == pytest.approx(48.0)
         assert core.meter.net_joules == 0.0
@@ -200,7 +200,7 @@ class TestCachedStateConstants:
     )
     def test_cache_matches_table_after_any_sequence(self, contention, ops):
         table = TABLE_II
-        core = SimCore(0, table, contention=contention, keep_trace=True)
+        core = SimCore(0, table, contention=contention, meter=PowerMeter(keep_trace=True))
         now, co_runners = 0.0, 0
         for op, *args in ops:
             booked = len(core.meter._trace)
@@ -261,8 +261,8 @@ class TestMeterBooking:
         ops=st.lists(_BOOKING_OPS, max_size=40),
     )
     def test_books_match_checked_meter(self, contention, idle_power, ops):
-        core = SimCore(0, TABLE_II, contention=contention, idle_power=idle_power,
-                       keep_trace=True)
+        core = SimCore(0, TABLE_II, contention=contention,
+                       meter=PowerMeter(idle_power=idle_power, keep_trace=True))
         shadow = PowerMeter(idle_power=idle_power, keep_trace=True)
         now = 0.0
 
