@@ -7,9 +7,13 @@
   These are machine-independent: any difference against the committed
   baseline means *behaviour* changed, which is always a failure.
 * **Noisy** — wall-clock timings (best-of-``repeats`` via
-  ``time.perf_counter``). These gate with a configurable relative
-  threshold (default 25%), so honest machine jitter passes while real
-  slowdowns fail.
+  ``time.perf_counter``). Each is recorded twice: raw host seconds
+  (``wall_time_s``) and seconds scaled to a fixed host speed by a
+  reference snippet timed in the same run (``scaled_time_s``, see
+  :mod:`repro.perf.reference`). The scaled seconds gate with a
+  configurable relative threshold (default 25%), so a busy shared host
+  passes while real slowdowns fail; the raw ones are kept for the
+  record.
 
 The JSON file (``BENCH_schedulers.json`` at the repo root) stores one
 entry per *profile* (``full`` and ``quick``) so a quick CI run compares
@@ -20,12 +24,13 @@ ones. Exit codes mirror ``repro lint``: 0 clean, 1 regression, 2 error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-#: Bump when the JSON layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bump when the JSON layout changes incompatibly (2: ``scaled_time_s``).
+SCHEMA_VERSION = 2
 
 SUITE_NAME = "schedulers"
 
@@ -49,12 +54,13 @@ TIME_NOISE_FLOOR_S = 0.010
 class ScenarioResult:
     """One pinned scenario's measurements.
 
-    ``wall_time_s`` maps phase name → best-of-repeats seconds (a
-    scenario may time several phases, e.g. WBG times the scalar and the
-    vector kernel separately). ``ops`` and ``checksum`` are the
-    deterministic half; ``params`` pins the workload so a comparison
-    against a baseline produced by a different suite is rejected
-    instead of silently passing.
+    ``wall_time_s`` maps phase name → best-of-repeats host seconds (a
+    scenario may time several phases, e.g. WBG times the heap oracle
+    and the merge kernel separately); ``scaled_time_s`` holds the same
+    phases scaled to a fixed host speed, which the gate compares.
+    ``ops`` and ``checksum`` are the deterministic half; ``params`` pins
+    the workload so a comparison against a baseline produced by a
+    different suite is rejected instead of silently passing.
     """
 
     name: str
@@ -62,11 +68,13 @@ class ScenarioResult:
     wall_time_s: dict[str, float]
     ops: dict[str, int]
     checksum: str
+    scaled_time_s: dict[str, float]
 
     def to_dict(self) -> dict[str, object]:
         return {
             "params": dict(self.params),
             "wall_time_s": {k: round(v, 6) for k, v in self.wall_time_s.items()},
+            "scaled_time_s": {k: round(v, 6) for k, v in self.scaled_time_s.items()},
             "ops": dict(self.ops),
             "checksum": self.checksum,
         }
@@ -80,6 +88,7 @@ class ScenarioResult:
                 wall_time_s={k: float(v) for k, v in data["wall_time_s"].items()},  # type: ignore[union-attr]
                 ops={k: int(v) for k, v in data["ops"].items()},  # type: ignore[union-attr]
                 checksum=str(data["checksum"]),
+                scaled_time_s={k: float(v) for k, v in data["scaled_time_s"].items()},  # type: ignore[union-attr]
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed scenario {name!r}: {exc!r}") from exc
@@ -188,8 +197,8 @@ def compare_reports(
 
     Fatal findings: a deterministic mismatch (checksum or ops — the
     scenario now *behaves* differently), changed params (the suite was
-    re-pinned without refreshing the baseline), or a wall-time phase
-    slower than ``baseline × (1 + threshold)`` by more than
+    re-pinned without refreshing the baseline), or a phase whose scaled
+    seconds exceed ``baseline × (1 + threshold)`` by more than
     ``TIME_NOISE_FLOOR_S`` absolute. Scenarios new in
     ``current`` are reported informationally — they gate once committed.
     """
@@ -223,18 +232,20 @@ def compare_reports(
                 for k in diffs if base.ops.get(k) != cur.ops.get(k)
             )
             findings.append(Finding(name, "ops", f"ops counters changed ({detail})", True))
-        for phase in sorted(cur.wall_time_s):
-            base_t = base.wall_time_s.get(phase)
+        for phase in sorted(cur.scaled_time_s):
+            base_t = base.scaled_time_s.get(phase)
             if base_t is None or base_t <= 0:
                 continue
-            ratio = cur.wall_time_s[phase] / base_t
-            delta = cur.wall_time_s[phase] - base_t
-            if ratio > 1.0 + threshold and delta > TIME_NOISE_FLOOR_S:
+            cur_t = cur.scaled_time_s[phase]
+            ratio = cur_t / base_t
+            if ratio > 1.0 + threshold and cur_t - base_t > TIME_NOISE_FLOOR_S:
                 findings.append(Finding(
                     name, "time",
-                    f"{phase}: {cur.wall_time_s[phase]:.4f}s vs baseline "
+                    f"{phase}: {cur_t:.4f}s scaled vs baseline "
                     f"{base_t:.4f}s ({(ratio - 1) * 100:+.0f}%, "
-                    f"threshold {threshold * 100:.0f}%)",
+                    f"threshold {threshold * 100:.0f}%; raw "
+                    f"{cur.wall_time_s.get(phase, math.nan):.4f}s vs "
+                    f"{base.wall_time_s.get(phase, math.nan):.4f}s)",
                     True,
                 ))
     return Comparison(findings=tuple(findings))
@@ -257,7 +268,8 @@ def render_report(report: BenchReport, log) -> None:
     log(f"bench profile={report.profile} repeats={report.repeats}")
     for name in sorted(report.scenarios):
         s = report.scenarios[name]
-        times = "  ".join(f"{k}={v * 1e3:.1f}ms" for k, v in sorted(s.wall_time_s.items()))
+        times = "  ".join(f"{k}={v * 1e3:.1f}ms (scaled {s.scaled_time_s[k] * 1e3:.1f}ms)"
+                          for k, v in sorted(s.wall_time_s.items()))
         ops = "  ".join(f"{k}={v}" for k, v in sorted(s.ops.items()))
         log(f"  {name}: {times}")
         log(f"    ops: {ops}  checksum={s.checksum}")

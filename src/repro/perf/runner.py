@@ -89,5 +89,6 @@ def run_bench(
 
 def _times(result: ScenarioResult) -> str:
     return "  ".join(
-        f"{k}={v * 1e3:.1f}ms" for k, v in sorted(result.wall_time_s.items())
+        f"{k}={v * 1e3:.1f}ms (scaled {result.scaled_time_s[k] * 1e3:.1f}ms)"
+        for k, v in sorted(result.wall_time_s.items())
     )

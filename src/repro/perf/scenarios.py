@@ -3,7 +3,8 @@
 Each scenario exercises one hot path the perf kernels accelerate and
 returns a :class:`~repro.perf.report.ScenarioResult` with
 
-* best-of-``repeats`` wall times per phase (the noisy half),
+* best-of-``repeats`` wall times per phase, raw and scaled to a fixed
+  host speed (the noisy half; :mod:`repro.perf.reference`),
 * deterministic ops counters and a checksum over the numeric outputs
   (the machine-independent half that hard-gates in CI).
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -31,6 +33,7 @@ from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
+from repro.perf.reference import reference_block, scale
 from repro.perf.report import ScenarioResult
 from repro.verify.reference import wbg_heap_plan
 
@@ -41,7 +44,16 @@ RE_BATCH, RT_BATCH = 0.1, 0.4
 RE_ONLINE, RT_ONLINE = 0.4, 0.1
 
 
-def _timed(fn: Callable[[], T], repeats: int) -> tuple[float, T]:
+@dataclass(frozen=True)
+class Timing:
+    """Best-of-repeats host seconds of one phase, and its median over
+    the repeats scaled to a fixed host speed."""
+
+    raw: float
+    scaled: float
+
+
+def _timed(fn: Callable[[], T], repeats: int) -> tuple[Timing, T]:
     """Best-of-``repeats`` wall time for ``fn`` (plus its last result).
 
     One untimed warmup run first, so lazy imports and cache fills are
@@ -51,24 +63,45 @@ def _timed(fn: Callable[[], T], repeats: int) -> tuple[float, T]:
     explicit collection): a mid-run GC pass is the single biggest source
     of best-of-N jitter at quick-profile workload sizes, and the 25%
     gate should spend its slack on machine noise, not allocator luck.
+    Right before each repeat a block of the reference snippet as long as
+    the previous run is timed, under the same host load; the scaled time
+    is the median over the repeats of each run scaled by its block.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    t0 = time.perf_counter()
     fn()
+    last = time.perf_counter() - t0
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         best = float("inf")
+        scaled = []
         result: T
         for _ in range(repeats):
+            reference = reference_block(last)
             t0 = time.perf_counter()
             result = fn()
-            best = min(best, time.perf_counter() - t0)
+            last = time.perf_counter() - t0
+            best = min(best, last)
+            scaled.append(scale(last, reference))
     finally:
         if was_enabled:
             gc.enable()
-    return best, result
+    return Timing(best, statistics.median(scaled)), result
+
+
+def _result(name: str, params: dict, timings: dict[str, Timing], ops: dict[str, int],
+            checksum: str) -> ScenarioResult:
+    return ScenarioResult(
+        name=name,
+        params=params,
+        wall_time_s={phase: t.raw for phase, t in timings.items()},
+        ops=ops,
+        checksum=checksum,
+        scaled_time_s={phase: t.scaled for phase, t in timings.items()},
+    )
 
 
 def _checksum(*values: object) -> str:
@@ -98,8 +131,8 @@ def _heterogeneous_platform(n_cores: int) -> list[RateTable]:
 def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
     """Algorithm 3 over a large batch: heap-loop oracle vs merge kernel.
 
-    Times the heap loop (phase ``scalar``) and the production
-    :class:`WorkloadBasedGreedy` merge (phase ``vector``) on the same
+    Times the heap loop (phase ``heap_oracle``) and the production
+    :class:`WorkloadBasedGreedy` merge (phase ``merge_kernel``) on the same
     10⁴-task (quick: 2·10³) batch over a 4-core heterogeneous platform,
     asserts the plans are identical, and checksums the plan. The
     recorded times make the merge's speedup auditable from the
@@ -114,25 +147,24 @@ def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
     ]
     scheduler = WorkloadBasedGreedy(models)
 
-    t_scalar, plan_scalar = _timed(lambda: wbg_heap_plan(models, tasks), repeats)
-    t_vector, plan_vector = _timed(lambda: scheduler.schedule(tasks), repeats)
+    t_oracle, plan_oracle = _timed(lambda: wbg_heap_plan(models, tasks), repeats)
+    t_merge, plan_merge = _timed(lambda: scheduler.schedule(tasks), repeats)
 
     def plan_key(plan):  # (core, [(cycles, rate), ...]) — identity up to task naming
         return [
             (s.core_index, [(p.task.cycles, p.rate) for p in s.placements]) for s in plan
         ]
 
-    if plan_key(plan_scalar) != plan_key(plan_vector):
+    if plan_key(plan_oracle) != plan_key(plan_merge):
         raise RuntimeError("WBG merge kernel and heap oracle produced different plans")
 
-    cost = scheduler.schedule_cost(plan_vector)
-    return ScenarioResult(
-        name="wbg_scaling",
-        params={"n_tasks": n_tasks, "n_cores": n_cores, "seed": 2014,
-                "re": RE_BATCH, "rt": RT_BATCH},
-        wall_time_s={"scalar": t_scalar, "vector": t_vector},
-        ops={"tasks": n_tasks, "cores": n_cores},
-        checksum=_checksum(plan_key(plan_vector), cost.total_cost),
+    cost = scheduler.schedule_cost(plan_merge)
+    return _result(
+        "wbg_scaling",
+        {"n_tasks": n_tasks, "n_cores": n_cores, "seed": 2014, "re": RE_BATCH, "rt": RT_BATCH},
+        {"heap_oracle": t_oracle, "merge_kernel": t_merge},
+        {"tasks": n_tasks, "cores": n_cores},
+        _checksum(plan_key(plan_merge), cost.total_cost),
     )
 
 
@@ -166,15 +198,14 @@ def lmc_online_trace(quick: bool, repeats: int) -> ScenarioResult:
     cost = result.cost(RE_ONLINE, RT_ONLINE)
     ops = {"events": result.events, "preemptions": result.total_preemptions}
     ops.update(scheduler.counters())
-    return ScenarioResult(
-        name="lmc_online_trace",
-        params={"n_interactive": cfg.n_interactive,
-                "n_noninteractive": cfg.n_noninteractive,
-                "duration_s": cfg.duration_s, "seed": cfg.seed,
-                "n_cores": n_cores, "re": RE_ONLINE, "rt": RT_ONLINE},
-        wall_time_s={"run": t_run},
-        ops=ops,
-        checksum=_checksum(cost.total_cost, result.horizon, result.energy_joules),
+    return _result(
+        "lmc_online_trace",
+        {"n_interactive": cfg.n_interactive, "n_noninteractive": cfg.n_noninteractive,
+         "duration_s": cfg.duration_s, "seed": cfg.seed,
+         "n_cores": n_cores, "re": RE_ONLINE, "rt": RT_ONLINE},
+        {"run": t_run},
+        ops,
+        _checksum(cost.total_cost, result.horizon, result.energy_joules),
     )
 
 
@@ -204,13 +235,13 @@ def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
         return index, probe_sum
 
     t_run, (index, probe_sum) = _timed(run, repeats)
-    return ScenarioResult(
-        name="dynamic_churn",
-        params={"n_ops": n_ops, "seed": 99, "re": RE_BATCH, "rt": RT_BATCH,
-                "probe_menu": list(probe_menu)},
-        wall_time_s={"run": t_run},
-        ops=dict(index.counters),
-        checksum=_checksum(index.total_cost, probe_sum, len(index)),
+    return _result(
+        "dynamic_churn",
+        {"n_ops": n_ops, "seed": 99, "re": RE_BATCH, "rt": RT_BATCH,
+         "probe_menu": list(probe_menu)},
+        {"run": t_run},
+        dict(index.counters),
+        _checksum(index.total_cost, probe_sum, len(index)),
     )
 
 

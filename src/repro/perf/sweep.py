@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.perf.reference import reference_block, scale
 from repro.perf.report import BenchReport, ScenarioResult
 
 #: The paper's pricing constants (batch: Fig. 2, online: Fig. 3).
@@ -236,6 +237,9 @@ class SweepRun:
     cells: List[Dict[str, Any]]
     rows: List[Dict[str, Any]]
     elapsed_s: float
+    #: seconds of one reference call, timed in a block as long as the
+    #: grid right after it (:mod:`repro.perf.reference`); scales ``elapsed_s``
+    reference_s: float
 
     @property
     def checksum(self) -> str:
@@ -281,13 +285,15 @@ def run_sweep(
         jobs=jobs,
         log=log,
     )
+    elapsed = time.perf_counter() - t0
     return SweepRun(
         name=name,
         quick=quick,
         jobs=jobs,
         cells=cells,
         rows=rows,
-        elapsed_s=time.perf_counter() - t0,
+        elapsed_s=elapsed,
+        reference_s=reference_block(elapsed),
     )
 
 
@@ -304,7 +310,8 @@ def sweep_scenario_result(
 
     Wall times record the parallel grid time and, when measured, the
     serial reference — making the speedup auditable from the committed
-    file. The deterministic half is the grid checksum and cell count.
+    file — raw and scaled by the reference calls timed around ``run``.
+    The deterministic half is the grid checksum and cell count.
     """
     wall = {("parallel" if run.jobs > 1 else "serial"): run.elapsed_s}
     if serial_elapsed_s is not None:
@@ -315,6 +322,7 @@ def sweep_scenario_result(
         wall_time_s=wall,
         ops={"cells": len(run.rows)},
         checksum=run.checksum,
+        scaled_time_s={k: scale(v, run.reference_s) for k, v in wall.items()},
     )
 
 

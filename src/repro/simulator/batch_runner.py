@@ -6,9 +6,12 @@ batch scheduler produces (WBG, OLB, Power Saving, ...) and runs them on
 "Sim" bars of Fig. 1) or under a
 :class:`~repro.simulator.contention.ContentionModel` (the "Exp" bars).
 
-The run is event-driven over task completions: between completions
-every core's rate, task, and co-runner count are constant, so each
-completion time is exact (no time-stepping error). Measured energy and
+The run is event-driven over task completions, kept in a heap of
+``(completion time, core index)`` entries, one per busy core. Between
+its own breakpoints a core's rate, task and co-runner count are
+constant, so its completion time is exact (no time-stepping error) and
+the core is integrated only when it completes, starts, or sees the busy
+count change; another core's completion leaves it alone. Measured energy and
 turnaround are then converted to money with the same ``Re``/``Rt`` as
 the analytical model, which lets the model-verification experiment
 compare predicted vs "measured" cost like the paper does.
@@ -16,6 +19,7 @@ compare predicted vs "measured" cost like the paper does.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -143,11 +147,29 @@ def run_batch(
     records: list[TaskRecord] = []
 
     now = 0.0
+    heap: list[tuple[float, int]] = []  # (completion time, core index), one per busy core
+
+    def push(core: SimCore) -> None:
+        when = core.next_completion_time()
+        if not math.isfinite(when):
+            busy = sorted(c.index for c in cores.values() if c.busy)
+            raise RuntimeError(
+                f"batch run stalled at t={now!r}: busy cores {busy} "
+                f"have no finite completion time ({when!r})"
+            )
+        heapq.heappush(heap, (when, core.index))
+
     # An idle core never restarts (its plan is exhausted), so an unchanged
     # busy count means an unchanged busy set and unchanged co-runner counts.
     refreshed_busy = -1
 
     def refresh_co_runners() -> None:
+        """Re-time every core if the busy count changed.
+
+        The count is the contention input, so every core is advanced to
+        ``now`` (its breakpoint) and the heap rebuilt from the busy
+        cores' new completion times.
+        """
         nonlocal refreshed_busy
         busy = sum(1 for c in cores.values() if c.busy)
         if busy == refreshed_busy:
@@ -155,54 +177,47 @@ def run_batch(
         refreshed_busy = busy
         for c in cores.values():
             c.set_co_runners(max(0, busy - 1) if c.busy else busy, now)
+        heap.clear()
+        for c in cores.values():
+            if c.busy:
+                push(c)
 
-    def start_next(core_index: int) -> None:
-        placement = next(pending[core_index], None)
+    def start_next(core: SimCore) -> bool:
+        placement = next(pending[core.index], None)
         if placement is None:
-            return
+            return False
         execution = TaskExecution(task=placement.task, remaining_cycles=placement.task.cycles)
-        cores[core_index].start(execution, placement.rate, now)
+        core.start(execution, placement.rate, now)
+        return True
 
-    for idx in cores:
-        start_next(idx)
+    for core in cores.values():
+        start_next(core)
     refresh_co_runners()
 
-    guard = 0
     total_tasks = sum(len(s) for s in schedules)
-    while True:
-        busy = [c for c in cores.values() if c.current is not None]
-        if not busy:
-            break
-        guard += 1
-        if guard > 4 * total_tasks + 16:
+    while heap:
+        if len(records) == total_tasks:  # one pop per task, exactly
             raise RuntimeError("batch run failed to converge — completion events stalled")
-        next_time = min(c.next_completion_time(now) for c in busy)
-        if not math.isfinite(next_time):
-            raise RuntimeError(
-                f"batch run stalled at t={now!r}: busy cores {sorted(c.index for c in busy)} "
-                f"have no finite completion time ({next_time!r})"
+        now, idx = heapq.heappop(heap)
+        core = cores[idx]
+        execution = core.complete(now)
+        records.append(
+            TaskRecord(
+                task=execution.task,
+                core=idx,
+                rate=core.rate,
+                start=execution.started_at if execution.started_at is not None else 0.0,
+                finish=now,
+                energy_joules=execution.energy_joules,
             )
-        now = next_time
-        # advance everyone to the completion instant, then retire finished tasks
-        for c in cores.values():
-            c.advance(now)
-        for c in busy:
-            execution = c.current
-            if execution is None or not execution.done:
-                continue
-            c.complete(now)
-            records.append(
-                TaskRecord(
-                    task=execution.task,
-                    core=c.index,
-                    rate=c.rate,
-                    start=execution.started_at if execution.started_at is not None else 0.0,
-                    finish=now,
-                    energy_joules=execution.energy_joules,
-                )
-            )
-            start_next(c.index)
-        refresh_co_runners()
+        )
+        if start_next(core):
+            push(core)  # same busy set, so no other core changed state
+        else:
+            # the busy count dropped; the last completion drops it to
+            # zero, so every core is advanced to the makespan and the
+            # meters book idle power over [0, makespan]
+            refresh_co_runners()
 
     return BatchResult(
         records=records,

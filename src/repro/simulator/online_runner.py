@@ -45,15 +45,17 @@ class CoreView:
 
     The runner builds one view per core per run and passes the same
     views to every :meth:`OnlinePolicy.select_core` call. Each field is
-    computed from the core's state when it is read, so a view is valid
-    only during the ``select_core`` call it was passed to.
+    computed from the core's state when it is read, at the runner's
+    current time (``clock[0]``), so a view is valid only during the
+    ``select_core`` call it was passed to.
     """
 
-    __slots__ = ("_index", "_state")
+    __slots__ = ("_index", "_state", "_clock")
 
-    def __init__(self, index: int, state: "_CoreState") -> None:
+    def __init__(self, index: int, state: "_CoreState", clock: list[float]) -> None:
         self._index = index
         self._state = state
+        self._clock = clock
 
     @property
     def index(self) -> int:
@@ -69,8 +71,7 @@ class CoreView:
 
     @property
     def running_remaining_cycles(self) -> float:
-        running = self._state.sim.current
-        return running.remaining_cycles if running is not None else 0.0
+        return self._state.sim.remaining_at(self._clock[0])
 
     @property
     def preempted_remaining_cycles(self) -> float:
@@ -365,19 +366,16 @@ def run_online(
     sim_cores = [cs.sim for cs in cores]
     # optional completion feedback (estimators learn from it), looked up once
     on_complete_hook = getattr(policy, "on_complete", None)
-    core_views = tuple(CoreView(j, cs) for j, cs in enumerate(cores))
-
-    def advance_all() -> None:
-        # idle meterless cores are left alone: start/set_rate advance a
-        # core before touching it, and busy cores keep every breakpoint
-        for sc in sim_cores:
-            if sc.current is not None:
-                sc.advance(now)
+    # the views read each core lazily, at the arrival's time: a core is
+    # advanced only by its own state changes (start, set_rate, preempt,
+    # complete), never for another core's event
+    clock = [now]
+    core_views = tuple(CoreView(j, cs, clock) for j, cs in enumerate(cores))
 
     def schedule_completion(j: int) -> None:
         """Queue the running task's completion; it supersedes any earlier one."""
         cs = cores[j]
-        t_done = cs.sim.next_completion_time(now)
+        t_done = cs.sim.next_completion_time()
         if not math.isfinite(t_done):
             task = cs.sim.current.task
             raise RuntimeError(
@@ -472,7 +470,6 @@ def run_online(
     def on_completion(j: int) -> None:
         nonlocal outstanding
         cs = cores[j]
-        advance_all()
         execution = cs.sim.complete(now)
         cs.running_kind = None
         if execution.started_at is None or execution.finished_at is None:
@@ -498,14 +495,15 @@ def run_online(
         start_next(j)
 
     def on_arrival(task: Task) -> None:
-        advance_all()
+        clock[0] = now
         j = policy.select_core(task, core_views)
         if not (0 <= j < n):
             raise ValueError(f"policy selected invalid core {j}")
         cs = cores[j]
-        running = cs.sim.current
+        sc = cs.sim
+        running = sc.current
         if task.kind is TaskKind.INTERACTIVE:
-            if cs.running_kind is TaskKind.NONINTERACTIVE and running is not None and running.done:
+            if cs.running_kind is TaskKind.NONINTERACTIVE and sc.finished_by(now):
                 # the running task finishes at exactly this instant; its
                 # completion event is already queued behind this arrival —
                 # queue up rather than preempting a zero-cycle remainder.
@@ -541,7 +539,7 @@ def run_online(
             policy.enqueue_noninteractive(j, task)
             if running is None:
                 start_next(j)
-            elif cs.running_kind is TaskKind.NONINTERACTIVE and not running.done:
+            elif cs.running_kind is TaskKind.NONINTERACTIVE and not sc.finished_by(now):
                 # queue membership changed → the running task's positional
                 # rate may change ("adjusted according to C(k, p_k)")
                 new_rate = policy.rate_for_noninteractive(j, running.task)
@@ -553,7 +551,6 @@ def run_online(
         gov = cs.governor
         if gov is None:
             raise RuntimeError(f"core {j}: governor tick at t={now!r} without a governor")
-        advance_all()
         window = periods[j]
         busy = cs.busy_accum
         if cs.busy_since is not None:

@@ -1,18 +1,21 @@
 """Simulated cores with per-core DVFS.
 
 A :class:`SimCore` executes one :class:`TaskExecution` at a time at its
-current frequency. Progress is integrated piecewise: every state change
-(rate switch, preemption, co-run count change, completion) first calls
+current frequency. Progress is integrated piecewise, and only at the
+core's own breakpoints: every state change (start, rate switch,
+co-run count change, preemption, completion) first calls
 :meth:`SimCore.advance`, which converts the elapsed wall time since the
 last update into completed cycles (through the optional
 :class:`~repro.simulator.contention.ContentionModel`), charges the
 running task its energy and, when the core was given a
 :class:`~repro.simulator.power.PowerMeter`, books the consumed energy
-with it. The batch runner hands each core a meter; the online runner
-hands none (``meter is None``), because an online run prices the task
-records, never the meters. Advancing an idle core without a meter only
-moves its last-update stamp, which every state change refreshes itself,
-so callers may leave idle meterless cores alone.
+with it. Between two breakpoints the remaining work falls on one line,
+so the runners never advance a core for another core's event:
+:meth:`SimCore.next_completion_time` extends the line from the last
+update, and :meth:`SimCore.remaining_at` and :meth:`SimCore.finished_by`
+read it at any instant without integrating. The batch runner hands
+each core a meter; the online runner hands none (``meter is None``),
+because an online run prices the task records, never the meters.
 
 The effective seconds per cycle and the busy watts depend only on the
 (rate, co-runner count) state, so the core caches both and recomputes
@@ -70,11 +73,15 @@ class TaskExecution:
 
     @property
     def done(self) -> bool:
+        return self.done_with(self.remaining_cycles)
+
+    def done_with(self, remaining_cycles: float) -> bool:
+        """Whether ``remaining_cycles`` left of this task counts as finished."""
         # Relative to the task's size: progress is integrated piecewise
         # (one subtraction per rate switch / governor sample), so the
         # residual at the scheduled completion instant scales with the
         # cycle count, not with any fixed epsilon.
-        return self.remaining_cycles <= CYCLE_EPS * max(1.0, self.task.cycles)
+        return remaining_cycles <= CYCLE_EPS * max(1.0, self.task.cycles)
 
     @property
     def total_cycles(self) -> float:
@@ -150,15 +157,39 @@ class SimCore:
     def last_update(self) -> float:
         return self._last_update
 
-    def next_completion_time(self, now: float) -> float:
+    def next_completion_time(self) -> float:
         """Absolute time the current task finishes if nothing else changes.
 
-        Accounts for any switch-overhead window the core has already
-        fast-forwarded past (``last_update`` may exceed ``now``).
+        The last update plus the remaining work at the current rate: a
+        core is advanced only at its own breakpoints, so the last update
+        may lie behind the runner's clock (or ahead of it, past a
+        switch-overhead window :meth:`start` fast-forwarded over).
         """
-        if self.current is None:
+        current = self.current
+        if current is None:
             return math.inf
-        return max(now, self._last_update) + self.completion_in()
+        return self._last_update + current.remaining_cycles * self._time_per_cycle
+
+    def remaining_at(self, now: float) -> float:
+        """Cycles the running task has left at ``now``, without integrating.
+
+        What :meth:`advance` to ``now`` would leave (an overshoot reads
+        as 0.0); 0.0 when idle.
+        """
+        current = self.current
+        if current is None:
+            return 0.0
+        dt = now - self._last_update
+        if not dt > 0.0:
+            return current.remaining_cycles
+        left = current.remaining_cycles - dt / self._time_per_cycle
+        return left if left > 0.0 else 0.0
+
+    def finished_by(self, now: float) -> bool:
+        """Whether the running task counts as finished at ``now``
+        (:meth:`TaskExecution.done_with` of :meth:`remaining_at`)."""
+        current = self.current
+        return current is not None and current.done_with(self.remaining_at(now))
 
     # -- progress integration --------------------------------------------------------
     def advance(self, now: float) -> None:

@@ -28,7 +28,12 @@ or from-scratch reference and compares them on a randomized instance:
   and arrivals landing exactly on completion instants; every task must
   complete once, the per-task energy must sum to the run's, no task may
   finish sooner than it ran, and only non-interactive tasks may be
-  preempted.
+  preempted;
+* ``exact_sim`` — traced online runs (the ``online`` and
+  ``online_extreme`` traces) and random uncontended batch plans against
+  their exact rational replay (:mod:`repro.verify.exact_sim`): every
+  record's finish, busy time, energy and executed cycles within its
+  bound of clock ulps plus the dropped residue.
 
 A check's ``run(case)`` returns a list of human-readable failure
 messages (empty = agreement). Cases are JSON-able dicts produced by
@@ -51,7 +56,7 @@ from repro.core.dominating import DominatingRanges
 from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.governors import OnDemandGovernor
-from repro.models.cost import CostModel
+from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.task import Task, TaskKind
 from repro.models.tolerances import ABS_TOL, AGG_ABS_TOL, REL_TOL
 from repro.obs.tracer import RecordingTracer
@@ -59,8 +64,10 @@ from repro.schedulers.lmc import LMCOnlineScheduler
 from repro.schedulers.olb import OLBOnlineScheduler
 from repro.schedulers.ondemand_rr import OnDemandRoundRobinScheduler
 from repro.schedulers.sjf import SJFMaxRateScheduler
+from repro.simulator.batch_runner import run_batch
 from repro.simulator.online_runner import run_online
 from repro.simulator.platform import finish_tolerance
+from repro.verify import exact_sim
 from repro.verify import generators as gen
 from repro.verify.invariants import check_batch_schedules, check_dynamic_index, check_online_result
 from repro.verify.reference import wbg_heap_picks, wbg_heap_plan
@@ -538,12 +545,7 @@ class OnlineExtremeCheck(OnlineCheck):
         tables = [gen.table_from_dict(spec) for spec in case["tables"]]
         n_cores = len(tables)
         trace = gen.trace_from_dicts(case["trace"])
-        # the longest the run can take: everything serialised at the
-        # slowest rate of any core, after the last arrival
-        slowest = max(t.time(t.min_rate) for t in tables)
-        span = max((t.arrival for t in trace), default=0.0) + slowest * math.fsum(
-            t.cycles for t in trace)
-        period = max(1.0, span / self.TICKS_PER_RUN)
+        period = self.sampling_period(trace, tables)
         failures: list[str] = []
         for name in self.POLICIES:
             policy, governors = self._make_policy(
@@ -565,6 +567,16 @@ class OnlineExtremeCheck(OnlineCheck):
                 failures.append(f"{name}: {result.events} events for {len(trace)} tasks; "
                                 "want one arrival and one completion each")
         return failures
+
+    @classmethod
+    def sampling_period(cls, trace, tables) -> float:
+        """A governor period giving about :data:`TICKS_PER_RUN` ticks in
+        the longest the run can take: everything serialised at the
+        slowest rate of any core, after the last arrival."""
+        slowest = max(t.time(t.min_rate) for t in tables)
+        span = max((t.arrival for t in trace), default=0.0) + slowest * math.fsum(
+            t.cycles for t in trace)
+        return max(1.0, span / cls.TICKS_PER_RUN)
 
     @staticmethod
     def _bound_violations(result, tables) -> list[str]:
@@ -614,13 +626,86 @@ class OnlineExtremeCheck(OnlineCheck):
 
 
 # ---------------------------------------------------------------------------
+# simulated runs vs their exact rational replay
+# ---------------------------------------------------------------------------
+
+class ExactSimCheck(OnlineCheck):
+    """Float simulator records against :mod:`repro.verify.exact_sim`.
+
+    A case is an online trace (``online``'s or ``online_extreme``'s
+    generator) run traced under LMC, OLB and On-demand with governors,
+    or a random batch plan run without contention. Every record must lie
+    within :func:`~repro.verify.exact_sim.record_bound` of the exact
+    replay.
+    """
+
+    name = "exact_sim"
+    list_keys = ("trace", "plan")
+
+    POLICIES = ("lmc", "olb", "odrr")
+    MODES = ("online", "extreme", "batch")
+
+    def generate(self, rng: random.Random) -> dict:
+        mode = rng.choice(self.MODES)
+        if mode == "extreme":
+            return {"mode": mode, **OnlineExtremeCheck().generate(rng)}
+        n_cores = rng.randint(1, 3)
+        tables = gen.gen_tables(rng, n_cores)
+        if mode == "batch":
+            return {"mode": mode, "tables": tables,
+                    "plan": gen.gen_batch_plan_dicts(rng, tables, rng.randint(1, 30))}
+        re, rt = gen.gen_pricing(rng)
+        return {"mode": mode, "tables": tables, "re": re, "rt": rt,
+                "trace": gen.gen_trace_dicts(rng, rng.randint(1, 30))}
+
+    def run(self, case: dict) -> list[str]:
+        tables = [gen.table_from_dict(spec) for spec in case["tables"]]
+        if case["mode"] == "batch":
+            return self._run_batch(case["plan"], tables)
+        n_cores = len(tables)
+        trace = gen.trace_from_dicts(case["trace"])
+        period = OnlineExtremeCheck.sampling_period(trace, tables)
+        failures: list[str] = []
+        for name in self.POLICIES:
+            policy, governors = self._make_policy(
+                name, tables, n_cores, case["re"], case["rt"])
+            for gov in governors or ():
+                gov.sampling_period = period
+            tracer = RecordingTracer()
+            try:
+                result = run_online(trace, policy, tables, governors=governors, tracer=tracer)
+            except Exception as exc:  # a crash is a finding, not a fuzzer error
+                failures.append(f"{name}: run_online raised {type(exc).__name__}: {exc}")
+                continue
+            errors = exact_sim.online_errors(tracer, trace, result, tables)
+            failures.extend(f"{name}: {v}" for v in exact_sim.violations(errors))
+        return failures
+
+    @staticmethod
+    def _run_batch(plan: list, tables) -> list[str]:
+        placements: list[list[Placement]] = [[] for _ in tables]
+        for core, cycles, rate_index in plan:
+            # wrapped, so shrinking away a table or a rate keeps the plan valid
+            rates = tables[core % len(tables)].rates
+            placements[core % len(tables)].append(
+                Placement(Task(cycles=cycles), rates[rate_index % len(rates)]))
+        schedules = [CoreSchedule(p, core_index=j) for j, p in enumerate(placements)]
+        try:
+            result = run_batch(schedules, tables)
+        except Exception as exc:  # a crash is a finding, not a fuzzer error
+            return [f"batch: run_batch raised {type(exc).__name__}: {exc}"]
+        errors = exact_sim.batch_errors(schedules, tables, result)
+        return [f"batch: {v}" for v in exact_sim.violations(errors)]
+
+
+# ---------------------------------------------------------------------------
 # registry + replay
 # ---------------------------------------------------------------------------
 
 ALL_CHECKS: dict[str, DifferentialCheck] = {
     c.name: c
     for c in (DominatingCheck(), WbgCheck(), WbgKernelCheck(), DynamicCheck(),
-              LmcCheck(), OnlineCheck(), OnlineExtremeCheck())
+              LmcCheck(), OnlineCheck(), OnlineExtremeCheck(), ExactSimCheck())
 }
 
 

@@ -227,6 +227,16 @@ def gen_extreme_trace_dicts(rng: random.Random, n_tasks: int, style: str) -> lis
     return out
 
 
+def gen_batch_plan_dicts(rng: random.Random, tables: Sequence[dict], n_tasks: int) -> list[list]:
+    """A random batch plan: ``[core, cycles, rate index]`` per placement,
+    in run order on each core; any core and rate, not a scheduler's."""
+    plan = []
+    for cycles in gen_cycles(rng, n_tasks):
+        core = rng.randrange(len(tables))
+        plan.append([core, cycles, rng.randrange(len(tables[core]["rates"]))])
+    return plan
+
+
 def trace_from_dicts(specs: Sequence[dict], base_id: int = 0) -> list[Task]:
     return [
         Task(

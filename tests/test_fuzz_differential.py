@@ -240,3 +240,28 @@ class TestFoundRegressions:
                       {"arrival": 809.6987613997567, "cycles": 0.0020668242757674034,
                        "kind": "noninteractive"}],
         })
+
+    def test_tiny_batch_task_at_a_large_clock_completes(self):
+        # found by: the exact_sim check (batch mode, shrunk)
+        # after 2.25e6 s of giants the clock's ulp is 4.7e-10 s, so the
+        # 0.001-cycle task's completion instant rounds 3.7e-9 cycles
+        # short; the batch loop's own "done" test ignored the clock
+        # residue that SimCore.complete accepts, re-timed the task to the
+        # same instant forever and stopped with "failed to converge"
+        replay("exact_sim", {
+            "mode": "batch",
+            "tables": [{"rates": [1.0, 2.0, 4.0, 8.0], "energy": [1.0, 9.5, 15.0, 18.125],
+                        "time": [1.0, 0.5, 0.25, 0.125]}],
+            "plan": [[0, 1e6, 0], [0, 1e6, 0], [0, 1e6, 2], [0, 0.001, 3]],
+        })
+
+    def test_batch_residue_carries_to_later_tasks(self):
+        # found by: the exact_sim check (batch mode, shrunk), a bound fix
+        # a giant may complete up to its CYCLE_EPS residue early (2e-3 s
+        # here), which moves every later task on its core; the oracle's
+        # bound adds up the residues along each core's plan
+        replay("exact_sim", {
+            "mode": "batch",
+            "tables": [{"rates": [0.5], "energy": [3.496299870076303], "time": [2.0]}] * 3,
+            "plan": [[2, 1e-06, 0], [1, 0.001, 0], [1, 1e6, 0], [1, 0.001, 0], [2, 1e6, 0]],
+        })

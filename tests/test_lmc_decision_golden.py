@@ -8,7 +8,10 @@ sha256. The digests were
 recorded before Equation 27's core choice was fused into a single pass,
 so a tracer emission that drifts from the decision (a missing field, a
 reordered ``costs`` list, a cost rounded differently) fails here even
-where the simulated outcome is unchanged.
+where the simulated outcome is unchanged. They were re-recorded once
+when the views came to read each core's remaining cycles lazily: the
+non-interactive costs moved in their last ulps, while every ``chosen``
+core stayed the same (tests/test_sim_integer_outcome.py).
 """
 
 import hashlib
@@ -30,8 +33,8 @@ TABLES = {
 }
 
 GOLDEN = {
-    "homogeneous": "dbbba3aa4158b27de7bb4a05b4d10a8c2cf439b48240a5f00214d0dec1b75101",
-    "big_little": "965c71baa3edc712bb47937a698cda3edebd102745a88db2b3afa99fab9e80c6",
+    "homogeneous": "76cac6c2a9265c1a494a91bf44feff5d5132c8b834fbac3259c91641a0d663a8",
+    "big_little": "b423a5dea1784ce6aca7914c5587cee482ed26620fb110f63f9b190b10d9a620",
 }
 
 

@@ -36,6 +36,7 @@ def _result(name: str = "s1", *, time: float = 1.0, ops: dict | None = None,
         wall_time_s={"run": time},
         ops=ops if ops is not None else {"events": 5},
         checksum=checksum,
+        scaled_time_s={"run": time},
     )
 
 

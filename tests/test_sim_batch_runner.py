@@ -1,6 +1,8 @@
 """Tests for the batch execution runner."""
 
+import heapq
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,12 @@ from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.schedulers import olb_plan, wbg_plan
+from repro.models.tolerances import REL_TOL
+from repro.simulator import batch_runner
 from repro.simulator.batch_runner import run_batch
-from repro.simulator.contention import CALIBRATED_X86, ContentionModel
+from repro.simulator.contention import CALIBRATED_X86, NO_CONTENTION, ContentionModel
 from repro.simulator.platform import SimCore
+from repro.workloads.synthetic import lognormal_batch
 
 
 class TestIdlePowerValidation:
@@ -69,7 +74,7 @@ class TestIdealRuns:
 
     def test_non_finite_completion_raises_runtime_error(self, monkeypatch):
         # a real exception, not an assert that python -O would strip
-        monkeypatch.setattr(SimCore, "next_completion_time", lambda self, now: math.inf)
+        monkeypatch.setattr(SimCore, "next_completion_time", lambda self: math.inf)
         a = CoreSchedule([], core_index=0)
         b = CoreSchedule([Placement(Task(cycles=1.0), 2.0)], core_index=1)
         with pytest.raises(RuntimeError, match=r"stalled at t=0\.0: busy cores \[1\]"):
@@ -188,3 +193,91 @@ class TestHeterogeneousTables:
     def test_shared_table_accepts_any_core_index(self):
         sched = CoreSchedule([Placement(Task(cycles=4.0), 2.0)], core_index=50)
         assert run_batch([sched], TABLE_II).makespan == pytest.approx(2.0)
+
+
+class _SpyCore(SimCore):
+    """Counts advances, co-runner refreshes and completions per core."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.advances = self.refreshes = self.completions = 0
+        SPIES.append(self)
+
+    def advance(self, now):
+        self.advances += 1
+        super().advance(now)
+
+    def set_co_runners(self, count, now):
+        self.refreshes += 1
+        super().set_co_runners(count, now)
+
+    def complete(self, now):
+        self.completions += 1
+        return super().complete(now)
+
+
+SPIES: list[_SpyCore] = []
+
+CONTENTIONS = {"ideal": NO_CONTENTION, "calibrated": CALIBRATED_X86}
+
+
+def _uneven_plan():
+    # 60 lognormal jobs on 4 cores: the cores run dry at different times,
+    # so the busy count changes several times
+    return wbg_plan(list(lognormal_batch(60, seed=3)), TABLE_II, 4, 0.1, 0.4)
+
+
+class TestLazyIntegration:
+    """A core is integrated only at its own breakpoints: its starts and
+    completions, and the busy-count changes that re-time every core."""
+
+    @pytest.mark.parametrize("contention", sorted(CONTENTIONS))
+    def test_advances_bounded_by_own_breakpoints(self, contention, monkeypatch):
+        pops = []
+
+        def spy_heappop(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        SPIES.clear()
+        monkeypatch.setattr(batch_runner, "SimCore", _SpyCore)
+        monkeypatch.setattr(batch_runner, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=spy_heappop))
+        plan = _uneven_plan()
+        result = run_batch(plan, TABLE_II, contention=CONTENTIONS[contention])
+        n_tasks = sum(len(s) for s in plan)
+        assert len(result.records) == n_tasks
+        # one pop per task: the heap holds exactly one entry per busy core
+        assert len(pops) == n_tasks
+        assert sorted(core.index for core in SPIES) == [s.core_index for s in plan]
+        for core, schedule in zip(sorted(SPIES, key=lambda c: c.index), plan):
+            assert core.completions == len(schedule)
+            # start and complete per own task, one per busy-count change,
+            # one at the end
+            assert core.advances <= 2 * len(schedule) + core.refreshes + 1
+        # the busy count changed as each core ran dry, not at every event
+        assert 2 <= SPIES[0].refreshes <= len(plan) + 1
+
+    #: Per-core ``gross_joules`` of the same runs when every core was
+    #: advanced at every completion (recorded before integration became
+    #: lazy): the idle floor is still booked over the whole makespan.
+    EAGER_GROSS = {
+        "ideal": (2743.6056723530523, 2581.222251583483, 2456.264367372758,
+                  2386.4628575004604),
+        "calibrated": (3042.989903230351, 2868.2847979290914, 2731.903045880016,
+                       2655.4466486267174),
+    }
+
+    @pytest.mark.parametrize("contention", sorted(CONTENTIONS))
+    def test_idle_booking_tiles_the_makespan(self, contention):
+        result = run_batch(_uneven_plan(), TABLE_II, contention=CONTENTIONS[contention],
+                           idle_power=1.5, keep_trace=True)
+        for meter, eager in zip(result.meters, self.EAGER_GROSS[contention]):
+            segments = meter._trace
+            assert segments[0].start == 0.0
+            assert segments[-1].end == result.makespan
+            for before, after in zip(segments, segments[1:]):
+                assert before.end == after.start  # no gap, no overlap
+            assert math.isclose(meter.gross_joules, eager, rel_tol=REL_TOL)
+        # cores that ran dry early booked the idle floor up to the makespan
+        assert sum(any(s.idle for s in m._trace) for m in result.meters) >= 2

@@ -123,16 +123,17 @@ class TestScheduling:
     def test_rejects_past_and_nan(self, monkeypatch):
         def run_with(completion_time):
             class Core(SimCore):
-                def next_completion_time(self, now):
-                    return completion_time(self, now)
+                def next_completion_time(self):
+                    return completion_time(self)
 
             monkeypatch.setattr(online_runner, "SimCore", Core)
             return run_online([ni("t", 2.0, 1.0)], Pinned(1), EXACT)
 
+        # the task starts at t=1.0, so the core's last update is 1.0
         with pytest.raises(ValueError, match=r"cannot schedule in the past: t=0\.5 < now=1\.0"):
-            run_with(lambda core, now: now - 0.5)
+            run_with(lambda core: core.last_update - 0.5)
         with pytest.raises(RuntimeError, match="non-finite completion time nan"):
-            run_with(lambda core, now: math.nan)
+            run_with(lambda core: math.nan)
 
     def test_cancellation(self):
         # "a" runs at 2.0 and would finish at 2.0; "b" queues behind it at

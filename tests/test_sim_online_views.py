@@ -4,12 +4,15 @@
 The spies below read every field of every view at every arrival of
 three seeded runs and reduce the readings to a SHA-256 digest. The
 expected digests were recorded while views were still per-arrival
-snapshots; a view that reads a stale or differently computed field
-changes the digest.
+snapshots, and re-recorded once when ``running_remaining_cycles`` came
+to be read lazily (:meth:`SimCore.remaining_at`, one subtraction since
+the core's last own breakpoint instead of one per event); a view that
+reads a stale or differently computed field changes the digest.
 
 The same scenarios also pin the cores behind the views: an online run
-builds meterless cores, never advances an idle one outside the state
-change that wakes it, and keeps arrivals out of the event heap.
+builds meterless cores, advances a core only inside its own state
+changes (start, rate switch, preemption, completion), never for another
+core's event, and keeps arrivals out of the event heap.
 """
 
 import hashlib
@@ -89,9 +92,9 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "olb": "0329e42b4c98af8e",
-    "olb_interactive_burst": "1f3e3cabdfc869dc",
-    "ondemand_governed": "8650cf3d7747cc87",
+    "olb": "9d02e091a71b06c6",
+    "olb_interactive_burst": "6687b41b1f2aff60",
+    "ondemand_governed": "5e0cccdb95d618f1",
 }
 
 
@@ -103,39 +106,48 @@ def test_view_readings_are_bit_identical(name):
 
 
 class _SpyCore(SimCore):
-    """A core that counts advances made while idle outside a state change.
+    """A core that counts advances made outside its own state changes.
 
-    ``start`` and ``set_rate`` advance the core before touching it, so
-    an idle core is advanced there; any other idle advance would be the
-    runner integrating a core that has nothing to integrate.
+    ``start``, ``set_rate``, ``preempt`` and ``complete`` advance the
+    core before touching it; any other advance, busy or idle, would be
+    the runner integrating a core for another core's event.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.stray_idle_advances = 0
+        self.stray_busy_advances = 0
         self.advances = 0
         self._changing = 0
         CORES.append(self)
 
     def advance(self, now):
         self.advances += 1
-        if self.current is None and not self._changing:
-            self.stray_idle_advances += 1
+        if not self._changing:
+            if self.current is None:
+                self.stray_idle_advances += 1
+            else:
+                self.stray_busy_advances += 1
         super().advance(now)
 
-    def start(self, execution, rate, now):
+    def _change(self, method, *args):
         self._changing += 1
         try:
-            super().start(execution, rate, now)
+            return method(*args)
         finally:
             self._changing -= 1
 
+    def start(self, execution, rate, now):
+        self._change(super().start, execution, rate, now)
+
     def set_rate(self, rate, now):
-        self._changing += 1
-        try:
-            super().set_rate(rate, now)
-        finally:
-            self._changing -= 1
+        self._change(super().set_rate, rate, now)
+
+    def preempt(self, now):
+        return self._change(super().preempt, now)
+
+    def complete(self, now):
+        return self._change(super().complete, now)
 
 
 CORES: list[_SpyCore] = []
@@ -158,6 +170,7 @@ def test_online_cores_are_meterless_and_idle_cores_left_alone(name, monkeypatch)
     assert CORES and all(core.meter is None for core in CORES)
     assert all(core.advances > 0 for core in CORES)
     assert [core.stray_idle_advances for core in CORES] == [0] * len(CORES)
+    assert [core.stray_busy_advances for core in CORES] == [0] * len(CORES)
     # arrivals are streamed: the heap only ever holds completions (core
     # j) and ticks (~j), never a task
     assert pushed and all(type(j) is int and -len(CORES) <= j < len(CORES)
@@ -183,9 +196,9 @@ def test_meterless_core_charges_tasks_exactly_as_a_metered_one():
         core.set_rate(3.0, 0.9)
         core.preempt(1.1)
         core.start(second, 1.6, 1.1)
-        core.complete(core.next_completion_time(1.1))
+        core.complete(core.next_completion_time())
         core.start(first, 2.4, core.last_update + 0.5)
-        core.complete(core.next_completion_time(core.last_update))
+        core.complete(core.next_completion_time())
         return core, [(e.energy_joules, e.busy_seconds, e.remaining_cycles, e.finished_at)
                       for e in (first, second)]
 

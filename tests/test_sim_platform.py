@@ -21,7 +21,7 @@ class TestIdealExecution:
         core = SimCore(0, TABLE_II)
         ex = make_exec(10.0)
         core.start(ex, 2.0, now=0.0)
-        t_done = core.next_completion_time(0.0)
+        t_done = core.next_completion_time()
         assert t_done == pytest.approx(10.0 * 0.5)
         done = None
         core.advance(t_done)
@@ -36,7 +36,7 @@ class TestIdealExecution:
             core = SimCore(0, TABLE_II)
             ex = make_exec(7.0)
             core.start(ex, p, now=0.0)
-            t = core.next_completion_time(0.0)
+            t = core.next_completion_time()
             core.advance(t)
             done = core.complete(t)
             assert done.energy_joules == pytest.approx(7.0 * TABLE_II.energy(p))
@@ -55,7 +55,7 @@ class TestIdealExecution:
         core.start(ex, 1.6, now=0.0)
         core.set_rate(3.0, now=3.125)  # 5 cycles done at 1.6
         assert ex.remaining_cycles == pytest.approx(5.0)
-        t_done = core.next_completion_time(3.125)
+        t_done = core.next_completion_time()
         assert t_done == pytest.approx(3.125 + 5.0 * 0.33)
         core.advance(t_done)
         done = core.complete(t_done)
@@ -71,7 +71,7 @@ class TestIdealExecution:
     def test_completion_in_infinite_when_idle(self):
         core = SimCore(0, TABLE_II)
         assert math.isinf(core.completion_in())
-        assert math.isinf(core.next_completion_time(0.0))
+        assert math.isinf(core.next_completion_time())
 
 
 class TestPreemption:
@@ -88,11 +88,11 @@ class TestPreemption:
         # run something else, then resume
         other = make_exec(1.0)
         core.start(other, 3.0, now=2.0)
-        t = core.next_completion_time(2.0)
+        t = core.next_completion_time()
         core.advance(t)
         core.complete(t)
         core.start(ex, 2.0, now=t)
-        t2 = core.next_completion_time(t)
+        t2 = core.next_completion_time()
         core.advance(t2)
         done = core.complete(t2)
         assert done.energy_joules == pytest.approx(10.0 * 4.22)
@@ -140,7 +140,7 @@ class TestContention:
         ex = make_exec(10.0)
         core.start(ex, 2.0, now=0.0)
         core.set_co_runners(2, now=0.0)
-        t = core.next_completion_time(0.0)
+        t = core.next_completion_time()
         core.advance(t)
         done = core.complete(t)
         # 1.5× wall time at the same power → 1.5× energy
@@ -159,7 +159,7 @@ class TestContention:
         core = SimCore(0, TABLE_II, contention=cont)
         ex = make_exec(10.0)
         core.start(ex, 2.0, now=0.0)
-        t = core.next_completion_time(0.0)
+        t = core.next_completion_time()
         assert t == pytest.approx(0.5 + 5.0)
         core.advance(t)
         done = core.complete(t)
@@ -221,7 +221,7 @@ class TestCachedStateConstants:
                     continue
                 core.preempt(now)
             else:  # advance, never past the running task's completion
-                now = min(now + args[0], core.next_completion_time(now))
+                now = min(now + args[0], core.next_completion_time())
                 core.advance(now)
             assert core.effective_time_per_cycle() == contention.effective_time_per_cycle(
                 table.time(core.rate), table.time_per_cycle[0], co_runners
@@ -288,9 +288,9 @@ class TestMeterBooking:
                                        TABLE_II.power(args[0]))
                 continue
             if op == "complete":
-                now = core.next_completion_time(now) + args[0]
+                now = core.next_completion_time() + args[0]
             elif op == "advance":  # never past the running task's completion
-                now = min(now + args[0], core.next_completion_time(now))
+                now = min(now + args[0], core.next_completion_time())
             book_to(now)
             if op == "set_rate":
                 core.set_rate(args[0], now)
@@ -307,6 +307,57 @@ class TestMeterBooking:
         assert meter.idle_joules == shadow.idle_joules
         assert meter._last_end == shadow._last_end
         assert meter._trace == shadow._trace
+
+
+class TestLazyReaders:
+    """``remaining_at`` and ``finished_by`` read what ``advance`` would
+    leave, bit for bit, without integrating."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        contention=st.sampled_from([NO_CONTENTION, CALIBRATED_X86]),
+        rate=st.sampled_from(TABLE_II.rates),
+        second_rate=st.sampled_from(TABLE_II.rates),
+        cycles=st.floats(1e-6, 1e6),
+        split=st.floats(0.0, 1.0),
+        # the read lands before, on, or a little past the finish
+        reach=st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.5]),
+    )
+    def test_reader_matches_advance(self, contention, rate, second_rate, cycles, split, reach):
+        def core_at_breakpoint():
+            core = SimCore(0, TABLE_II, contention=contention)
+            core.start(make_exec(cycles), rate, 0.0)
+            # one own breakpoint part-way, then a lazy stretch
+            core.set_rate(second_rate, core.last_update + split * core.completion_in())
+            return core
+
+        lazy, eager = core_at_breakpoint(), core_at_breakpoint()
+        now = lazy.last_update + reach * lazy.completion_in()
+        before = (lazy.last_update, lazy.current.remaining_cycles)
+        remaining = lazy.remaining_at(now)
+        finished = lazy.finished_by(now)
+        assert (lazy.last_update, lazy.current.remaining_cycles) == before  # no mutation
+        if reach > 1.0 and now > lazy.next_completion_time() * (1 + 1e-9):
+            return  # advance would raise the overrun guard here
+        eager.advance(now)
+        assert remaining == eager.current.remaining_cycles
+        assert finished == eager.current.done
+
+    def test_idle_core_reads_zero_and_unfinished(self):
+        core = SimCore(0, TABLE_II)
+        assert core.remaining_at(5.0) == 0.0
+        assert not core.finished_by(5.0)
+        assert math.isinf(core.next_completion_time())
+
+    def test_next_completion_extends_from_last_update(self):
+        core = SimCore(0, TABLE_II)
+        ex = make_exec(10.0)
+        core.start(ex, 2.0, now=1.0)
+        # nothing integrates the core between its own breakpoints
+        assert core.next_completion_time() == 1.0 + 10.0 * 0.5
+        assert core.remaining_at(3.5) == 5.0
+        assert ex.remaining_cycles == 10.0
+        assert core.finished_by(6.0) and not core.finished_by(5.9)
 
 
 class TestContentionModelValidation:
