@@ -18,8 +18,19 @@ a 1D range tree and keeping, **per dominating range** ``i``:
 
 An insert lands in exactly one range and shifts at most one element
 across each later range boundary (the cascade loops of Algorithms 5
-and 6), so maintenance costs ``O(|P̂| + log N)`` and the total cost
-query is ``Θ(1)``.
+and 6), so maintenance costs ``O(|P̂| + log N)``. The total cost is
+summed from the per-range aggregates in ``Θ(|P̂|)`` on its first read
+after a mutation and read in ``Θ(1)`` after that, so a run that never
+reads it (the online simulator) never pays for it.
+
+Both hot paths read the tree in the descent it already makes. A probe
+takes the new task's backward position and the sum of the tasks behind
+it from one value descent (:meth:`RangeTree.count_ge_tail`); an insert
+takes the same two numbers from its BST descent
+(:meth:`RangeTree.insert_ranked`). Most tasks land in the last
+non-empty range, where that sum is exactly the ``ξ`` suffix the
+formulas need; only an interior range still asks ``range_sum`` for it.
+Both descents agree with ``range_sum`` bit for bit.
 
 Note on Algorithm 6 line 20: the paper's text reads
 ``d_i ← d_i − (k_B − a_i + 1)·*ptr + range_sum(...)``; the ``+`` is a
@@ -110,7 +121,8 @@ class DynamicCostIndex:
             (self._ree[i + 1] - self._ree[i]) + hi * (self._rtt[i + 1] - self._rtt[i])
             for i, hi in enumerate(self._hi) if hi is not None
         ] + [0.0]
-        self._cost = 0.0
+        # Equation 32, or None until the first read after a mutation
+        self._cost: Optional[float] = 0.0
 
     # -- queries -------------------------------------------------------------------
     def __len__(self) -> int:
@@ -118,8 +130,14 @@ class DynamicCostIndex:
 
     @property
     def total_cost(self) -> float:
-        """Equation 32, maintained incrementally. ``Θ(1)``."""
-        return self._cost
+        """Equation 32 from the maintained per-range aggregates.
+
+        ``Θ(|P̂|)`` on the first read after a mutation, ``Θ(1)`` after that.
+        """
+        cost = self._cost
+        if cost is None:
+            cost = self._cost = self._sum_cost()
+        return cost
 
     def rate_of(self, node: RangeTreeNode) -> float:
         """The rate the task at ``node`` should currently execute/queue at.
@@ -156,16 +174,21 @@ class DynamicCostIndex:
         ``ΔC = CB*(kb)·L + Rt·T(p̂_i)·ξ([kb, b_i]) + Σ_{j>i} Rt·T(p̂_j)·x_j
         + Σ_{full j >= i, b_j >= kb} jump_j·L^B_{b_j}``
 
-        — one value descent, one range sum and a loop over the
-        maintained per-range aggregates.
+        — one value descent and a loop over the maintained per-range
+        aggregates. The descent also sums every queued task below ``L``,
+        which is ``ξ([kb, b_i])`` when range ``i`` is the last non-empty
+        one; an interior range's ``ξ`` costs one more range sum.
         """
         _check_cycles(cycles)
         self.counters["probes"] += 1
-        kb = self.tree.count_ge(cycles) + 1
+        tree = self.tree
+        kb, tail = tree.count_ge_tail(cycles)
+        kb += 1
         i = self.ranges.range_index_for(kb)
         a, b, hi, rtt = self._a, self._b, self._hi, self._rtt
-        marginal = ((self._ree[i] + kb * rtt[i]) * cycles
-                    + rtt[i] * self.tree.range_sum(kb, b[i]))
+        if b[i] != tree.size:
+            tail = tree.range_sum(kb, b[i])
+        marginal = (self._ree[i] + kb * rtt[i]) * cycles + rtt[i] * tail
         for j in range(i, len(a)):
             if b[j] < a[j]:  # ranges fill in order: the rest are empty too
                 break
@@ -191,7 +214,7 @@ class DynamicCostIndex:
         if task_id is not None:
             data["task_id"] = task_id
             data["task"] = getattr(payload, "name", "")
-        data.update({"cycles": cycles, "position": kb, "total_cost": self._cost})
+        data.update({"cycles": cycles, "position": kb, "total_cost": self.total_cost})
         tracer.emit(kind, data)
 
     # -- Algorithm 5: insert ----------------------------------------------------------
@@ -199,8 +222,8 @@ class DynamicCostIndex:
         """Insert a task; returns its node handle. ``O(|P̂| + log N)``."""
         _check_cycles(cycles)
         self.counters["inserts"] += 1
-        ptr = self.tree.insert(cycles, payload)
-        kb = self.tree.rank(ptr)
+        tree = self.tree
+        ptr, kb, tail = tree.insert_ranked(cycles, payload)
         i = self.ranges.range_index_for(kb)
 
         if kb == self._a[i]:
@@ -212,8 +235,11 @@ class DynamicCostIndex:
         if self._x[i] > self._peak[i]:
             self._peak[i] = self._x[i]
         # the new node contributes local position (kb - a_i + 1); everything
-        # after it inside the range shifts one local position later.
-        self._d[i] += (kb - self._a[i] + 1) * cycles + self.tree.range_sum(kb + 1, self._b[i])
+        # after it inside the range shifts one local position later. The
+        # descent's tail is that sum when the range ends at the last rank.
+        if self._b[i] != tree.size:
+            tail = tree.range_sum(kb + 1, self._b[i])
+        self._d[i] += (kb - self._a[i] + 1) * cycles + tail
 
         # cascade: while range i overflows, its last element moves to range i+1
         while self._hi[i] is not None and self._b[i] > self._hi[i] - 1:
@@ -242,7 +268,7 @@ class DynamicCostIndex:
             # Δ gains x_i(old) + moved.value = x_i(new).
             self._d[i] += self._x[i]
 
-        self._recompute_cost()
+        self._cost = None
         if self._tracer is not None:
             self._trace_mutation(
                 self._tracer, "dynamic.insert", cycles, kb, payload,
@@ -252,12 +278,17 @@ class DynamicCostIndex:
 
     # -- Algorithm 6: delete ----------------------------------------------------------
     def delete(self, ptr: RangeTreeNode) -> None:
-        """Remove a task by handle. ``O(|P̂| + log N)``."""
-        self.counters["deletes"] += 1
+        """Remove a task by handle. ``O(|P̂| + log N)``.
+
+        Raises ``ValueError`` (and counts nothing) if ``ptr`` is not in
+        this index.
+        """
         kb = self.tree.rank(ptr)
+        self.counters["deletes"] += 1
         deleted_cycles, deleted_payload = ptr.value, ptr.payload
-        # i ← last non-empty range
-        i = max(j for j in range(len(self._a)) if self._a[j] <= self._b[j])
+        # i ← last non-empty range: ranges fill in order, so the one
+        # holding the last rank
+        i = self.ranges.range_index_for(self.tree.size)
         refresh: list[int] = []
 
         # cascade: every non-empty range past kb's range loses its first
@@ -321,13 +352,13 @@ class DynamicCostIndex:
                 self._x[j] = self.tree.range_sum(self._a[j], self._b[j])
                 self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
                 self._peak[j] = self._x[j]
-        self._recompute_cost()
+        self._cost = None
         if self._tracer is not None:
             self._trace_mutation(self._tracer, "dynamic.delete", deleted_cycles, kb,
                                  deleted_payload, {})
 
     # -- internals ---------------------------------------------------------------------
-    def _recompute_cost(self) -> None:
+    def _sum_cost(self) -> float:
         """Equation 32 from the per-range aggregates. ``Θ(|P̂|)``."""
         c = 0.0
         for i in range(len(self._a)):
@@ -335,7 +366,7 @@ class DynamicCostIndex:
                 continue
             gamma = self._d[i] + (self._a[i] - 1) * self._x[i]
             c += self._ree[i] * self._x[i] + self._rtt[i] * gamma
-        self._cost = c
+        return c
 
     def check_invariants(self) -> None:
         """Cross-check every aggregate against the tree. ``O(N + |P̂| log N)``; tests only."""
@@ -362,7 +393,7 @@ class DynamicCostIndex:
         naive = sum(
             self.ranges.cost(kb) * node.value for kb, node in enumerate(self.tree, start=1)
         )
-        assert math.isclose(self._cost, naive, rel_tol=REL_TOL, abs_tol=AGG_ABS_TOL), "total cost drifted"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+        assert math.isclose(self.total_cost, naive, rel_tol=REL_TOL, abs_tol=AGG_ABS_TOL), "total cost drifted"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
 
 
 class NaiveCostIndex:

@@ -35,6 +35,7 @@ and answers placement/rate questions; the event-driven runner in
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.dominating import DominatingRanges
@@ -97,23 +98,44 @@ class LeastMarginalCostPolicy:
     ) -> int:
         """Least marginal queue-cost core for a non-interactive task.
 
-        ``head_delays[j]`` (seconds, optional) is the residual work at
-        the head of core ``j`` that is *not* in the waiting queue — the
-        running task's remaining execution (plus any preempted task).
-        In the positional accounting, that work delays the newcomer by
-        exactly ``Rt × head_delay``; without the term, an idle core and
-        a core grinding through a huge task would price identically
-        when both queues are empty. ``task`` only annotates the trace
-        event.
+        Each core's cost is the Equation 32 increase from
+        :meth:`~repro.core.dynamic.DynamicCostIndex.marginal_insert_cost`
+        plus ``Rt × head_delays[j]``. ``head_delays[j]`` (seconds,
+        optional) is the residual work at the head of core ``j`` that is
+        *not* in the waiting queue — the running task's remaining
+        execution (plus any preempted task). In the positional
+        accounting, that work delays the newcomer by exactly
+        ``Rt × head_delay``; without the term, an idle core and a core
+        grinding through a huge task would price identically when both
+        queues are empty. One pass probes each core and keeps the first
+        strict minimum, so ties go to the lowest core index; with a
+        tracer it also collects the costs for the ``lmc.noninteractive``
+        event, which ``task`` only annotates. Its readable form, a list
+        of costs and an argmin, is the test oracle
+        :func:`repro.verify.reference.choose_core_noninteractive`.
         """
-        costs = self.marginal_insert_costs(cycles, head_delays)
-        chosen = min(range(self.n_cores), key=costs.__getitem__)
-        if self._tracer is not None:
-            data = {"cycles": cycles, "costs": list(costs), "chosen": chosen}
+        if head_delays is not None and len(head_delays) != self.n_cores:
+            raise ValueError("head_delays must have one entry per core")
+        rt = self.models[0].rt
+        tracer = self._tracer
+        costs: Optional[list[float]] = None if tracer is None else []
+        chosen, best = 0, math.nan
+        for j, q in enumerate(self.queues):
+            # looked up on the queue at each call: instrumentation may
+            # replace a queue's probe
+            cost = q.marginal_insert_cost(cycles)
+            if head_delays is not None:
+                cost += rt * head_delays[j]
+            if j == 0 or cost < best:
+                chosen, best = j, cost
+            if costs is not None:
+                costs.append(cost)
+        if costs is not None:
+            data = {"cycles": cycles, "costs": costs, "chosen": chosen}
             if head_delays is not None:
                 data["head_delays"] = list(head_delays)
             self._annotate_task(data, task)
-            self._tracer.emit("lmc.noninteractive", data)
+            tracer.emit("lmc.noninteractive", data)
         return chosen
 
     @staticmethod
@@ -121,24 +143,6 @@ class LeastMarginalCostPolicy:
         if task is not None:
             data["task_id"] = task.task_id
             data["task"] = task.name
-
-    def marginal_insert_costs(
-        self, cycles: float, head_delays: Optional[Sequence[float]] = None
-    ) -> list[float]:
-        """Per-core marginal queue costs for one candidate task.
-
-        Each entry is what :meth:`choose_core_noninteractive` compares:
-        the Equation 32 increase from
-        :meth:`~repro.core.dynamic.DynamicCostIndex.marginal_insert_cost`
-        plus the optional ``Rt × head_delay`` term.
-        """
-        if head_delays is not None and len(head_delays) != self.n_cores:
-            raise ValueError("head_delays must have one entry per core")
-        rt = self.models[0].rt
-        costs = [q.marginal_insert_cost(cycles) for q in self.queues]
-        if head_delays is not None:
-            costs = [c + rt * d for c, d in zip(costs, head_delays)]
-        return costs
 
     def probe_counters(self) -> dict[str, int]:
         """Aggregate the per-core queue counters (bench ops accounting)."""

@@ -9,7 +9,11 @@ at backward position ``k`` in the cost-optimal queue.
 
 Supported operations (``N`` = number of stored tasks):
 
-* ``insert(value, payload)`` → node, ``O(log N)`` expected;
+* ``insert(value, payload)`` → node, ``O(log N)`` expected; ``value``
+  must be finite (``ValueError`` otherwise);
+* ``insert_ranked(value, payload)`` → ``(node, rank, tail)``: the same
+  insert, which also reads the new node's rank and the sum of the
+  values after it off its BST descent;
 * ``delete(node)``, ``O(log N)`` expected;
 * ``size`` (also ``len(tree)``) — the node count, a plain attribute
   read in ``Θ(1)``;
@@ -18,12 +22,16 @@ Supported operations (``N`` = number of stored tasks):
 * ``select(k)`` — node of rank ``k``, ``O(log N)``;
 * ``count_ge(value)`` — how many stored values are ``>= value``,
   ``O(log N)``;
+* ``count_ge_tail(value)`` — ``count_ge(value)`` and the sum of the
+  stored values ``< value`` in one read-only descent, ``O(log N)``;
 * ``range_sum(a, b)`` — ``ξ([a,b]) = Σ_{k=a..b} L^B_k`` (Equation 28);
 * ``range_delta(a, b)`` — ``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·L^B_k``
   (Equation 29), both ``O(log N)``;
 * ``node.prev`` / ``node.next`` — ``Θ(1)`` predecessor/successor via
   doubly-linked threading, as the paper requires for the improved
-  ``O(|P̂| + log N)`` maintenance.
+  ``O(|P̂| + log N)`` maintenance;
+* ``max_node()`` — the rank-``N`` node (the queue head), ``Θ(1)``: the
+  tree keeps the threaded last node.
 
 Duplicate values are allowed; ties are broken by insertion sequence so
 the order is total and deterministic.
@@ -47,10 +55,26 @@ triples, not of the order of the operations that built the tree.
 fully covered child's stored ``sum``; it makes the same additions in the
 same order as the ``(Σ v, Σ k·v)`` query behind ``range_delta``, so the
 two agree bit for bit on the sum.
+
+Descent reads
+-------------
+``count_ge_tail`` and ``insert_ranked`` take a suffix sum on the value
+descent they already make. A node the descent leaves to the left lies
+after the searched position, and so does its right subtree. The descent
+remembers those nodes and then folds them bottom-up, each adding
+``value`` and then its right child's ``sum``. That is the order in which
+``range_sum`` adds the same suffix, and a fully covered subtree's stored
+``sum`` is itself that fold of its left spine (the pull formula), so
+``count_ge_tail(v)[1] == range_sum(count_ge(v) + 1, N)`` bit for bit.
+For ``insert_ranked`` the fold runs over the tree before the insert;
+the rotations rebuild the folded nodes into the new node's right
+subtree with the same pulls, so its ``tail`` equals
+``range_sum(rank + 1, N)`` on the tree after the insert.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Iterator, Optional
 
@@ -113,6 +137,8 @@ class RangeTree:
     def __init__(self, seed: int = 0x5EED) -> None:
         self._rng = random.Random(seed)
         self._root: Optional[RangeTreeNode] = None
+        #: The threaded last node (rank ``N``), kept by ``insert``/``delete``.
+        self._last: Optional[RangeTreeNode] = None
         self._seq = 0
         #: Number of stored nodes, kept by ``insert``/``delete``: an
         #: ``O(1)`` read with no call (hot callers read it directly).
@@ -145,13 +171,8 @@ class RangeTree:
         return t
 
     def max_node(self) -> Optional[RangeTreeNode]:
-        """The rank-N node (smallest value), or ``None`` if empty."""
-        t = self._root
-        if t is None:
-            return None
-        while t.right is not None:
-            t = t.right
-        return t
+        """The rank-N node (smallest value), or ``None`` if empty. ``Θ(1)``."""
+        return self._last
 
     # -- aggregate maintenance ---------------------------------------------------
     @staticmethod
@@ -178,10 +199,26 @@ class RangeTree:
             t.sum = s + right.sum
             t.wsum = w + right.wsum + k * right.sum
 
-    def _pull_to_root(self, t: Optional[RangeTreeNode]) -> None:
-        pull = self._pull
+    @staticmethod
+    def _pull_to_root(t: Optional[RangeTreeNode]) -> None:
+        """:meth:`_pull` ``t`` and each of its ancestors, bottom-up.
+
+        The pull formula is inlined: the same additions in the same order.
+        """
         while t is not None:
-            pull(t)
+            left, right, v = t.left, t.right, t.value
+            if left is None:
+                k, s, w = 1, v, v
+            else:
+                k = left.size + 1
+                s = left.sum + v
+                w = left.wsum + k * v
+            if right is None:
+                t.size, t.sum, t.wsum = k, s, w
+            else:
+                t.size = k + right.size
+                t.sum = s + right.sum
+                t.wsum = w + right.wsum + k * right.sum
             t = t.parent
 
     # -- rotations ---------------------------------------------------------------
@@ -211,31 +248,55 @@ class RangeTree:
 
     # -- insert --------------------------------------------------------------------
     def insert(self, value: float, payload: Any = None) -> RangeTreeNode:
-        """Insert ``value``; returns the new node. Expected ``O(log N)``."""
+        """Insert ``value``; returns the new node. Expected ``O(log N)``.
+
+        Raises ``ValueError`` if ``value`` is NaN or infinite: neither
+        has a place in the descending order the queries rely on.
+        """
+        return self.insert_ranked(value, payload)[0]
+
+    def insert_ranked(self, value: float, payload: Any = None) -> tuple[RangeTreeNode, int, float]:
+        """:meth:`insert`, returning ``(node, rank, tail)``.
+
+        ``rank`` is the new node's 1-based rank and ``tail`` the sum of
+        the values ranked after it, both read off the BST descent:
+        ``rank == rank(node)`` and ``tail == range_sum(rank + 1, N)``
+        bit for bit (see "Descent reads" in the module docstring).
+        Expected ``O(log N)``.
+        """
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"range tree values must be finite, got {value!r}")
         self._seq += 1
         # descending by value: key ascends as (-value, seq)
-        key = (-float(value), self._seq)
-        node = RangeTreeNode(float(value), payload, key, self._rng.random())
+        node = RangeTreeNode(value, payload, (-value, self._seq), self._rng.random())
         node._tree = self
         self.size += 1
 
         cur = self._root
         if cur is None:
-            self._root = node
-            return node
+            self._root = self._last = node
+            return node, 1, 0.0
 
-        # BST descent, remembering the in-order neighbours.
+        # BST descent, remembering the in-order neighbours. The new node has
+        # the largest sequence number, so ``key < cur._key`` is
+        # ``value > cur.value``; the nodes it passes on the left follow it.
         pred: Optional[RangeTreeNode] = None
         succ: Optional[RangeTreeNode] = None
+        rank = 1
+        after: list[RangeTreeNode] = []
         while True:
-            if key < cur._key:
+            if value > cur.value:
                 succ = cur
+                after.append(cur)
                 if cur.left is None:
                     cur.left = node
                     break
                 cur = cur.left
             else:
                 pred = cur
+                left = cur.left
+                rank += left.size + 1 if left is not None else 1
                 if cur.right is None:
                     cur.right = node
                     break
@@ -249,6 +310,8 @@ class RangeTree:
             pred.next = node
         if succ is not None:
             succ.prev = node
+        else:
+            self._last = node
 
         # restore the heap property on priorities (min-heap); each demoted
         # parent's children are final once it is demoted
@@ -259,7 +322,23 @@ class RangeTree:
             pull(p)
             p = node.parent
         self._pull_to_root(node)
-        return node
+        return node, rank, self._fold_tail(after)
+
+    @staticmethod
+    def _fold_tail(after: list[RangeTreeNode]) -> float:
+        """Sum the nodes a descent left to the left, with their right subtrees.
+
+        ``after`` runs top-down; the fold runs bottom-up, adding each
+        node's ``value`` and then its right child's ``sum``, which is
+        ``range_sum``'s order for the same suffix.
+        """
+        tail = 0.0
+        for t in reversed(after):
+            tail += t.value
+            right = t.right
+            if right is not None:
+                tail += right.sum
+        return tail
 
     # -- delete ----------------------------------------------------------------------
     def delete(self, node: RangeTreeNode) -> None:
@@ -292,6 +371,8 @@ class RangeTree:
             node.prev.next = node.next
         if node.next is not None:
             node.next.prev = node.prev
+        else:
+            self._last = node.prev
         node.prev = node.next = node.parent = None
         node._tree = None
         self.size -= 1
@@ -348,6 +429,25 @@ class RangeTree:
             else:
                 t = t.left
         return count
+
+    def count_ge_tail(self, value: float) -> tuple[int, float]:
+        """``(count_ge(value), Σ of the stored values < value)`` in one descent.
+
+        The sum is ``range_sum(count_ge(value) + 1, N)`` bit for bit (see
+        "Descent reads" in the module docstring). Read-only, ``O(log N)``.
+        """
+        value = float(value)
+        t, count = self._root, 0
+        after: list[RangeTreeNode] = []
+        while t is not None:
+            if t.value >= value:
+                left = t.left
+                count += left.size + 1 if left is not None else 1
+                t = t.right
+            else:
+                after.append(t)
+                t = t.left
+        return count, self._fold_tail(after)
 
     # -- range aggregates (Equations 28-30) ---------------------------------------
     def range_sum(self, a: int, b: int) -> float:
@@ -460,6 +560,7 @@ class RangeTree:
         # threading must visit the same nodes in the same order
         threaded = list(self)
         assert [id(n) for n in nodes] == [id(n) for n in threaded], "threading out of sync"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+        assert self._last is (nodes[-1] if nodes else None), "last node out of sync"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         for i, n in enumerate(nodes):
             expected_prev = nodes[i - 1] if i > 0 else None
             expected_next = nodes[i + 1] if i + 1 < len(nodes) else None

@@ -9,14 +9,19 @@ must agree with it exactly (cores, slots, bitwise-equal rates).
 per-core :meth:`~repro.models.cost.CostModel.interactive_marginal_cost`
 calls; LMC's one-pass choice in
 :meth:`repro.schedulers.lmc.LMCOnlineScheduler.select_core` must pick
-the same core from bitwise-equal costs.
+the same core from bitwise-equal costs. :func:`marginal_insert_costs`
+and :func:`choose_core_noninteractive` are the non-interactive choice as
+a list of per-core Equation 32 increases and its argmin; the one-loop
+:meth:`repro.core.online_lmc.LeastMarginalCostPolicy.choose_core_noninteractive`
+must pick the same core.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.dominating import DominatingRanges
+from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.task import Task
 from repro.structures.indexed_heap import IndexedMinHeap
@@ -69,4 +74,28 @@ def choose_core_interactive(models: Sequence[CostModel], cycles: float,
         raise ValueError("delayed_counts must have one entry per core")
     costs = [m.interactive_marginal_cost(cycles, n)
              for m, n in zip(models, delayed_counts)]
+    return costs.index(min(costs))
+
+
+def marginal_insert_costs(policy: LeastMarginalCostPolicy, cycles: float,
+                          head_delays: Optional[Sequence[float]] = None) -> list[float]:
+    """Per-core marginal queue costs for one non-interactive task.
+
+    Entry ``j`` is core ``j``'s Equation 32 increase from
+    :meth:`~repro.core.dynamic.DynamicCostIndex.marginal_insert_cost`
+    plus ``Rt × head_delays[j]`` when delays are given.
+    """
+    if head_delays is not None and len(head_delays) != policy.n_cores:
+        raise ValueError("head_delays must have one entry per core")
+    costs = [q.marginal_insert_cost(cycles) for q in policy.queues]
+    if head_delays is not None:
+        rt = policy.models[0].rt
+        costs = [c + rt * d for c, d in zip(costs, head_delays)]
+    return costs
+
+
+def choose_core_noninteractive(policy: LeastMarginalCostPolicy, cycles: float,
+                               head_delays: Optional[Sequence[float]] = None) -> int:
+    """The argmin of :func:`marginal_insert_costs`; ties break to the lowest core."""
+    costs = marginal_insert_costs(policy, cycles, head_delays)
     return costs.index(min(costs))

@@ -57,6 +57,17 @@ class TestEmptyAndSingle:
         index.check_invariants()
 
 
+    def test_rejected_delete_is_not_counted(self, online_model):
+        index, other = DynamicCostIndex(online_model), DynamicCostIndex(online_model)
+        index.insert(3.0)
+        foreign = other.insert(3.0)
+        with pytest.raises(ValueError, match="does not belong"):
+            index.delete(foreign)
+        assert index.counters == {"inserts": 1, "deletes": 0, "probes": 0}
+        assert len(index) == 1 and len(other) == 1
+        index.check_invariants()
+
+
 class TestAgainstClosedForm:
     def test_matches_equation_17(self, index, online_model):
         """C equals Σ CB*(k)·L^B_k, i.e. the Algorithm 2 optimal cost."""

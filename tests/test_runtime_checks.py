@@ -19,6 +19,7 @@ from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.obs.metrics import MetricsRegistry
 from repro.schedulers.yds import yds_schedule
+from repro.structures import RangeTree
 
 
 class TestCostModel:
@@ -82,6 +83,23 @@ class TestDynamicIndexBoundaries:
         index._alpha[1] = None
         with pytest.raises(RuntimeError, match="range 1 is non-empty"):
             index.delete(index.tree.min_node())
+
+
+class TestRangeTreeValues:
+    """NaN has no place in the descending order, and ±inf breaks ``range_delta``."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        tree = RangeTree()
+        for v in (3.0, 1.0):
+            tree.insert(v)
+        for op in (tree.insert, tree.insert_ranked):
+            with pytest.raises(ValueError, match=f"finite, got {value!r}"):
+                op(value)
+        tree.insert(2.0)
+        assert tree.values() == [3.0, 2.0, 1.0]
+        assert tree.count_ge(2.0) == 2
+        tree.check_invariants()
 
 
 class TestWorkloadBasedGreedy:
