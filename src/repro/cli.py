@@ -343,6 +343,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         save_report_file,
     )
+    from repro.perf.report import check_threshold
 
     if args.list_scenarios:
         for name in sorted(ALL_SCENARIOS):
@@ -350,6 +351,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_CLEAN
 
     try:
+        check_threshold(args.threshold)
         report = run_bench(
             scenarios=args.scenario,
             quick=args.quick,

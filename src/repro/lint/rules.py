@@ -32,7 +32,7 @@ rest* on every commit:
   the differential fuzzer's scheduler sweep) cannot silently miss one.
 * **RP007** — direct ``multiprocessing`` / ``concurrent.futures``
   imports outside ``parallel/``. All process fan-out goes through
-  :mod:`repro.parallel` so seeding, ordered merge, and fallback policy
+  :mod:`repro.parallel` so the ordered merge and the fallback policy
   stay in one audited place (docs/PARALLELISM.md).
 * **RP008** — bare ``assert`` statements outside ``lint/``.
   ``python -O`` strips them, so a runtime check written as an
@@ -379,8 +379,8 @@ class PoolBoundaryRule(Rule):
                     yield self.finding(
                         mod, node,
                         f"direct import of {name}; process fan-out goes through "
-                        f"repro.parallel (run_sharded) so seeding and merge "
-                        f"order stay deterministic",
+                        f"repro.parallel (run_sharded) so the merge order "
+                        f"stays deterministic",
                     )
                     break
 

@@ -144,19 +144,40 @@ def load_report_file(path: Path | str) -> dict[str, BenchReport]:
 def save_report_file(
     path: Path | str, report: BenchReport, existing: Optional[Mapping[str, BenchReport]] = None
 ) -> None:
-    """Write ``report`` into its profile slot, preserving other profiles.
+    """Merge ``report`` into its profile slot, preserving everything else.
 
-    ``existing`` is the previously loaded content (so a ``--quick`` run
-    does not clobber the committed full numbers, and vice versa).
+    ``existing`` is the previously loaded content. Other profiles are
+    kept (so a ``--quick`` run does not clobber the committed full
+    numbers, and vice versa), and so are the scenarios of ``report``'s
+    own profile that this run did not measure (so ``repro bench
+    --scenario X`` rewrites X alone); the profile's ``repeats`` is the
+    run's.
     """
-    profiles = {name: rep.to_dict() for name, rep in (existing or {}).items()}
-    profiles[report.profile] = report.to_dict()
+    profiles = dict(existing or {})
+    old = profiles.get(report.profile)
+    if old is not None:
+        report = BenchReport(
+            profile=report.profile,
+            repeats=report.repeats,
+            scenarios={**old.scenarios, **report.scenarios},
+        )
+    profiles[report.profile] = report
     payload = {
         "schema_version": SCHEMA_VERSION,
         "suite": SUITE_NAME,
-        "profiles": {name: profiles[name] for name in sorted(profiles)},
+        "profiles": {name: profiles[name].to_dict() for name in sorted(profiles)},
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless ``threshold`` is a usable relative gate.
+
+    A NaN or infinite threshold would pass any slowdown, so only
+    ``0 <= threshold < inf`` is accepted.
+    """
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +223,7 @@ def compare_reports(
     ``TIME_NOISE_FLOOR_S`` absolute. Scenarios new in
     ``current`` are reported informationally — they gate once committed.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    check_threshold(threshold)
     findings: list[Finding] = []
     for name in sorted(current.scenarios):
         cur = current.scenarios[name]

@@ -215,13 +215,12 @@ SWEEPS: Dict[str, SweepSpec] = {
 }
 
 
-def _sweep_worker(payload: Tuple[str, Dict[str, Any], bool], seed: int) -> Dict[str, Any]:
+def _sweep_worker(payload: Tuple[str, Dict[str, Any], bool]) -> Dict[str, Any]:
     """Run one grid cell in a worker process.
 
-    The derived ``seed`` is unused on purpose: every cell's seed is part
-    of its pinned config, which is what keeps a sweep's rows identical
-    across ``--jobs`` values (and identical to the old hand-rolled
-    serial benchmarks).
+    Every cell's seed is part of its pinned config, which is what keeps
+    a sweep's rows identical across ``--jobs`` values (and identical to
+    the old hand-rolled serial benchmarks).
     """
     name, cell, quick = payload
     return SWEEPS[name].run_cell(cell, quick)
@@ -259,7 +258,6 @@ def run_sweep(
     name: str,
     jobs: int = 1,
     quick: bool = False,
-    root_seed: int = 0,
     log: Optional[Callable[[str], None]] = None,
 ) -> SweepRun:
     """Execute one registered sweep grid, sharded across ``jobs`` workers.
@@ -281,7 +279,6 @@ def run_sweep(
     rows = run_sharded(
         _sweep_worker,
         [(name, cell, quick) for cell in cells],
-        root_seed=root_seed,
         jobs=jobs,
         log=log,
     )
@@ -329,23 +326,20 @@ def sweep_scenario_result(
 def record_sweep(
     path: Any, run: SweepRun, serial_elapsed_s: Optional[float] = None
 ) -> ScenarioResult:
-    """Write ``run`` into the ``sweep`` profile of a bench report file.
+    """Merge ``run`` into the ``sweep`` profile of a bench report file.
 
     Preserves the ``full``/``quick`` profiles and any other recorded
-    sweeps; returns the recorded :class:`ScenarioResult`.
+    sweeps (:func:`~repro.perf.report.save_report_file` merges); returns
+    the recorded :class:`ScenarioResult`.
     """
     from pathlib import Path
 
     from repro.perf.report import load_report_file, save_report_file
 
     target = Path(path)
-    existing: Dict[str, BenchReport] = {}
-    if target.exists():
-        existing = load_report_file(target)
-    scenarios = dict(existing[SWEEP_PROFILE].scenarios) if SWEEP_PROFILE in existing else {}
+    existing = load_report_file(target) if target.exists() else {}
     result = sweep_scenario_result(run, serial_elapsed_s)
-    scenarios[result.name] = result
-    report = BenchReport(profile=SWEEP_PROFILE, repeats=1, scenarios=scenarios)
+    report = BenchReport(profile=SWEEP_PROFILE, repeats=1, scenarios={result.name: result})
     save_report_file(target, report, existing=existing)
     return result
 

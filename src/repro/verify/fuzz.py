@@ -12,21 +12,24 @@ any that still fail — and the minimal repro is printed as a
 ready-to-paste pytest function that calls
 :func:`repro.verify.differential.replay`.
 
-With ``jobs > 1`` the case indices shard across worker processes via
-:mod:`repro.parallel`. Because every case is already a pure function of
-its ``seed_key``, the sharded sweep finds exactly the failures the
-serial sweep finds; the merge orders them by (case index, check order)
-— the serial iteration order — so the *reported* counterexample is the
-lowest-index one, not the first worker to finish, and shrinking happens
-in the parent on that deterministic selection. The wall-clock
-``budget`` option is serial-only (a time cutoff makes the visited case
-set scheduling-dependent, which is exactly what the sharded path
-promises never to be) — combining it with ``jobs > 1`` raises.
+One loop consumes each case index's failures in (case index, check
+order). With ``jobs = 1`` it computes them one case at a time, so the
+wall-clock ``budget`` and ``max_failures`` stop the run early; with
+``jobs > 1`` the case indices shard across worker processes via
+:mod:`repro.parallel` up front. Because every case is a pure function
+of its ``seed_key``, both find the same failures in the same order, so
+the *reported* counterexample is the lowest-index one, not the first
+worker to finish, and shrinking happens in the parent on that
+deterministic selection. The ``budget`` option is serial-only (a time
+cutoff makes the visited case set scheduling-dependent, which is
+exactly what the sharded path promises never to be) — combining it
+with ``jobs > 1`` raises.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -120,13 +123,12 @@ def render_repro(failure: FuzzFailure) -> str:
     )
 
 
-def _case_worker(payload: tuple, derived_seed: int) -> list:
+def _case_worker(payload: tuple) -> list:
     """Run every check against one case index (one work item).
 
     Returns ``(check_name, seed_key, case, failures)`` tuples in check
-    order. The executor's ``derived_seed`` is deliberately unused: the
-    fuzzer's reproducibility contract is the ``seed_key`` string, which
-    must stay identical to the serial path's.
+    order. Each case's RNG is keyed by its ``seed_key`` string alone,
+    so the result is the same in any process.
     """
     seed, names, i = payload
     out = []
@@ -139,43 +141,18 @@ def _case_worker(payload: tuple, derived_seed: int) -> list:
     return out
 
 
-def _run_fuzz_sharded(
-    report: FuzzReport,
-    names: Sequence[str],
-    cases: int,
-    jobs: int,
-    max_failures: int,
+def _shrunk_failure(
+    name: str, seed_key: str, case: dict, failures: list[str],
     log: Callable[[str], None],
-) -> None:
-    """The ``jobs > 1`` sweep: shard case indices, merge, shrink in order."""
-    from repro.parallel import run_sharded
-
-    per_case_hits = run_sharded(
-        _case_worker,
-        [(report.seed, tuple(names), i) for i in range(cases)],
-        root_seed=report.seed,
-        jobs=jobs,
-        log=log,
-    )
-    report.cases_run = cases * len(names)
-    # per_case_hits is ordered by case index and each worker emits in
-    # check order, so flattening reproduces the serial (i, check)
-    # iteration order — the lowest case index wins, not the fastest
-    # worker. Shrinking is deterministic per case, so doing it here in
-    # the parent yields byte-identical minimal repros to a serial run.
-    flat = [hit for per_case in per_case_hits for hit in per_case]
-    for name, seed_key, case, failures in flat[:max_failures]:
-        log(f"FAIL {seed_key}: {failures[0]}")
-        fail = FuzzFailure(check=name, seed_key=seed_key, case=case,
-                           failures=failures)
-        log(f"  shrinking (budget {_SHRINK_BUDGET} evals)...")
-        shrunk, shrunk_failures = shrink(name, case)
-        if _case_size(shrunk) < _case_size(case):
-            fail.shrunk_case, fail.shrunk_failures = shrunk, shrunk_failures
-        report.failures.append(fail)
-    if len(flat) > max_failures:
-        log(f"stopping at {max_failures} failures "
-            f"({len(flat) - max_failures} more found in the sharded sweep)")
+) -> FuzzFailure:
+    """Record one divergence, shrunk when a smaller case still fails."""
+    log(f"FAIL {seed_key}: {failures[0]}")
+    fail = FuzzFailure(check=name, seed_key=seed_key, case=case, failures=failures)
+    log(f"  shrinking (budget {_SHRINK_BUDGET} evals)...")
+    shrunk, shrunk_failures = shrink(name, case)
+    if _case_size(shrunk) < _case_size(case):
+        fail.shrunk_case, fail.shrunk_failures = shrunk, shrunk_failures
+    return fail
 
 
 def run_fuzz(
@@ -194,28 +171,38 @@ def run_fuzz(
     seed:
         Master seed; the whole run is a pure function of it.
     cases:
-        Cases **per check** (the round-robin interleaves checks so a
-        time budget still touches all of them).
+        Cases **per check**; case index ``i`` runs every check before
+        ``i + 1`` starts, so a time budget still touches all of them.
     checks:
         Subset of check names (default: all).
     budget:
-        Optional wall-clock limit in seconds; the run stops cleanly
-        when exceeded. Serial-only: with ``jobs > 1`` a time cutoff
-        would make the visited case set depend on scheduling, so the
-        combination raises ``ValueError``.
+        Optional wall-clock limit in seconds, checked before each case
+        index; the run stops cleanly when exceeded. Serial-only: with
+        ``jobs > 1`` a time cutoff would make the visited case set
+        depend on scheduling, so the combination raises ``ValueError``.
     max_failures:
         Stop after this many distinct failures (shrinking each is the
         expensive part).
     jobs:
         Worker processes; case indices shard via :mod:`repro.parallel`
-        and the reported failures are identical to ``jobs=1``.
+        and the report is identical to ``jobs=1``.
     log:
         Progress sink (the CLI passes ``print``).
+
+    Raises ``ValueError`` naming the argument for an unknown check,
+    ``cases < 0``, ``max_failures < 1``, a budget that is not positive
+    and finite, ``jobs < 1``, or a budget with ``jobs > 1``.
     """
-    names = list(checks) if checks else sorted(ALL_CHECKS)
+    names = tuple(checks) if checks else tuple(sorted(ALL_CHECKS))
     for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; have {sorted(ALL_CHECKS)}")
+    if cases < 0:
+        raise ValueError(f"cases must be >= 0, got {cases}")
+    if max_failures < 1:
+        raise ValueError(f"max_failures must be >= 1, got {max_failures}")
+    if budget is not None and not 0 < budget < math.inf:
+        raise ValueError(f"budget must be a positive finite number of seconds, got {budget}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1 and budget is not None:
@@ -223,40 +210,28 @@ def run_fuzz(
                          "with --jobs 1; use --cases to bound a sharded run")
     report = FuzzReport(seed=seed)
     start = time.monotonic()
-
+    sharded = None
     if jobs > 1:
-        _run_fuzz_sharded(report, names, cases, jobs, max_failures, log)
-        report.elapsed = time.monotonic() - start
-        return report
+        from repro.parallel import run_sharded
 
-    done = False
+        sharded = run_sharded(
+            _case_worker, [(seed, names, i) for i in range(cases)], jobs=jobs, log=log
+        )
+    # The one consumer loop: hits arrive in (case index, check order),
+    # the serial iteration order, so the reported counterexample is the
+    # lowest-index one whatever ``jobs`` is, and shrinking is
+    # deterministic per case, so the minimal repros are byte-identical.
     for i in range(cases):
-        if done:
+        if budget is not None and time.monotonic() - start > budget:
+            log(f"time budget {budget:g}s reached after {report.cases_run} cases")
             break
-        for name in names:
-            if budget is not None and time.monotonic() - start > budget:
-                log(f"time budget {budget:g}s reached after {report.cases_run} cases")
-                done = True
-                break
-            seed_key = f"{seed}:{name}:{i}"
-            rng = random.Random(seed_key)
-            check = ALL_CHECKS[name]
-            case = check.generate(rng)
-            failures = run_case(name, case)
-            report.cases_run += 1
-            if failures:
-                log(f"FAIL {seed_key}: {failures[0]}")
-                fail = FuzzFailure(check=name, seed_key=seed_key, case=case,
-                                   failures=failures)
-                log(f"  shrinking (budget {_SHRINK_BUDGET} evals)...")
-                shrunk, shrunk_failures = shrink(name, case)
-                if _case_size(shrunk) < _case_size(case):
-                    fail.shrunk_case, fail.shrunk_failures = shrunk, shrunk_failures
-                report.failures.append(fail)
-                if len(report.failures) >= max_failures:
-                    log(f"stopping at {max_failures} failures")
-                    done = True
-                    break
+        hits = sharded[i] if sharded is not None else _case_worker((seed, names, i))
+        report.cases_run += len(names)
+        for hit in hits[:max_failures - len(report.failures)]:
+            report.failures.append(_shrunk_failure(*hit, log))
+        if len(report.failures) >= max_failures:
+            log(f"stopping at {max_failures} failures")
+            break
     report.elapsed = time.monotonic() - start
     return report
 

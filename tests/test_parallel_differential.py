@@ -65,10 +65,6 @@ def test_bench_rejects_bad_jobs():
 
 def test_fuzz_jobs2_reports_the_same_counterexample(monkeypatch):
     monkeypatch.setitem(ALL_CHECKS, "_planted", _PlantedCheck())
-    serial = run_fuzz(seed=5, cases=12, checks=["_planted"], max_failures=2)
-    sharded = run_fuzz(seed=5, cases=12, checks=["_planted"], max_failures=2,
-                       jobs=2)
-    assert not serial.ok and not sharded.ok
 
     def key(report):
         return [
@@ -77,10 +73,19 @@ def test_fuzz_jobs2_reports_the_same_counterexample(monkeypatch):
             for f in report.failures
         ]
 
-    # same failures, same order, byte-identical shrunk repros
-    assert key(sharded) == key(serial)
-    # the winner is the lowest case index under the serial iteration
-    assert serial.failures[0].seed_key == "5:_planted:0"
+    for max_failures in (1, 2, 3):
+        serial = run_fuzz(seed=5, cases=12, checks=["_planted"],
+                          max_failures=max_failures)
+        sharded = run_fuzz(seed=5, cases=12, checks=["_planted"],
+                           max_failures=max_failures, jobs=2)
+        assert not serial.ok and not sharded.ok
+        # same failures, same order, byte-identical shrunk repros
+        assert key(sharded) == key(serial)
+        assert len(serial.failures) == max_failures
+        # both stop after the same case: the reports count equal work
+        assert sharded.cases_run == serial.cases_run
+        # the winner is the lowest case index under the serial iteration
+        assert serial.failures[0].seed_key == "5:_planted:0"
 
 
 def test_fuzz_jobs2_clean_sweep_counts_all_cases():

@@ -1,7 +1,6 @@
 """Tests for the deterministic fan-out layer (src/repro/parallel/).
 
-Covers the pinned seed derivation, the ordered map that is
-bit-identical to the serial loop, the serial rerun when a pool worker
+Covers the ordered map that is bit-identical to the serial loop, the serial rerun when a pool worker
 dies, and exception propagation.
 
 The workers below are module-level on purpose: pool workers must be
@@ -17,7 +16,7 @@ import os
 
 import pytest
 
-from repro.parallel import SEED_BITS, run_sharded, seed_for, spawn_seeds
+from repro.parallel import run_sharded
 
 
 # ---------------------------------------------------------------------------
@@ -25,55 +24,26 @@ from repro.parallel import SEED_BITS, run_sharded, seed_for, spawn_seeds
 # ---------------------------------------------------------------------------
 
 
-def _echo(payload, seed):
-    return (payload, seed)
+def _echo(payload):
+    return (payload, -payload)
 
 
-def _square(payload, seed):
+def _square(payload):
     return payload * payload
 
 
-def _pid(payload, seed):
+def _pid(payload):
     return os.getpid()
 
 
-def _crash_in_worker(payload, seed):
+def _crash_in_worker(payload):
     if multiprocessing.parent_process() is not None:
         os._exit(17)  # hard-kill the pool worker; fine in the parent
     return payload + 1
 
 
-def _always_raises(payload, seed):
+def _always_raises(payload):
     raise ValueError(f"bad payload {payload}")
-
-
-# ---------------------------------------------------------------------------
-# seed derivation
-# ---------------------------------------------------------------------------
-
-
-class TestSeeds:
-    def test_seed_values_are_pinned(self):
-        # frozen constants: a change here silently invalidates every
-        # committed artifact produced under --jobs
-        assert seed_for(0, 0) == 6896483819881146115
-        assert seed_for(0, 1) == 6440381980821027716
-        assert seed_for(7, 0) == 5642997428398471325
-        assert seed_for(-3, 5) == 3810670195432937049
-
-    def test_seed_range_and_distinctness(self):
-        seeds = spawn_seeds(42, 500)
-        assert len(set(seeds)) == 500
-        assert all(0 <= s < 2**SEED_BITS for s in seeds)
-
-    def test_seed_is_pure_in_root_and_index(self):
-        assert seed_for(1, 2) == seed_for(1, 2)
-        assert seed_for(1, 2) != seed_for(2, 1)
-        assert seed_for(12, 0) != seed_for(1, 20)  # no textual aliasing
-
-    def test_spawn_rejects_negative(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +54,18 @@ class TestSeeds:
 class TestMergeDeterminism:
     def test_serial_matches_the_documented_comprehension(self):
         payloads = list(range(17))
-        assert run_sharded(_echo, payloads, root_seed=9) == [
-            (p, seed_for(9, i)) for i, p in enumerate(payloads)
-        ]
+        assert run_sharded(_echo, payloads) == [_echo(p) for p in payloads]
 
     def test_parallel_is_bit_identical_to_serial(self):
         payloads = list(range(23))
-        serial = run_sharded(_echo, payloads, root_seed=3)
-        assert run_sharded(_echo, payloads, root_seed=3, jobs=2) == serial
+        serial = run_sharded(_echo, payloads)
+        assert run_sharded(_echo, payloads, jobs=2) == serial
 
     def test_chunk_size_never_changes_the_output(self):
         # the chunk size is derived from jobs: 11 items give chunks of
         # 2, 1 and 1 under jobs = 2, 3 and 5
         payloads = list(range(11))
-        outputs = [run_sharded(_square, payloads, root_seed=1, jobs=j)
-                   for j in (2, 3, 5)]
+        outputs = [run_sharded(_square, payloads, jobs=j) for j in (2, 3, 5)]
         assert outputs[0] == outputs[1] == outputs[2] == [p * p for p in payloads]
 
     def test_parallel_items_run_in_child_processes(self):

@@ -9,6 +9,9 @@ the CLI subcommand's stable exit codes.
 from __future__ import annotations
 
 import json
+import math
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +122,14 @@ def test_compare_rejects_negative_threshold() -> None:
         compare_reports(_report(_result()), _report(_result()), threshold=-0.1)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_compare_rejects_non_finite_threshold(threshold: float) -> None:
+    # a 9x scaled slowdown would pass such a gate with no finding
+    slow, base = _report(_result(time=9.0)), _report(_result(time=1.0))
+    with pytest.raises(ValueError, match="threshold"):
+        compare_reports(slow, base, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # persistence: profiles merge, schema validates
 # ---------------------------------------------------------------------------
@@ -201,6 +212,33 @@ def test_cli_bench_detects_planted_regression(tmp_path) -> None:
     scenario["ops"]["probes"] -= 1  # pretend the baseline behaved differently
     out.write_text(json.dumps(raw))
     assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
+
+
+def test_cli_bench_scenario_keeps_unmeasured_entries(tmp_path) -> None:
+    committed = Path(__file__).resolve().parents[1] / "BENCH_schedulers.json"
+    out = tmp_path / "BENCH_schedulers.json"
+    shutil.copyfile(committed, out)
+    before = json.loads(out.read_text())["profiles"]
+    assert main(["bench", "--quick", "--repeats", "1", "--no-compare",
+                 "--scenario", "dynamic_churn", "--out", str(out)]) == EXIT_CLEAN
+    after = json.loads(out.read_text())["profiles"]
+    assert set(after) == set(before)
+    for profile, report in before.items():
+        for name, entry in report["scenarios"].items():
+            if (profile, name) == ("quick", "dynamic_churn"):
+                continue
+            assert json.dumps(after[profile]["scenarios"][name], sort_keys=True) == \
+                json.dumps(entry, sort_keys=True), (profile, name)
+    assert set(after["quick"]["scenarios"]) == set(before["quick"]["scenarios"])
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_cli_bench_rejects_non_finite_threshold(tmp_path, threshold: str) -> None:
+    out = tmp_path / "BENCH.json"
+    code = main(["bench", "--quick", "--repeats", "1", "--threshold", threshold,
+                 "--scenario", "dynamic_churn", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert not out.exists()
 
 
 def test_cli_bench_unknown_scenario_is_error(tmp_path) -> None:

@@ -6,6 +6,7 @@ under ``python -O`` as well as normally.
 """
 
 import math
+import random
 
 import pytest
 
@@ -18,8 +19,11 @@ from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.obs.metrics import MetricsRegistry
+from repro.cli import main
 from repro.schedulers.yds import yds_schedule
 from repro.structures import RangeTree
+from repro.verify import ALL_CHECKS, run_fuzz
+from repro.verify.differential import DifferentialCheck
 
 
 class TestCostModel:
@@ -129,3 +133,43 @@ class TestMetricsRegistry:
         for make in (reg.gauge, lambda name: reg.histogram(name, [1.0])):
             with pytest.raises(ValueError, match="already registered as a counter"):
                 make("x")
+
+
+class _AlwaysFails(DifferentialCheck):
+    name = "_always_fails"
+
+    def generate(self, rng: random.Random) -> dict:
+        return {"x": rng.randint(0, 9)}
+
+    def run(self, case: dict) -> list[str]:
+        return [f"planted divergence on {case['x']}"]
+
+
+class TestFuzzArguments:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_zero_max_failures_rejected(self, monkeypatch, jobs):
+        # a sweep that stops at zero failures used to report a failing
+        # check as clean (sharded) or record one failure anyway (serial)
+        monkeypatch.setitem(ALL_CHECKS, "_always_fails", _AlwaysFails())
+        with pytest.raises(ValueError, match="max_failures"):
+            run_fuzz(seed=0, cases=4, checks=["_always_fails"], max_failures=0, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_negative_cases_rejected(self, jobs):
+        with pytest.raises(ValueError, match="cases"):
+            run_fuzz(seed=0, cases=-3, jobs=jobs)
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            run_fuzz(seed=0, cases=2, budget=budget)
+
+    @pytest.mark.parametrize("flags", [
+        ["--cases", "-3"],
+        ["--cases", "2", "--max-failures", "0"],
+        ["--cases", "2", "--budget", "-1"],
+        ["--cases", "2", "--budget", "nan"],
+    ])
+    def test_cli_exits_2(self, flags, capsys):
+        assert main(["fuzz", *flags]) == 2
+        assert "error:" in capsys.readouterr().out
