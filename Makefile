@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-par figures examples lint typecheck docs-check clean
+.PHONY: install test test-fast bench figures examples lint typecheck docs-check clean
 
 install:
 	$(PYTHON) -m pip install -e '.[dev]'
@@ -15,15 +15,6 @@ test-fast:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Parallel smoke profile (docs/PARALLELISM.md): every --jobs consumer,
-# sharded across 2 workers. Output is bit-identical to serial by
-# contract; the very loose bench threshold keeps contended wall times
-# (2 workers can share one core) from flaking the deterministic gate.
-bench-par:
-	$(PYTHON) -m repro bench --quick --jobs 2 --threshold 4.0
-	$(PYTHON) -m repro fuzz --seed 0 --cases 50 --jobs 2
-	$(PYTHON) -m repro sweep cost_weights --quick --jobs 2 --compare-serial
 
 lint:
 	$(PYTHON) -m repro lint src

@@ -9,11 +9,8 @@ on energy); when energy is nearly free, WBG converges to all-maximum
 dominating ranges.
 
 The ratio grid is the registered ``cost_weights`` sweep (``repro sweep
-cost_weights``); set ``REPRO_SWEEP_JOBS=N`` to shard the cells across
-worker processes with a bit-identical merge (docs/PARALLELISM.md).
+cost_weights``).
 """
-
-import os
 
 import pytest
 
@@ -23,12 +20,10 @@ from repro.models.rates import TABLE_II
 from repro.perf.sweep import COST_WEIGHT_RATIOS, run_sweep
 from repro.schedulers import wbg_plan
 
-JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
-
 
 def test_cost_weight_sweep(benchmark):
     run = benchmark.pedantic(
-        lambda: run_sweep("cost_weights", jobs=JOBS), rounds=1, iterations=1
+        lambda: run_sweep("cost_weights"), rounds=1, iterations=1
     )
     assert [(row["re"], row["rt"]) for row in run.rows] == list(COST_WEIGHT_RATIOS)
     rows = [

@@ -7,12 +7,8 @@ evidence that the headline is a property of the workload *shape*, not
 of one lucky draw.
 
 The per-seed grid is the registered ``fig3_replication`` sweep
-(``repro sweep fig3_replication``); set ``REPRO_SWEEP_JOBS=N`` to fan
-the seeds out across worker processes — the merged rows are
-bit-identical to a serial run (docs/PARALLELISM.md).
+(``repro sweep fig3_replication``).
 """
-
-import os
 
 import pytest
 
@@ -20,12 +16,10 @@ from conftest import emit
 from repro.analysis.stats import bootstrap_ci
 from repro.perf.sweep import FIG3_SEEDS, run_sweep
 
-JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
-
 
 def test_fig3_margins_across_seeds(benchmark):
     run = benchmark.pedantic(
-        lambda: run_sweep("fig3_replication", jobs=JOBS), rounds=1, iterations=1
+        lambda: run_sweep("fig3_replication"), rounds=1, iterations=1
     )
     assert [row["seed"] for row in run.rows] == list(FIG3_SEEDS)
     vs_olb = [row["vs_olb_total_pct"] for row in run.rows]

@@ -6,20 +6,14 @@ shapes. This sweep re-runs the batch comparison at 1-16 cores and the
 total-cost margins per configuration.
 
 Both halves are cells of the registered ``core_count`` sweep
-(``repro sweep core_count``); set ``REPRO_SWEEP_JOBS=N`` to shard the
-grid across worker processes with a bit-identical merge
-(docs/PARALLELISM.md).
+(``repro sweep core_count``).
 """
-
-import os
 
 import pytest
 
 from conftest import emit
 from repro.analysis.reporting import format_table
 from repro.perf.sweep import CORE_COUNTS_BATCH, CORE_COUNTS_ONLINE, run_sweep
-
-JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
 
 
 def _rows(run, mode):
@@ -28,7 +22,7 @@ def _rows(run, mode):
 
 def test_batch_margin_vs_core_count(benchmark):
     run = benchmark.pedantic(
-        lambda: run_sweep("core_count", jobs=JOBS), rounds=1, iterations=1
+        lambda: run_sweep("core_count"), rounds=1, iterations=1
     )
     batch = _rows(run, "batch")
     assert [row["n_cores"] for row in batch] == list(CORE_COUNTS_BATCH)
@@ -54,7 +48,7 @@ def test_batch_margin_vs_core_count(benchmark):
 
 def test_online_margin_vs_core_count(benchmark):
     run = benchmark.pedantic(
-        lambda: run_sweep("core_count", jobs=JOBS), rounds=1, iterations=1
+        lambda: run_sweep("core_count"), rounds=1, iterations=1
     )
     online = _rows(run, "online")
     assert [row["n_cores"] for row in online] == list(CORE_COUNTS_ONLINE)

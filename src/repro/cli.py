@@ -15,16 +15,13 @@ Installed as ``repro-dvfs`` (also ``python -m repro``). Subcommands:
   (or save) the structured decision log (see docs/OBSERVABILITY.md);
 * ``explain`` — reconstruct why a task got its core / position / rate
   from a decision trace, citing the paper's equations;
-* ``fuzz`` — seeded differential fuzzer (fast vs naive implementations;
-  ``--jobs N`` shards the case sweep deterministically);
+* ``fuzz`` — seeded differential fuzzer (fast vs naive implementations);
 * ``lint`` — domain-aware static analysis (determinism / tolerance /
   scheduler-contract rules; see docs/STATIC_ANALYSIS.md);
 * ``bench`` — deterministic perf suite with a regression gate against
-  the committed ``BENCH_schedulers.json`` (see docs/PERFORMANCE.md;
-  ``--jobs N`` runs scenarios in parallel worker processes);
+  the committed ``BENCH_schedulers.json`` (see docs/PERFORMANCE.md);
 * ``sweep`` — seeded experiment grids (Figure 3 replication, pricing
-  ablation, core-count scaling) sharded across worker processes with a
-  bit-identical merge (see docs/PARALLELISM.md).
+  ablation, core-count scaling; see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -315,7 +312,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             checks=checks,
             budget=args.budget,
             max_failures=args.max_failures,
-            jobs=args.jobs,
             log=print,
         )
     except ValueError as exc:
@@ -356,7 +352,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             scenarios=args.scenario,
             quick=args.quick,
             repeats=args.repeats,
-            jobs=args.jobs,
             log=print,
         )
     except KeyError as exc:
@@ -409,27 +404,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: name a sweep to run (available: {', '.join(sorted(SWEEPS))}) "
               "or pass --list")
         return EXIT_ERROR
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1")
-        return EXIT_ERROR
 
     try:
-        run = run_sweep(args.name, jobs=args.jobs, quick=args.quick, log=print)
+        run = run_sweep(args.name, quick=args.quick, log=print)
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return EXIT_ERROR
-
-    serial_elapsed = None
-    if args.compare_serial and args.jobs > 1:
-        serial = run_sweep(args.name, jobs=1, quick=args.quick, log=print)
-        serial_elapsed = serial.elapsed_s
-        if serial.rows != run.rows:
-            print("error: sharded rows diverged from the serial rows "
-                  "(determinism bug — please report)")
-            return EXIT_ERROR
-        print(f"sweep {args.name}: serial {serial_elapsed:.3f}s vs "
-              f"jobs={args.jobs} {run.elapsed_s:.3f}s "
-              f"(speedup {serial_elapsed / run.elapsed_s:.2f}x, rows identical)")
 
     def _cell(h: str, v: object) -> str:
         if isinstance(v, float):
@@ -442,10 +422,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [tuple(_cell(h, row[h]) if h in row else "" for h in headers) for row in run.rows]
     print(format_table(headers, rows,
                        title=f"sweep {args.name} ({'quick' if args.quick else 'full'})"))
-    print(f"{len(run.rows)} cells in {run.elapsed_s:.3f}s  jobs={run.jobs}  "
-          f"checksum={run.checksum}")
+    print(f"{len(run.rows)} cells in {run.elapsed_s:.3f}s  checksum={run.checksum}")
     if args.record:
-        result = record_sweep(args.out, run, serial_elapsed_s=serial_elapsed)
+        result = record_sweep(args.out, run)
         print(f"recorded {result.name} into {args.out} (profile 'sweep')")
     return EXIT_CLEAN
 
@@ -596,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME", help="restrict to one check (repeatable)")
     p.add_argument("--max-failures", type=int, default=5,
                    help="stop after this many distinct failures (default 5)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; sharded case sweep with a "
-                        "deterministic merge (default 1 = serial)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("bench", help="deterministic perf suite + regression gate")
@@ -616,25 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this scenario (repeatable)")
     p.add_argument("--no-compare", action="store_true",
                    help="record without gating against the baseline")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; one scenario per shard, "
-                        "ops/checksums identical to serial (default 1)")
     p.add_argument("--list", "--list-scenarios", dest="list_scenarios",
                    action="store_true",
                    help="print the scenario catalog and exit")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("sweep", help="parallel seeded experiment grids")
+    p = sub.add_parser("sweep", help="seeded experiment grids")
     p.add_argument("name", nargs="?", default=None,
                    help="registered sweep (see --list)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; rows merge bit-identically to "
-                        "serial (default 1)")
     p.add_argument("--quick", action="store_true",
                    help="scaled-down per-cell workloads (same grid)")
-    p.add_argument("--compare-serial", action="store_true",
-                   help="also time a serial run, verify identical rows, "
-                        "and report the speedup")
     p.add_argument("--record", action="store_true",
                    help="record the run under the 'sweep' profile of --out")
     p.add_argument("--out", default="BENCH_schedulers.json", metavar="PATH",

@@ -30,10 +30,11 @@ rest* on every commit:
   ``*Schedule``) defined in ``schedulers/*.py`` must be re-exported in
   ``schedulers/__init__.py`` ``__all__``, so the package surface (and
   the differential fuzzer's scheduler sweep) cannot silently miss one.
-* **RP007** — direct ``multiprocessing`` / ``concurrent.futures``
-  imports outside ``parallel/``. All process fan-out goes through
-  :mod:`repro.parallel` so the ordered merge and the fallback policy
-  stay in one audited place (docs/PARALLELISM.md).
+* **RP007** — ``multiprocessing`` / ``concurrent.futures`` imports
+  anywhere. Every driver (bench, fuzz, sweep) is a plain loop whose
+  output is a pure function of its arguments; a process pool measured
+  no gain on the full Figure 3 grid and would reopen the merge-order
+  and fallback questions.
 * **RP008** — bare ``assert`` statements outside ``lint/``.
   ``python -O`` strips them, so a runtime check written as an
   ``assert`` silently stops checking; raise a named exception instead.
@@ -64,13 +65,10 @@ SIMTIME_SCOPE = DETERMINISTIC_SCOPE + ("governors/",)
 #: Modules allowed to call ``print``.
 PRINT_ALLOWED = ("cli.py", "analysis/reporting.py")
 
-#: The one package allowed to import process-pool machinery.
-POOL_HOME = "parallel/"
-
 #: The package exempt from RP008: the linter's own ``mod.tree`` narrowings.
 ASSERT_EXEMPT = "lint/"
 
-#: Top-level modules whose import marks hand-rolled process fan-out.
+#: Top-level modules whose import marks process fan-out.
 POOL_MODULES = frozenset({"multiprocessing", "concurrent"})
 
 #: Module-level ``random`` attributes that are *not* global-state RNG use.
@@ -361,12 +359,10 @@ class SchedulerContractRule(Rule):
 class PoolBoundaryRule(Rule):
     code = "RP007"
     name = "pool-boundary"
-    summary = ("multiprocessing / concurrent.futures imports belong only in "
-               "parallel/; fan out through repro.parallel.run_sharded")
+    summary = ("no multiprocessing / concurrent.futures imports: drivers are "
+               "plain loops, so their output needs no merge order")
 
     def check_module(self, mod: SourceModule) -> Iterator[Finding]:
-        if _in_scope(mod, (POOL_HOME,)):
-            return
         assert mod.tree is not None
         for node in ast.walk(mod.tree):
             names: list[str] = []
@@ -378,9 +374,8 @@ class PoolBoundaryRule(Rule):
                 if name.split(".")[0] in POOL_MODULES:
                     yield self.finding(
                         mod, node,
-                        f"direct import of {name}; process fan-out goes through "
-                        f"repro.parallel (run_sharded) so the merge order "
-                        f"stays deterministic",
+                        f"import of {name}; the drivers are plain loops, "
+                        f"so no process pool decides their output order",
                     )
                     break
 

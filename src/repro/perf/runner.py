@@ -1,19 +1,16 @@
 """Run the pinned bench suite and assemble a :class:`BenchReport`.
 
-Thin deterministic driver: resolve scenario names, map them over
-:func:`repro.parallel.run_sharded` under the requested profile
-(``full`` or ``quick``), and collect the results. With ``jobs > 1`` the
-scenarios fan out across worker processes — wall times are still
-measured per scenario *inside* its worker, and the deterministic halves
-(ops, checksums, params) are bit-identical to a serial run, so the
-regression gate works unchanged. All policy — thresholds, baselines,
+Thin deterministic driver: resolve scenario names, run each under the
+requested profile (``full`` or ``quick``), and collect the results.
+Scenarios pin their own seeds, which is what makes their ops and
+checksums machine-independent. All policy — thresholds, baselines,
 exit codes — lives in :mod:`repro.perf.report`; all workload pinning
 in :mod:`repro.perf.scenarios`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.perf.report import BenchReport, ScenarioResult
 from repro.perf.scenarios import ALL_SCENARIOS
@@ -24,28 +21,16 @@ from repro.perf.scenarios import ALL_SCENARIOS
 DEFAULT_REPEATS = {"full": 3, "quick": 5}
 
 
-def _bench_worker(payload: Tuple[str, bool, int]) -> ScenarioResult:
-    """Run one scenario (in a worker process when ``jobs > 1``).
-
-    Scenarios pin their own seeds, which is what makes their
-    ops/checksums machine-independent.
-    """
-    name, quick, repeats = payload
-    return ALL_SCENARIOS[name].fn(quick, repeats)
-
-
 def run_bench(
     scenarios: Optional[Sequence[str]] = None,
     quick: bool = False,
     repeats: Optional[int] = None,
-    jobs: int = 1,
     log: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
     """Execute the suite; returns the fresh (uncompared) report.
 
     Raises ``KeyError`` naming the first unknown scenario. ``log``
-    receives one progress line per scenario when provided. The scenarios
-    map over :func:`repro.parallel.run_sharded` with ``jobs`` workers.
+    receives one progress line per scenario when provided.
     """
     profile = "quick" if quick else "full"
     if repeats is None:
@@ -58,14 +43,7 @@ def run_bench(
             available = ", ".join(sorted(ALL_SCENARIOS))
             raise KeyError(f"unknown scenario {name!r} (available: {available})")
 
-    from repro.parallel import run_sharded
-
-    results = dict(zip(names, run_sharded(
-        _bench_worker,
-        [(name, quick, repeats) for name in names],
-        jobs=jobs,
-        log=log,
-    )))
+    results = {name: ALL_SCENARIOS[name].fn(quick, repeats) for name in names}
     if log is not None:
         for name, result in results.items():
             log(f"bench [{profile}] {name}: {_times(result)}")

@@ -1,4 +1,4 @@
-"""Seeded experiment grids behind ``repro sweep`` — parallel by design.
+"""Seeded experiment grids behind ``repro sweep``.
 
 The repo's three hand-rolled sweep benchmarks (the Figure 3
 seed-replication in ``benchmarks/bench_fig3_replication.py``, the
@@ -6,17 +6,17 @@ pricing-ratio ablation in ``bench_ablation_cost_weights.py``, and the
 core-count sweep in ``bench_sweep_cores.py``) all share one shape: a
 fixed list of independent, fully seeded cells, each running a handful
 of schedulers and reporting cost margins. This module pins those grids
-as :class:`SweepSpec` entries in :data:`SWEEPS` and runs them through
-:func:`repro.parallel.run_sharded`, so ``repro sweep fig3_replication
---jobs 4`` fills four cores and still produces **exactly** the rows a
-serial run produces, in cell order.
+as :class:`SweepSpec` entries in :data:`SWEEPS` and runs them in cell
+order.
 
-Every cell function is a module-level pure function of its cell config
-(seeds included in the config, never drawn from the environment), which
-is what makes the sharded grid mergeable bit-identically. A sweep run
-can be recorded into ``BENCH_schedulers.json`` under the ``sweep``
-profile — the row checksum then gates like any bench checksum: if a
-code change moves any margin, the gate names it.
+Every cell function is a pure function of its cell config (seeds
+included in the config, never drawn from the environment), so a grid's
+rows and checksum are the same on every run and host. A sweep run can
+be recorded into ``BENCH_schedulers.json`` under the ``sweep`` profile.
+``repro sweep`` itself never compares against that record; the tier-1
+test ``tests/test_repo_consistency.py`` reruns the full
+``fig3_replication`` grid and fails, naming the sweep, if its checksum
+moved.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.perf.reference import reference_block, scale
 from repro.perf.report import BenchReport, ScenarioResult
@@ -215,24 +215,12 @@ SWEEPS: Dict[str, SweepSpec] = {
 }
 
 
-def _sweep_worker(payload: Tuple[str, Dict[str, Any], bool]) -> Dict[str, Any]:
-    """Run one grid cell in a worker process.
-
-    Every cell's seed is part of its pinned config, which is what keeps
-    a sweep's rows identical across ``--jobs`` values (and identical to
-    the old hand-rolled serial benchmarks).
-    """
-    name, cell, quick = payload
-    return SWEEPS[name].run_cell(cell, quick)
-
-
 @dataclass
 class SweepRun:
     """One executed sweep: ordered rows plus the grid's wall time."""
 
     name: str
     quick: bool
-    jobs: int
     cells: List[Dict[str, Any]]
     rows: List[Dict[str, Any]]
     elapsed_s: float
@@ -256,17 +244,15 @@ def sweep_checksum(rows: Sequence[Dict[str, Any]]) -> str:
 
 def run_sweep(
     name: str,
-    jobs: int = 1,
     quick: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> SweepRun:
-    """Execute one registered sweep grid, sharded across ``jobs`` workers.
+    """Execute one registered sweep grid, one cell after another.
 
     Raises ``KeyError`` for an unknown sweep name. Rows come back in
-    cell order whatever the scheduling.
+    cell order. Each row is a pure function of its cell config, so the
+    rows, and the checksum over them, are the same on every run.
     """
-    from repro.parallel import run_sharded
-
     spec = SWEEPS.get(name)
     if spec is None:
         available = ", ".join(sorted(SWEEPS))
@@ -274,19 +260,13 @@ def run_sweep(
     cells = spec.cells(quick)
     if log is not None:
         log(f"sweep {name} [{'quick' if quick else 'full'}]: "
-            f"{len(cells)} cells, jobs={jobs}")
+            f"{len(cells)} cells")
     t0 = time.perf_counter()
-    rows = run_sharded(
-        _sweep_worker,
-        [(name, cell, quick) for cell in cells],
-        jobs=jobs,
-        log=log,
-    )
+    rows = [spec.run_cell(cell, quick) for cell in cells]
     elapsed = time.perf_counter() - t0
     return SweepRun(
         name=name,
         quick=quick,
-        jobs=jobs,
         cells=cells,
         rows=rows,
         elapsed_s=elapsed,
@@ -295,24 +275,18 @@ def run_sweep(
 
 
 #: Profile slot sweeps occupy in ``BENCH_schedulers.json``. Bench's
-#: ``full``/``quick`` profiles never collide with it, and the gate's
-#: checksum rule applies unchanged: a moved margin is a named failure.
+#: ``full``/``quick`` profiles never collide with it.
 SWEEP_PROFILE = "sweep"
 
 
-def sweep_scenario_result(
-    run: SweepRun, serial_elapsed_s: Optional[float] = None
-) -> ScenarioResult:
+def sweep_scenario_result(run: SweepRun) -> ScenarioResult:
     """A sweep run in the bench report schema (see docs/PERFORMANCE.md).
 
-    Wall times record the parallel grid time and, when measured, the
-    serial reference — making the speedup auditable from the committed
-    file — raw and scaled by the reference calls timed around ``run``.
-    The deterministic half is the grid checksum and cell count.
+    The one wall key ``serial`` holds the grid time, raw and scaled by
+    the reference calls timed around ``run``. The deterministic half is
+    the grid checksum and cell count.
     """
-    wall = {("parallel" if run.jobs > 1 else "serial"): run.elapsed_s}
-    if serial_elapsed_s is not None:
-        wall["serial"] = serial_elapsed_s
+    wall = {"serial": run.elapsed_s}
     return ScenarioResult(
         name=f"sweep_{run.name}",
         params={"sweep": run.name, "quick": run.quick, "cells": len(run.cells)},
@@ -323,9 +297,7 @@ def sweep_scenario_result(
     )
 
 
-def record_sweep(
-    path: Any, run: SweepRun, serial_elapsed_s: Optional[float] = None
-) -> ScenarioResult:
+def record_sweep(path: Any, run: SweepRun) -> ScenarioResult:
     """Merge ``run`` into the ``sweep`` profile of a bench report file.
 
     Preserves the ``full``/``quick`` profiles and any other recorded
@@ -338,7 +310,7 @@ def record_sweep(
 
     target = Path(path)
     existing = load_report_file(target) if target.exists() else {}
-    result = sweep_scenario_result(run, serial_elapsed_s)
+    result = sweep_scenario_result(run)
     report = BenchReport(profile=SWEEP_PROFILE, repeats=1, scenarios={result.name: result})
     save_report_file(target, report, existing=existing)
     return result

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from repro.models.cost import CoreSchedule, ScheduleCost, check_prices
 from repro.models.rates import RateTable
-from repro.models.task import Task
+from repro.models.task import Task, check_unique_ids
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.platform import SimCore, TaskExecution
 from repro.simulator.power import PowerMeter
@@ -122,6 +122,7 @@ def run_batch(
     indices = [s.core_index for s in schedules]
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate core_index in schedules: {indices}")
+    check_unique_ids(pl.task for s in schedules for pl in s.placements)
     if not isinstance(tables, RateTable):
         for i in indices:
             if not 0 <= i < len(tables):

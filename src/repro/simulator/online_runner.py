@@ -31,7 +31,7 @@ from typing import Optional, Protocol, Sequence
 from repro.governors.base import Governor
 from repro.models.cost import ScheduleCost, check_prices
 from repro.models.rates import RateTable, per_core_tables
-from repro.models.task import Task, TaskKind
+from repro.models.task import Task, TaskKind, check_unique_ids
 from repro.models.tolerances import STRICT_ABS_TOL, TIME_SLACK
 from repro.simulator.platform import SimCore, TaskExecution
 
@@ -337,6 +337,7 @@ def run_online(
         raise ValueError("policy must manage at least one core")
     if governors is not None and len(governors) != n:
         raise ValueError("need one governor per core")
+    check_unique_ids(trace)
     table_list = per_core_tables(tables, n)
     periods = [gov.sampling_period for gov in governors or ()]
     for j, period in enumerate(periods):

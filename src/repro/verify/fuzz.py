@@ -12,18 +12,11 @@ any that still fail — and the minimal repro is printed as a
 ready-to-paste pytest function that calls
 :func:`repro.verify.differential.replay`.
 
-One loop consumes each case index's failures in (case index, check
-order). With ``jobs = 1`` it computes them one case at a time, so the
-wall-clock ``budget`` and ``max_failures`` stop the run early; with
-``jobs > 1`` the case indices shard across worker processes via
-:mod:`repro.parallel` up front. Because every case is a pure function
-of its ``seed_key``, both find the same failures in the same order, so
-the *reported* counterexample is the lowest-index one, not the first
-worker to finish, and shrinking happens in the parent on that
-deterministic selection. The ``budget`` option is serial-only (a time
-cutoff makes the visited case set scheduling-dependent, which is
-exactly what the sharded path promises never to be) — combining it
-with ``jobs > 1`` raises.
+One loop computes each case index's failures in (case index, check
+order), so the wall-clock ``budget`` and ``max_failures`` stop the run
+early. Every case is a pure function of its ``seed_key``, so the
+reported counterexample is always the lowest-index one, and its shrunk
+repro is the same on every run.
 """
 
 from __future__ import annotations
@@ -123,14 +116,12 @@ def render_repro(failure: FuzzFailure) -> str:
     )
 
 
-def _case_worker(payload: tuple) -> list:
-    """Run every check against one case index (one work item).
+def _case_hits(seed: int, names: Sequence[str], i: int) -> list:
+    """Run every check against case index ``i``.
 
     Returns ``(check_name, seed_key, case, failures)`` tuples in check
-    order. Each case's RNG is keyed by its ``seed_key`` string alone,
-    so the result is the same in any process.
+    order. Each case's RNG is keyed by its ``seed_key`` string alone.
     """
-    seed, names, i = payload
     out = []
     for name in names:
         seed_key = f"{seed}:{name}:{i}"
@@ -161,10 +152,13 @@ def run_fuzz(
     checks: Optional[Sequence[str]] = None,
     budget: Optional[float] = None,
     max_failures: int = 5,
-    jobs: int = 1,
     log: Callable[[str], None] = lambda s: None,
 ) -> FuzzReport:
     """Run the differential fuzzer.
+
+    Each case is a pure function of its seed key ``f"{seed}:{check}:{i}"``,
+    so two runs with the same arguments report the same failures and
+    shrunk repros (only ``elapsed`` differs).
 
     Parameters
     ----------
@@ -177,21 +171,16 @@ def run_fuzz(
         Subset of check names (default: all).
     budget:
         Optional wall-clock limit in seconds, checked before each case
-        index; the run stops cleanly when exceeded. Serial-only: with
-        ``jobs > 1`` a time cutoff would make the visited case set
-        depend on scheduling, so the combination raises ``ValueError``.
+        index; the run stops cleanly when exceeded.
     max_failures:
         Stop after this many distinct failures (shrinking each is the
         expensive part).
-    jobs:
-        Worker processes; case indices shard via :mod:`repro.parallel`
-        and the report is identical to ``jobs=1``.
     log:
         Progress sink (the CLI passes ``print``).
 
     Raises ``ValueError`` naming the argument for an unknown check,
-    ``cases < 0``, ``max_failures < 1``, a budget that is not positive
-    and finite, ``jobs < 1``, or a budget with ``jobs > 1``.
+    ``cases < 0``, ``max_failures < 1``, or a budget that is not
+    positive and finite.
     """
     names = tuple(checks) if checks else tuple(sorted(ALL_CHECKS))
     for name in names:
@@ -203,29 +192,13 @@ def run_fuzz(
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
     if budget is not None and not 0 < budget < math.inf:
         raise ValueError(f"budget must be a positive finite number of seconds, got {budget}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1 and budget is not None:
-        raise ValueError("--budget is a wall-clock cutoff and only combines "
-                         "with --jobs 1; use --cases to bound a sharded run")
     report = FuzzReport(seed=seed)
     start = time.monotonic()
-    sharded = None
-    if jobs > 1:
-        from repro.parallel import run_sharded
-
-        sharded = run_sharded(
-            _case_worker, [(seed, names, i) for i in range(cases)], jobs=jobs, log=log
-        )
-    # The one consumer loop: hits arrive in (case index, check order),
-    # the serial iteration order, so the reported counterexample is the
-    # lowest-index one whatever ``jobs`` is, and shrinking is
-    # deterministic per case, so the minimal repros are byte-identical.
     for i in range(cases):
         if budget is not None and time.monotonic() - start > budget:
             log(f"time budget {budget:g}s reached after {report.cases_run} cases")
             break
-        hits = sharded[i] if sharded is not None else _case_worker((seed, names, i))
+        hits = _case_hits(seed, names, i)
         report.cases_run += len(names)
         for hit in hits[:max_failures - len(report.failures)]:
             report.failures.append(_shrunk_failure(*hit, log))

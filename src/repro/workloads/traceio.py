@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.models.task import Task, TaskKind
+from repro.models.task import Task, TaskKind, check_unique_ids
 from repro.models.tolerances import ROUNDTRIP_REL_TOL
 
 _FIELDS = ("task_id", "name", "cycles", "arrival", "deadline", "kind")
@@ -41,13 +41,16 @@ def _row_task(row: dict, where: str) -> Task:
             deadline = math.inf
         else:
             deadline = float(deadline)
+        task_id = row["task_id"]
+        if isinstance(task_id, bool) or (isinstance(task_id, float) and not task_id.is_integer()):
+            raise ValueError(f"task_id must be an integer, got {task_id!r}")
         return Task(
             cycles=float(row["cycles"]),
             arrival=float(row["arrival"]),
             deadline=deadline,
             kind=TaskKind(row["kind"]),
             name=str(row.get("name", "") or ""),
-            task_id=int(row["task_id"]),
+            task_id=int(task_id),
         )
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{where}: bad trace row: {exc}") from exc
@@ -74,6 +77,7 @@ def load_trace_csv(path: str | Path) -> list[Task]:
             raise ValueError(f"trace CSV missing columns: {sorted(missing)}")
         for row in reader:
             tasks.append(_row_task(row, f"{path}:{reader.line_num}"))
+    check_unique_ids(tasks)
     tasks.sort(key=lambda t: (t.arrival, t.task_id))
     return tasks
 
@@ -105,6 +109,7 @@ def load_trace_jsonl(path: str | Path) -> list[Task]:
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing fields {sorted(missing)}")
             tasks.append(_row_task(row, f"{path}:{lineno}"))
+    check_unique_ids(tasks)
     tasks.sort(key=lambda t: (t.arrival, t.task_id))
     return tasks
 

@@ -35,6 +35,7 @@ from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import RateTable
 from repro.verify import ALL_CHECKS, render_repro, replay, run_case, run_fuzz, shrink
+from repro.verify.differential import DifferentialCheck
 from repro.verify.fuzz import FuzzFailure
 
 
@@ -96,6 +97,52 @@ class TestShrinker:
         src = render_repro(fail)
         compile(src, "<repro>", "exec")
         assert "replay('dominating'" in src
+
+
+class _PlantedCheck(DifferentialCheck):
+    """Fails whenever the generated list contains a value >= 5."""
+
+    name = "_planted"
+    list_keys = ("items",)
+
+    def generate(self, rng: random.Random) -> dict:
+        return {"items": [rng.randint(0, 9) for _ in range(rng.randint(2, 8))]}
+
+    def run(self, case: dict) -> list[str]:
+        bad = [v for v in case["items"] if v >= 5]
+        return [f"planted divergence on {bad}"] if bad else []
+
+
+class TestFuzzReport:
+    """What a report says: which counterexample, and how much work ran."""
+
+    def test_planted_failure_reports_the_lowest_case_index(self, monkeypatch):
+        monkeypatch.setitem(ALL_CHECKS, "_planted", _PlantedCheck())
+
+        def key(report):
+            return [
+                (f.check, f.seed_key, f.case, f.failures,
+                 f.shrunk_case, f.shrunk_failures)
+                for f in report.failures
+            ]
+
+        for max_failures in (1, 2, 3):
+            report = run_fuzz(seed=5, cases=12, checks=["_planted"],
+                              max_failures=max_failures)
+            assert not report.ok
+            assert len(report.failures) == max_failures
+            # the winner is the lowest case index, shrunk to one trigger
+            assert report.failures[0].seed_key == "5:_planted:0"
+            assert report.failures[0].shrunk_case == {"items": [8]}
+            # cases_run is the consumed case indices × checks (one check
+            # here): every index up to the last failure, and no further
+            consumed = int(report.failures[-1].seed_key.rsplit(":", 1)[1]) + 1
+            assert report.cases_run == consumed
+            # a rerun reports the same failures and byte-identical repros
+            again = run_fuzz(seed=5, cases=12, checks=["_planted"],
+                             max_failures=max_failures)
+            assert key(again) == key(report)
+            assert again.cases_run == report.cases_run
 
 
 # ---------------------------------------------------------------------------

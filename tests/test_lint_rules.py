@@ -7,6 +7,8 @@ baseline machinery the runner wraps around them.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.lint import (
@@ -188,7 +190,7 @@ class TestRP007PoolBoundary:
     def test_flags_multiprocessing_import(self):
         r = lint({"perf/x.py": "import multiprocessing\n"})
         assert codes(r) == ["RP007"]
-        assert "repro.parallel" in r.findings[0].message
+        assert "plain loops" in r.findings[0].message
 
     def test_flags_concurrent_futures_import(self):
         r = lint({"verify/x.py": "from concurrent.futures import ProcessPoolExecutor\n"})
@@ -198,14 +200,20 @@ class TestRP007PoolBoundary:
         r = lint({"analysis/x.py": "import multiprocessing.pool\n"})
         assert codes(r) == ["RP007"]
 
-    def test_parallel_package_is_exempt(self):
-        r = lint({
-            "parallel/executor.py": (
-                "import multiprocessing\n"
-                "from concurrent.futures import ProcessPoolExecutor\n"
-            ),
-        })
-        assert r.ok
+    def test_flags_pool_imports_in_every_package(self):
+        # no package is exempt, the former pool home parallel/ included
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        packages = sorted(p.name for p in src.iterdir() if (p / "__init__.py").exists())
+        assert "lint" in packages and "parallel" not in packages
+        sources = {f"{pkg}/x.py": "import multiprocessing\n" for pkg in packages}
+        sources["cli.py"] = "import concurrent.futures\n"
+        sources["parallel/executor.py"] = (
+            "import multiprocessing\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+        )
+        r = lint(sources)
+        assert codes(r) == ["RP007"] * (len(sources) + 1)
+        assert "parallel/executor.py" in {f.path for f in r.findings}
 
     def test_lookalike_names_pass(self):
         r = lint({"core/x.py": "import concurrency_utils\nfrom multi import processing\n"})

@@ -268,10 +268,3 @@ def test_cli_bench_list_short_alias(capsys) -> None:
     out = capsys.readouterr().out
     for name in ALL_SCENARIOS:
         assert name in out
-
-
-def test_cli_bench_rejects_bad_jobs(tmp_path) -> None:
-    out = tmp_path / "BENCH.json"
-    code = main(["bench", "--quick", "--repeats", "1", "--jobs", "0",
-                 "--scenario", "dynamic_churn", "--out", str(out)])
-    assert code == EXIT_ERROR

@@ -216,7 +216,7 @@ class TestBenchBaseline:
             assert set(profiles[profile].scenarios) == set(ALL_SCENARIOS)
 
     def test_recorded_sweep_profile_names_registered_sweeps(self):
-        # the sweep profile (docs/PARALLELISM.md) holds `repro sweep
+        # the sweep profile (docs/PERFORMANCE.md) holds `repro sweep
         # --record` grids; every entry must map to a registered sweep
         from repro.perf import SWEEP_PROFILE, SWEEPS, load_report_file
 
@@ -227,9 +227,23 @@ class TestBenchBaseline:
         for name, scenario in scenarios.items():
             assert name.startswith("sweep_")
             assert scenario.params["sweep"] in SWEEPS
-            # the recorded fan-out is auditable: both wall times present
-            # when --compare-serial measured them
             assert scenario.ops["cells"] == scenario.params["cells"]
+
+    def test_recorded_fig3_sweep_checksum_gates(self):
+        # the gate for the recorded sweep: `repro sweep` never compares,
+        # and `repro bench` gates only the full/quick profiles, so this
+        # reruns the full Figure 3 replication grid (about 1 s) and
+        # names the sweep if a code change moved any margin
+        from repro.perf import SWEEP_PROFILE, load_report_file, run_sweep
+
+        profiles = load_report_file(ROOT / "BENCH_schedulers.json")
+        recorded = profiles[SWEEP_PROFILE].scenarios["sweep_fig3_replication"]
+        assert recorded.params["quick"] is False
+        assert recorded.checksum == "cb581a82ea22e3d0"
+        run = run_sweep("fig3_replication")
+        assert run.checksum == recorded.checksum, (
+            f"sweep_fig3_replication moved: {run.checksum} != {recorded.checksum}"
+        )
 
     def test_committed_wbg_speedup_at_least_2x(self):
         # the acceptance bar for the merge kernel: the committed

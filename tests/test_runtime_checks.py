@@ -5,6 +5,7 @@ a named exception or code that needs no narrowing. CI runs this file
 under ``python -O`` as well as normally.
 """
 
+import json
 import math
 import random
 
@@ -15,15 +16,18 @@ from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.batch_single import brute_force_single_core
 from repro.core.dynamic import DynamicCostIndex
 from repro.core.weighted import WeightedTask
-from repro.models.cost import CostModel
+from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II
-from repro.models.task import Task
+from repro.models.task import Task, TaskKind
 from repro.obs.metrics import MetricsRegistry
 from repro.cli import main
+from repro.schedulers import OLBOnlineScheduler
 from repro.schedulers.yds import yds_schedule
+from repro.simulator import run_batch, run_online
 from repro.structures import RangeTree
 from repro.verify import ALL_CHECKS, run_fuzz
 from repro.verify.differential import DifferentialCheck
+from repro.workloads import load_trace_csv, load_trace_jsonl, save_trace_csv, save_trace_jsonl
 
 
 class TestCostModel:
@@ -146,18 +150,16 @@ class _AlwaysFails(DifferentialCheck):
 
 
 class TestFuzzArguments:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_zero_max_failures_rejected(self, monkeypatch, jobs):
-        # a sweep that stops at zero failures used to report a failing
-        # check as clean (sharded) or record one failure anyway (serial)
+    def test_zero_max_failures_rejected(self, monkeypatch):
+        # a sweep that stops at zero failures used to record one failure
+        # anyway
         monkeypatch.setitem(ALL_CHECKS, "_always_fails", _AlwaysFails())
         with pytest.raises(ValueError, match="max_failures"):
-            run_fuzz(seed=0, cases=4, checks=["_always_fails"], max_failures=0, jobs=jobs)
+            run_fuzz(seed=0, cases=4, checks=["_always_fails"], max_failures=0)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_negative_cases_rejected(self, jobs):
+    def test_negative_cases_rejected(self):
         with pytest.raises(ValueError, match="cases"):
-            run_fuzz(seed=0, cases=-3, jobs=jobs)
+            run_fuzz(seed=0, cases=-3)
 
     @pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_budget_rejected(self, budget):
@@ -173,3 +175,49 @@ class TestFuzzArguments:
     def test_cli_exits_2(self, flags, capsys):
         assert main(["fuzz", *flags]) == 2
         assert "error:" in capsys.readouterr().out
+
+
+class TestDuplicateTaskIds:
+    """Task ids key ``ideal_batch`` and the exact oracle, so a repeated or
+    truncated id is rejected where a trace enters, naming the id."""
+
+    @staticmethod
+    def _twins():
+        return [Task(cycles=1e9, arrival=0.0, task_id=1),
+                Task(cycles=2e9, arrival=1.0, task_id=1)]
+
+    def test_csv_loader_rejects_duplicate_id(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace_csv(self._twins(), path)
+        with pytest.raises(ValueError, match="duplicate task_id 1"):
+            load_trace_csv(path)
+
+    def test_jsonl_loader_rejects_duplicate_id(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_trace_jsonl(self._twins(), path)
+        with pytest.raises(ValueError, match="duplicate task_id 1"):
+            load_trace_jsonl(path)
+
+    @pytest.mark.parametrize("task_id", [1.7, True])
+    def test_jsonl_loader_rejects_non_integral_id(self, tmp_path, task_id):
+        # int() used to truncate both to id 1
+        row = {"task_id": task_id, "name": "", "cycles": 1e9, "arrival": 0.0,
+               "deadline": "inf", "kind": "batch"}
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"task_id": 2, "name": "", "cycles": 1e9, "arrival": 0.0, '
+                        '"deadline": "inf", "kind": "batch"}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.jsonl:2: .*task_id"):
+            load_trace_jsonl(path)
+
+    def test_run_online_rejects_duplicate_id(self):
+        trace = [Task(cycles=1e8, arrival=0.0, kind=TaskKind.INTERACTIVE, task_id=7),
+                 Task(cycles=1e8, arrival=0.5, kind=TaskKind.INTERACTIVE, task_id=7)]
+        with pytest.raises(ValueError, match="duplicate task_id 7"):
+            run_online(trace, OLBOnlineScheduler(TABLE_II, 2), TABLE_II)
+
+    def test_run_batch_rejects_duplicate_id(self):
+        rate = TABLE_II.max_rate
+        plan = [CoreSchedule([Placement(Task(cycles=1e9, task_id=7), rate)], 0),
+                CoreSchedule([Placement(Task(cycles=2e9, task_id=7), rate)], 1)]
+        with pytest.raises(ValueError, match="duplicate task_id 7"):
+            run_batch(plan, TABLE_II)
