@@ -97,8 +97,9 @@ class DynamicCostIndex:
         self.tree = RangeTree(seed=seed)
         self._tracer = tracer
         self.label = label
-        #: Deterministic ops counters (read by ``repro bench``).
-        self.counters = {"inserts": 0, "deletes": 0, "probes": 0}
+        #: Deterministic ops counters (read by ``repro bench``);
+        #: ``refreshes`` counts the absorption re-derivations in ``delete``.
+        self.counters = {"inserts": 0, "deletes": 0, "probes": 0, "refreshes": 0}
 
         # Algorithm 4: per-dominating-range bookkeeping.
         n_ranges = len(self.ranges)
@@ -345,10 +346,12 @@ class DynamicCostIndex:
         # what remains: the incremental subtractions leave ulp-of-the-peak
         # residue (catastrophic absorption), unbounded relative to the
         # small remainder. The treap recomputes subtree sums along the
-        # delete path, so these queries are absorption-free. O(log N)
-        # each, and only dominant drops trigger them.
+        # delete path and range_delta sums the range afresh, so these
+        # queries are absorption-free. O(log N + range length) each, and
+        # only dominant drops trigger them.
         for j in refresh:
             if self._a[j] <= self._b[j]:
+                self.counters["refreshes"] += 1
                 self._x[j] = self.tree.range_sum(self._a[j], self._b[j])
                 self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
                 self._peak[j] = self._x[j]
@@ -369,7 +372,11 @@ class DynamicCostIndex:
         return c
 
     def check_invariants(self) -> None:
-        """Cross-check every aggregate against the tree. ``O(N + |P̂| log N)``; tests only."""
+        """Cross-check every aggregate against the tree. ``O(N + |P̂| log N)``; tests only.
+
+        Also audits the absorption trigger's state: a range's peak is at
+        least its current sum, and exactly 0.0 while the range is empty.
+        """
         self.tree.check_invariants()
         n = len(self.tree)
         for i in range(len(self._a)):
@@ -382,7 +389,9 @@ class DynamicCostIndex:
                 assert self._alpha[i] is None and self._beta[i] is None  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
                 assert self._x[i] == 0.0  # repro-lint: disable=RP004,RP008 -- exact 0.0 by construction; invariant audit
                 assert abs(self._d[i]) < AGG_ABS_TOL  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+                assert self._peak[i] == 0.0, f"range {i}: peak of an empty range"  # repro-lint: disable=RP004,RP008 -- exact 0.0 by construction; invariant audit
                 continue
+            assert self._peak[i] >= self._x[i], f"range {i}: peak below the sum"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
             assert self._alpha[i] is not None and self._beta[i] is not None  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
             assert self.tree.rank(self._alpha[i]) == a, f"range {i}: alpha rank mismatch"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
             assert self.tree.rank(self._beta[i]) == b, f"range {i}: beta rank mismatch"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError

@@ -146,7 +146,7 @@ class LeastMarginalCostPolicy:
 
     def probe_counters(self) -> dict[str, int]:
         """Aggregate the per-core queue counters (bench ops accounting)."""
-        total = {"inserts": 0, "deletes": 0, "probes": 0}
+        total = {"inserts": 0, "deletes": 0, "probes": 0, "refreshes": 0}
         for q in self.queues:
             for key, value in q.counters.items():
                 total[key] += value

@@ -95,9 +95,9 @@ CYCLE_OVERRUN_TOL = 1e-6
 CLOCK_ULPS = 2.0
 
 #: Relative tolerance for the order-statistic tree's self-check of its
-#: ``sum``/``wsum`` aggregates against a from-scratch recomputation
-#: (the aggregates are maintained incrementally across thousands of
-#: rotations, so per-update rounding accumulates).
+#: ``sum`` aggregate against a left-to-right recomputation. Each node's
+#: ``sum`` is exactly its children's sums plus its value (the pull
+#: discipline), so the gap is only the two summation orders' rounding.
 AGG_REL_TOL = 1e-6
 
 __all__ = [

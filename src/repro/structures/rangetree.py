@@ -5,7 +5,9 @@ binary search tree, with each node keeping (1) the number of nodes,
 (2) ξ, (3) Δ, of its subtree". We realise it as a **treap** (randomised
 balanced BST) ordered by **descending cycle count**, so the node of
 rank ``k`` holds ``L^B_k`` — the ``k``-th largest task, i.e. the task
-at backward position ``k`` in the cost-optimal queue.
+at backward position ``k`` in the cost-optimal queue. A node keeps
+``size`` and ``ξ`` only: Algorithms 5 and 6 keep each range's ``Δ``
+themselves, so ``range_delta`` walks the threading instead.
 
 Supported operations (``N`` = number of stored tasks):
 
@@ -24,9 +26,10 @@ Supported operations (``N`` = number of stored tasks):
   ``O(log N)``;
 * ``count_ge_tail(value)`` — ``count_ge(value)`` and the sum of the
   stored values ``< value`` in one read-only descent, ``O(log N)``;
-* ``range_sum(a, b)`` — ``ξ([a,b]) = Σ_{k=a..b} L^B_k`` (Equation 28);
+* ``range_sum(a, b)`` — ``ξ([a,b]) = Σ_{k=a..b} L^B_k`` (Equation 28),
+  ``O(log N)``;
 * ``range_delta(a, b)`` — ``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·L^B_k``
-  (Equation 29), both ``O(log N)``;
+  (Equation 29), ``O(log N + b - a)``: a walk along the threading;
 * ``node.prev`` / ``node.next`` — ``Θ(1)`` predecessor/successor via
   doubly-linked threading, as the paper requires for the improved
   ``O(|P̂| + log N)`` maintenance;
@@ -38,7 +41,7 @@ the order is total and deterministic.
 
 Pull discipline
 ---------------
-A node's aggregates ``(size, sum, wsum)`` come from its children by one
+A node's aggregates ``(size, sum)`` come from its children by one
 fixed formula (:meth:`RangeTree._pull`). Every mutation re-pulls a node
 only once its children are final, and bottom-up: ``insert`` rotates the
 new leaf up pulling each demoted parent, then makes one
@@ -52,9 +55,9 @@ are a pure function of the stored ``(value, sequence, priority)``
 triples, not of the order of the operations that built the tree.
 
 ``range_sum`` walks only the boundary paths of ``[a, b]`` and adds a
-fully covered child's stored ``sum``; it makes the same additions in the
-same order as the ``(Σ v, Σ k·v)`` query behind ``range_delta``, so the
-two agree bit for bit on the sum.
+fully covered child's stored ``sum``: a node's own ``value`` after its
+left part and before its right part, the order in which the pull builds
+``sum``.
 
 Descent reads
 -------------
@@ -96,7 +99,6 @@ class RangeTreeNode:
         "parent",
         "size",
         "sum",
-        "wsum",
         "prev",
         "next",
         "_tree",
@@ -112,7 +114,6 @@ class RangeTreeNode:
         self.parent: Optional[RangeTreeNode] = None
         self.size = 1
         self.sum = value
-        self.wsum = value  # Σ (local 1-based in-order position)·value over the subtree
         self.prev: Optional[RangeTreeNode] = None
         self.next: Optional[RangeTreeNode] = None
         self._tree: Optional["RangeTree"] = None
@@ -153,7 +154,11 @@ class RangeTree:
 
     def __iter__(self) -> Iterator[RangeTreeNode]:
         """In-order (descending value) iteration via the threading."""
-        node = self.min_node()
+        return self._walk(self.min_node())
+
+    @staticmethod
+    def _walk(node: Optional[RangeTreeNode]) -> Iterator[RangeTreeNode]:
+        """``node`` and every node after it, along the threading."""
         while node is not None:
             yield node
             node = node.next
@@ -179,25 +184,19 @@ class RangeTree:
     def _pull(t: RangeTreeNode) -> None:
         """Recompute ``t``'s aggregates from its children.
 
-        The in-order position of ``t`` within its subtree is ``k = |left| + 1``
-        and every node of the right subtree shifts by ``k``, so
-        ``wsum = left.wsum + k·v + right.wsum + k·right.sum``. An absent
-        child's terms are skipped rather than added as ``0.0``, which
+        ``sum = left.sum + v + right.sum``, added left to right. An absent
+        child's term is skipped rather than added as ``0.0``, which
         rounds identically (``x + 0.0 == x``).
         """
-        left, right, v = t.left, t.right, t.value
+        left, right = t.left, t.right
         if left is None:
-            k, s, w = 1, v, v
+            k, s = 1, t.value
         else:
-            k = left.size + 1
-            s = left.sum + v
-            w = left.wsum + k * v
+            k, s = left.size + 1, left.sum + t.value
         if right is None:
-            t.size, t.sum, t.wsum = k, s, w
+            t.size, t.sum = k, s
         else:
-            t.size = k + right.size
-            t.sum = s + right.sum
-            t.wsum = w + right.wsum + k * right.sum
+            t.size, t.sum = k + right.size, s + right.sum
 
     @staticmethod
     def _pull_to_root(t: Optional[RangeTreeNode]) -> None:
@@ -206,19 +205,15 @@ class RangeTree:
         The pull formula is inlined: the same additions in the same order.
         """
         while t is not None:
-            left, right, v = t.left, t.right, t.value
+            left, right = t.left, t.right
             if left is None:
-                k, s, w = 1, v, v
+                k, s = 1, t.value
             else:
-                k = left.size + 1
-                s = left.sum + v
-                w = left.wsum + k * v
+                k, s = left.size + 1, left.sum + t.value
             if right is None:
-                t.size, t.sum, t.wsum = k, s, w
+                t.size, t.sum = k, s
             else:
-                t.size = k + right.size
-                t.sum = s + right.sum
-                t.wsum = w + right.wsum + k * right.sum
+                t.size, t.sum = k + right.size, s + right.sum
             t = t.parent
 
     # -- rotations ---------------------------------------------------------------
@@ -449,12 +444,11 @@ class RangeTree:
                 t = t.left
         return count, self._fold_tail(after)
 
-    # -- range aggregates (Equations 28-30) ---------------------------------------
+    # -- range aggregates (Equations 28-29) ---------------------------------------
     def range_sum(self, a: int, b: int) -> float:
         """``ξ([a,b]) = Σ_{k=a..b} value_k`` over ranks; 0 if the interval is empty.
 
-        Bit-identical to ``_range_query(a, b)[0]`` without building the
-        ``Σ k·v`` half; the whole tree is ``root.sum``.
+        Ranks are clamped to ``[1, N]``; the whole tree is ``root.sum``.
         """
         t = self._root
         if t is None:
@@ -474,10 +468,9 @@ class RangeTree:
         """``Σ v`` over the nodes of ``t`` whose global rank is in ``[a, b]``.
 
         ``t`` spans ranks ``offset+1 .. offset+t.size``, which meet
-        ``[a, b]`` without lying inside it. The sum half of :meth:`_query`,
-        addition for addition: a fully covered child adds its stored
-        ``sum`` (what ``_query`` would return for it) and an absent child
-        adds nothing (``x + 0.0 == x``).
+        ``[a, b]`` without lying inside it. The left part, ``t.value`` and
+        the right part are added in that order: a fully covered child adds
+        its stored ``sum`` and an absent child adds nothing.
         """
         left = t.left
         my_rank = offset + 1
@@ -500,54 +493,19 @@ class RangeTree:
         return s
 
     def range_delta(self, a: int, b: int) -> float:
-        """``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·value_k``; 0 if the interval is empty."""
-        s, g = self._range_query(a, b)
-        # g = Σ k·value_k with global ranks; shift to make position a count as 1.
-        return g - (a - 1) * s
+        """``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·value_k``; 0 if the interval is empty.
 
-    def range_gamma(self, a: int, b: int) -> float:
-        """``γ([a,b]) = Σ_{k=a..b} k·value_k = Δ + (a-1)·ξ`` (Equation 30)."""
-        _, g = self._range_query(a, b)
-        return g
-
-    def _range_query(self, a: int, b: int) -> tuple[float, float]:
-        """Return ``(Σ v_k, Σ k·v_k)`` over global ranks ``k ∈ [a, b]``."""
-        if a < 1:
-            a = 1
-        n = self.size
-        if b > n:
-            b = n
-        if a > b or self._root is None:
-            return 0.0, 0.0
-        return self._query(self._root, a, b, 0)
-
-    def _query(
-        self, t: Optional[RangeTreeNode], a: int, b: int, offset: int
-    ) -> tuple[float, float]:
-        """Aggregate over nodes of ``t`` whose global rank (offset + local) is in [a, b]."""
-        if t is None:
-            return 0.0, 0.0
-        lo = offset + 1
-        hi = offset + t.size
-        if a <= lo and hi <= b:
-            # whole subtree: Σ v = t.sum ; Σ (global k)·v = t.wsum + offset·t.sum
-            return t.sum, t.wsum + offset * t.sum
-        s = 0.0
-        g = 0.0
-        left = t.left
-        my_rank = offset + (left.size if left is not None else 0) + 1
-        if a < my_rank:  # left subtree may intersect
-            ls, lg = self._query(left, a, b, offset)
-            s += ls
-            g += lg
-        if a <= my_rank <= b:
-            s += t.value
-            g += my_rank * t.value
-        if b > my_rank:  # right subtree may intersect
-            rs, rg = self._query(t.right, a, b, my_rank)
-            s += rs
-            g += rg
-        return s, g
+        Ranks are clamped to ``[1, N]``. ``select(a)`` and a walk of
+        ``b-a+1`` threaded nodes, summed with ``math.fsum``:
+        ``O(log N + b - a)``, and within ``2⁻⁵²`` of the exact ``Δ``,
+        relative, for positive values. ``γ`` (Equation 30) is
+        ``range_delta(a, b) + (a-1)·range_sum(a, b)``.
+        """
+        a, b = max(a, 1), min(b, self.size)
+        if a > b:
+            return 0.0
+        walk = zip(range(1, b - a + 2), self._walk(self.select(a)))
+        return math.fsum(w * n.value for w, n in walk)
 
     # -- invariant checking (used by tests) ------------------------------------------
     def check_invariants(self) -> None:
@@ -584,7 +542,4 @@ class RangeTree:
         assert t.size == len(left) + 1 + len(right), "size aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
         total = sum(n.value for n in left) + t.value + sum(n.value for n in right)
         assert abs(t.sum - total) < AGG_REL_TOL * max(1.0, abs(total)), "sum aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
-        seq = left + [t] + right
-        w = sum((i + 1) * n.value for i, n in enumerate(seq))
-        assert abs(t.wsum - w) < AGG_REL_TOL * max(1.0, abs(w)), "wsum aggregate broken"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
-        return seq
+        return left + [t] + right

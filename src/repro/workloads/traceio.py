@@ -32,6 +32,14 @@ def _task_row(task: Task) -> dict:
     }
 
 
+def _number(row: dict, field: str) -> float:
+    """``row[field]`` as a float; a JSON ``true``/``false`` is not a number."""
+    value = row[field]
+    if isinstance(value, bool):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _row_task(row: dict, where: str) -> Task:
     """The task a trace row describes; a bad row raises ``ValueError``
     prefixed with ``where`` (``path:line``)."""
@@ -40,13 +48,13 @@ def _row_task(row: dict, where: str) -> Task:
         if deadline in ("inf", "", None):
             deadline = math.inf
         else:
-            deadline = float(deadline)
+            deadline = _number(row, "deadline")
         task_id = row["task_id"]
         if isinstance(task_id, bool) or (isinstance(task_id, float) and not task_id.is_integer()):
             raise ValueError(f"task_id must be an integer, got {task_id!r}")
         return Task(
-            cycles=float(row["cycles"]),
-            arrival=float(row["arrival"]),
+            cycles=_number(row, "cycles"),
+            arrival=_number(row, "arrival"),
             deadline=deadline,
             kind=TaskKind(row["kind"]),
             name=str(row.get("name", "") or ""),

@@ -63,7 +63,7 @@ class TestEmptyAndSingle:
         foreign = other.insert(3.0)
         with pytest.raises(ValueError, match="does not belong"):
             index.delete(foreign)
-        assert index.counters == {"inserts": 1, "deletes": 0, "probes": 0}
+        assert index.counters == {"inserts": 1, "deletes": 0, "probes": 0, "refreshes": 0}
         assert len(index) == 1 and len(other) == 1
         index.check_invariants()
 
@@ -175,7 +175,7 @@ class TestMarginalCost:
 def _preorder(node):
     if node is None:
         return []
-    return ([(node.value, node._key, node._prio, node.size, node.sum, node.wsum)]
+    return ([(node.value, node._key, node._prio, node.size, node.sum)]
             + _preorder(node.left) + _preorder(node.right))
 
 
@@ -311,6 +311,7 @@ class TestClosedFormProbe:
         for node, v in zip(handles[:len(deletions)], queued):
             idx.delete(node)
             naive.delete(v)
+        assert idx.counters["refreshes"] >= 1
         idx.check_invariants()
         for i in range(len(idx.ranges)):
             a, b = idx._a[i], idx._b[i]
@@ -319,6 +320,21 @@ class TestClosedFormProbe:
                 assert abs(idx._d[i] - exact) <= REL_TOL * exact
         for probe in _landing_probes(idx):
             _assert_probe(idx, naive, probe)
+
+    def test_corrupted_peak_is_caught(self, online_model):
+        idx = DynamicCostIndex(online_model)
+        for v in (5.0, 25.0, 125.0):
+            idx.insert(v)
+        idx.check_invariants()
+        held = next(i for i in range(len(idx.ranges)) if idx._a[i] <= idx._b[i])
+        idx._peak[held] = idx._x[held] / 2
+        with pytest.raises(AssertionError, match="peak below the sum"):
+            idx.check_invariants()
+        idx._peak[held] = idx._x[held]
+        empty = next(i for i in range(len(idx.ranges)) if idx._a[i] > idx._b[i])
+        idx._peak[empty] = 1.0
+        with pytest.raises(AssertionError, match="peak of an empty range"):
+            idx.check_invariants()
 
 
 class TestFuzzAgainstNaive:

@@ -1,17 +1,18 @@
 """Bit-exactness of the range tree's lean paths, compared with ``==``.
 
-* ``range_sum`` (the sum-only query) against the ``(Σ v, Σ k·v)``
-  query behind ``range_delta``;
-* every node's ``(size, sum, wsum)`` against a fresh bottom-up
+* ``range_sum`` against a plain covered-subtree recursion (the oracle);
+* ``range_delta`` against an exact ``Fraction`` Δ, to within ``2⁻⁵²``;
+* every node's ``(size, sum)`` against a fresh bottom-up
   recomputation, plus pinned preorder snapshots of a seeded churn;
 * the ``Θ(1)`` rank of the last node against a walk to the root.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
@@ -27,13 +28,12 @@ values = st.one_of(
 
 
 def _fresh(t):
-    """``(size, sum, wsum)`` of ``t``'s subtree, recomputed bottom-up by the pull formula."""
+    """``(size, sum)`` of ``t``'s subtree, recomputed bottom-up by the pull formula."""
     if t is None:
-        return 0, 0.0, 0.0
-    ls, lsum, lw = _fresh(t.left)
-    rs, rsum, rw = _fresh(t.right)
-    k = ls + 1
-    return ls + 1 + rs, lsum + t.value + rsum, lw + k * t.value + rw + k * rsum
+        return 0, 0.0
+    ls, lsum = _fresh(t.left)
+    rs, rsum = _fresh(t.right)
+    return ls + 1 + rs, lsum + t.value + rsum
 
 
 def _assert_aggregates_fresh(tree):
@@ -42,7 +42,7 @@ def _assert_aggregates_fresh(tree):
         t = stack.pop()
         if t is None:
             continue
-        assert (t.size, t.sum, t.wsum) == _fresh(t), t.value
+        assert (t.size, t.sum) == _fresh(t), t.value
         stack.extend((t.left, t.right))
 
 
@@ -71,6 +71,41 @@ def _preorder_digest(tree, fields):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+def _oracle_sum(tree, a, b):
+    """``Σ v`` over ranks ``[a, b]`` (clamped) by the plain recursion."""
+    a, b = max(a, 1), min(b, len(tree))
+    if a > b or tree._root is None:
+        return 0.0
+    return _query_sum(tree._root, a, b, 0)
+
+
+def _query_sum(t, a, b, offset):
+    """A subtree inside ``[a, b]`` returns its stored ``sum``; any other
+    splits into left part, own value, right part, added in that order."""
+    if t is None:
+        return 0.0
+    if a <= offset + 1 and offset + t.size <= b:
+        return t.sum
+    s = 0.0
+    my_rank = offset + (t.left.size if t.left is not None else 0) + 1
+    if a < my_rank:
+        s += _query_sum(t.left, a, b, offset)
+    if a <= my_rank <= b:
+        s += t.value
+    if b > my_rank:
+        s += _query_sum(t.right, a, b, my_rank)
+    return s
+
+
+def _built(vals, deletions):
+    tree = RangeTree(seed=5)
+    nodes = [tree.insert(v) for v in vals]
+    for i in deletions:
+        if i < len(nodes):
+            tree.delete(nodes.pop(i))
+    return tree
+
+
 def _walk_rank(node):
     """Rank by walking to the root, as ``rank`` does for inner nodes."""
     r = (node.left.size if node.left is not None else 0) + 1
@@ -85,16 +120,12 @@ class TestRangeSum:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(values, max_size=40), st.lists(st.integers(0, 39), max_size=10))
     def test_matches_full_query_bitwise(self, vals, deletions):
-        tree = RangeTree(seed=5)
-        nodes = [tree.insert(v) for v in vals]
-        for i in deletions:
-            if i < len(nodes):
-                tree.delete(nodes.pop(i))
+        tree = _built(vals, deletions)
         n = len(tree)
         # every interval, including clamped (a < 1, b > n) and empty (a > b) ones
         for a in range(-1, n + 3):
             for b in range(a - 2, n + 3):
-                assert tree.range_sum(a, b) == tree._range_query(a, b)[0], (a, b)
+                assert tree.range_sum(a, b) == _oracle_sum(tree, a, b), (a, b)
 
     def test_whole_tree_is_root_sum(self):
         tree = RangeTree()
@@ -104,6 +135,31 @@ class TestRangeSum:
 
     def test_empty_tree(self):
         assert RangeTree().range_sum(1, 3) == 0.0
+
+
+class TestRangeDelta:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(values, max_size=40), st.lists(st.integers(0, 39), max_size=10))
+    @example([1.0] * 4 + [1e10], [])  # a < 1 must shift by the clamped a
+    @example([665653866777.5881, 239341611453.63385, 2.5, 1.0, 515253440959.0555], [])
+    def test_within_an_ulp_of_exact(self, vals, deletions):
+        """``|Δ − exact| <= 2⁻⁵²·exact`` on every interval, clamped and empty
+        ones included; an empty interval is exactly 0.0."""
+        tree = _built(vals, deletions)
+        n = len(tree)
+        # exact prefix sums of v and of k·v over the descending ranks
+        pre_s, pre_g = [Fraction(0)], [Fraction(0)]
+        for k, v in enumerate(tree.values(), start=1):
+            pre_s.append(pre_s[-1] + Fraction(v))
+            pre_g.append(pre_g[-1] + k * Fraction(v))
+        for a in range(-1, n + 3):
+            for b in range(a - 2, n + 3):
+                lo, hi = max(a, 1), min(b, n)
+                exact = Fraction(0)
+                if lo <= hi:
+                    exact = pre_g[hi] - pre_g[lo - 1] - (lo - 1) * (pre_s[hi] - pre_s[lo - 1])
+                err = abs(Fraction(tree.range_delta(a, b)) - exact)
+                assert err <= Fraction(1, 2**52) * exact, (a, b)
 
 
 class TestPullDiscipline:
@@ -126,13 +182,13 @@ class TestPullDiscipline:
     def test_integer_churn_snapshot(self):
         # Integer cycle counts below 2**53 make every addition exact, so
         # any pull order gives these bits: the digest, recorded with the
-        # earlier rotate-and-pull code, pins shape, threading order,
-        # priorities and all three aggregates.
+        # earlier three-aggregate code, pins shape, threading order,
+        # priorities and both aggregates.
         tree = _churn(lambda rng: float(rng.randrange(1, 10**9)))
         digest = _preorder_digest(
-            tree, lambda t: (t.value, t._key[1], t._prio, t.size, t.sum, t.wsum))
+            tree, lambda t: (t.value, t._key[1], t._prio, t.size, t.sum))
         assert len(tree) == 578
-        assert digest == "6c1b2727fcbeb9a8b9151f629c10770f446572d46d9ecbb0f95c3a0ac4998373"
+        assert digest == "8aae454825b3c4252cf6848732750dd76bfb081d6b30904d286d93291696cc50"
 
     def test_float_churn_shape_snapshot(self):
         # With general floats the sums round; their bits are pinned by

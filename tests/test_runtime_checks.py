@@ -209,6 +209,18 @@ class TestDuplicateTaskIds:
         with pytest.raises(ValueError, match=rf"trace\.jsonl:2: .*task_id"):
             load_trace_jsonl(path)
 
+    @pytest.mark.parametrize("field, value", [("cycles", True), ("arrival", False),
+                                              ("deadline", True), ("deadline", False)])
+    def test_jsonl_loader_rejects_bool_number(self, tmp_path, field, value):
+        # float() used to read true/false as 1.0/0.0
+        row = {"task_id": 3, "name": "", "cycles": 1e9, "arrival": 0.0,
+               "deadline": "inf", "kind": "batch", field: value}
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"task_id": 2, "name": "", "cycles": 1e9, "arrival": 0.0, '
+                        '"deadline": "inf", "kind": "batch"}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.jsonl:2: bad trace row: {field} must be a number"):
+            load_trace_jsonl(path)
+
     def test_run_online_rejects_duplicate_id(self):
         trace = [Task(cycles=1e8, arrival=0.0, kind=TaskKind.INTERACTIVE, task_id=7),
                  Task(cycles=1e8, arrival=0.5, kind=TaskKind.INTERACTIVE, task_id=7)]

