@@ -19,6 +19,7 @@ from collections import Counter
 
 from repro import TABLE_II, olb_plan, power_saving_plan, run_batch, spec_tasks, wbg_plan
 from repro.analysis.metrics import improvement_summary, normalize_costs
+from repro.analysis.powerprofile import batch_power_profile
 from repro.analysis.reporting import format_table, render_cost_comparison
 
 RE, RT = 0.1, 0.4
@@ -52,14 +53,12 @@ def main() -> None:
     for rate in sorted(mix):
         print(f"  {rate:g} GHz: {'#' * mix[rate]} ({mix[rate]})")
 
-    # what the wall meter would see: power profile of the two plans
-    from repro.analysis.powerprofile import batch_power_profile
-    from repro.simulator import run_batch as _run
-
+    # what the wall meter would see: power profile of the two plans,
+    # derived from each run's task records
     for name in ("WBG", "OLB"):
-        traced = _run(plans[name], TABLE_II, keep_trace=True)
+        result = run_batch(plans[name], TABLE_II)
         print(f"\nplatform power over time — {name}:")
-        print(batch_power_profile(traced, traced.meters, width=64, height=5))
+        print(batch_power_profile(result, TABLE_II, width=64, height=5))
 
     # pricing sweep: the same workload under different energy prices
     rows = []

@@ -6,6 +6,8 @@
   paper's tables and figures (what the benchmark harness prints).
 * :mod:`repro.analysis.verification` — the Figure 1 experiment:
   analytical model vs simulated "real machine" with contention.
+* :mod:`repro.analysis.powerprofile` — the wall-meter reading of a
+  batch run, derived from its task records.
 """
 
 from repro.analysis.metrics import NormalizedCost, normalize_costs, percent_change
@@ -15,7 +17,7 @@ from repro.analysis.gantt import render_plan_gantt, render_run_gantt
 from repro.analysis.stats import Summary, bootstrap_ci, replicate, summarise
 from repro.analysis.powerprofile import (
     batch_power_profile,
-    merge_platform_meter,
+    power_trace,
     render_power_profile,
 )
 from repro.analysis.export import (
@@ -48,6 +50,6 @@ __all__ = [
     "verification_dict",
     "write_json",
     "batch_power_profile",
-    "merge_platform_meter",
+    "power_trace",
     "render_power_profile",
 ]

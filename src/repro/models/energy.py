@@ -5,8 +5,9 @@ The discrete model — energy ``e_k = L_k · E(p)`` (Equation 1) and time
 the per-cycle ``E(p)`` and ``T(p)`` from
 :meth:`RateTable.energy <repro.models.rates.RateTable.energy>` and
 :meth:`RateTable.time <repro.models.rates.RateTable.time>`; the
-simulator's :class:`~repro.simulator.power.PowerMeter` books busy and
-idle power over a run.
+simulator charges each task its energy, and
+:func:`~repro.analysis.powerprofile.power_trace` derives a batch run's
+busy and idle power over time from those task records.
 
 :class:`PowerLawEnergy` is the continuous-rate analytic model
 (``power = c·p^α``) the related work (Yao et al.) and our YDS baseline

@@ -2,14 +2,14 @@
 
 The pure-Python evaluators in :mod:`repro.models.cost` are the readable
 reference; for parameter sweeps over 10⁵-task batches the interpreter
-loop dominates. This module vectorises the hot computations —
-whole-schedule cost evaluation, the memoized positional costs
-``CB*(1..n)``, the Workload Based Greedy slot merge and its optimal-cost
-sum ``Σ C*·L``, and the Equation 27 interactive marginal — with NumPy,
-following the repo's HPC guidance (vectorise the measured bottleneck,
-keep the loop version as the specification). A single core is the
-one-element case of the multi-core kernels: ``wbg_optimal_cost([r], L)``
-is Algorithm 2's optimal cost.
+loop dominates. This module vectorises the hot computations — the
+memoized positional costs ``CB*(1..n)``, the Workload Based Greedy slot
+merge and its optimal-cost sum ``Σ C*·L``, and the Equation 27
+interactive marginal — with NumPy, following the repo's HPC guidance
+(vectorise the measured bottleneck, keep the loop version as the
+specification). A single core is the one-element case of the
+multi-core kernels: ``wbg_optimal_cost([r], L)`` is Algorithm 2's
+optimal cost.
 
 Two guarantees matter more than raw speed:
 
@@ -38,28 +38,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.dominating import DominatingRanges
-from repro.models.cost import CoreSchedule, CostModel
-
-
-def core_cost_vectorized(model: CostModel, schedule: CoreSchedule) -> float:
-    """Vectorised Equation 8 for one core's sequence.
-
-    ``O(n)`` NumPy ops instead of a Python loop: execution times via a
-    rate→T lookup, turnarounds via ``cumsum``.
-    """
-    n = len(schedule)
-    if n == 0:
-        return 0.0
-    table = model.table
-    rate_index = {p: i for i, p in enumerate(table.rates)}
-    idx = np.fromiter(
-        (rate_index[pl.rate] for pl in schedule), dtype=np.intp, count=n
-    )
-    cycles = np.fromiter((pl.task.cycles for pl in schedule), dtype=np.float64, count=n)
-    times = np.asarray(table.time_per_cycle)[idx] * cycles
-    energies = np.asarray(table.energy_per_cycle)[idx] * cycles
-    turnarounds = np.cumsum(times)
-    return float(model.re * energies.sum() + model.rt * turnarounds.sum())
 
 
 def _fill_positional(

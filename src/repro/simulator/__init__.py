@@ -5,10 +5,10 @@ DW-6091 power meter (see DESIGN.md, "Substitutions"):
 
 * :mod:`repro.simulator.platform` — cores with per-core frequency
   state; piecewise-constant execution with exact cycle/energy
-  integration across rate changes and preemption.
-* :mod:`repro.simulator.power` — the power-meter substitute: integrates
-  per-core power over simulated time, tracks the idle floor separately
-  (the paper subtracts an idle baseline from its wall readings).
+  integration across rate changes and preemption. Each task's record
+  is the one energy ledger; the wall-meter reading (power over time,
+  idle floor booked separately) is derived from a batch run's records
+  by :mod:`repro.analysis.powerprofile`.
 * :mod:`repro.simulator.contention` — the "real machine" effects the
   paper blames for its ~8 % Sim-vs-Exp gap: co-run resource contention
   and the non-frequency-proportional (memory-bound) fraction of each
@@ -22,7 +22,6 @@ DW-6091 power meter (see DESIGN.md, "Substitutions"):
 """
 
 from repro.simulator.platform import SimCore, TaskExecution
-from repro.simulator.power import PowerMeter
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.batch_runner import BatchResult, TaskRecord, run_batch
 from repro.simulator.online_runner import OnlineResult, OnlineTaskRecord, run_online
@@ -30,7 +29,6 @@ from repro.simulator.online_runner import OnlineResult, OnlineTaskRecord, run_on
 __all__ = [
     "SimCore",
     "TaskExecution",
-    "PowerMeter",
     "ContentionModel",
     "NO_CONTENTION",
     "BatchResult",

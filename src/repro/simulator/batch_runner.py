@@ -22,14 +22,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.models.cost import CoreSchedule, ScheduleCost, check_prices
 from repro.models.rates import RateTable
 from repro.models.task import Task, check_unique_ids
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.platform import SimCore, TaskExecution
-from repro.simulator.power import PowerMeter
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,16 @@ class TaskRecord:
 class BatchResult:
     """Everything measured during one batch execution.
 
-    ``meters`` holds each core's power meter (indexed by core, in
-    ascending ``core_index`` order); with ``keep_trace=True`` they
-    retain the full power trace for
-    :mod:`repro.analysis.powerprofile`.
+    ``cores`` holds the plan's core indices in ascending order, including
+    a core whose plan is empty; :func:`repro.analysis.powerprofile.power_trace`
+    derives each one's power over ``[0, makespan]`` from the records.
     """
 
     records: list[TaskRecord]
     makespan: float
     energy_joules: float
     contention: ContentionModel
-    meters: tuple = ()
+    cores: tuple[int, ...] = ()
 
     @property
     def turnaround_sum(self) -> float:
@@ -96,8 +94,6 @@ def run_batch(
     schedules: Sequence[CoreSchedule],
     tables: Sequence[RateTable] | RateTable,
     contention: ContentionModel = NO_CONTENTION,
-    idle_power: float = 0.0,
-    keep_trace: bool = False,
 ) -> BatchResult:
     """Run per-core plans to completion and measure time/energy.
 
@@ -114,8 +110,6 @@ def run_batch(
         Interference model; :data:`NO_CONTENTION` reproduces the
         analytical model exactly (the property tests assert equality
         with :meth:`CostModel.core_cost`).
-    idle_power, keep_trace:
-        Forwarded to each core's power meter.
     """
     if not schedules:
         raise ValueError("at least one core schedule is required")
@@ -136,12 +130,7 @@ def run_batch(
         return tables[core_index]
 
     cores: dict[int, SimCore] = {
-        s.core_index: SimCore(
-            s.core_index,
-            table_for(s.core_index),
-            contention=contention,
-            meter=PowerMeter(idle_power=idle_power, keep_trace=keep_trace),
-        )
+        s.core_index: SimCore(s.core_index, table_for(s.core_index), contention)
         for s in schedules
     }
     pending = {s.core_index: iter(s.placements) for s in schedules}
@@ -215,15 +204,12 @@ def run_batch(
         if start_next(core):
             push(core)  # same busy set, so no other core changed state
         else:
-            # the busy count dropped; the last completion drops it to
-            # zero, so every core is advanced to the makespan and the
-            # meters book idle power over [0, makespan]
-            refresh_co_runners()
+            refresh_co_runners()  # the busy count dropped
 
     return BatchResult(
         records=records,
         makespan=now,
         energy_joules=sum(r.energy_joules for r in records),
         contention=contention,
-        meters=tuple(cores[idx].meter for idx in sorted(cores)),
+        cores=tuple(sorted(cores)),
     )

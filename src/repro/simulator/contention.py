@@ -27,6 +27,7 @@ near the paper's ≈ 8 % gap on the SPEC batch (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -53,12 +54,14 @@ class ContentionModel:
     switch_overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.slowdown_per_corunner < 0:
-            raise ValueError("slowdown_per_corunner must be >= 0")
+        # NaN fails every comparison, so a NaN overhead would read as no
+        # overhead in SimCore.start; reject it here with inf
+        if not 0.0 <= self.slowdown_per_corunner < math.inf:
+            raise ValueError("slowdown_per_corunner must be finite and >= 0")
         if not (0.0 <= self.memory_bound_fraction < 1.0):
             raise ValueError("memory_bound_fraction must be in [0, 1)")
-        if self.switch_overhead_s < 0:
-            raise ValueError("switch_overhead_s must be >= 0")
+        if not 0.0 <= self.switch_overhead_s < math.inf:
+            raise ValueError("switch_overhead_s must be finite and >= 0")
 
     @property
     def is_ideal(self) -> bool:

@@ -6,16 +6,15 @@ core's own breakpoints: every state change (start, rate switch,
 co-run count change, preemption, completion) first calls
 :meth:`SimCore.advance`, which converts the elapsed wall time since the
 last update into completed cycles (through the optional
-:class:`~repro.simulator.contention.ContentionModel`), charges the
-running task its energy and, when the core was given a
-:class:`~repro.simulator.power.PowerMeter`, books the consumed energy
-with it. Between two breakpoints the remaining work falls on one line,
-so the runners never advance a core for another core's event:
+:class:`~repro.simulator.contention.ContentionModel`) and charges the
+running task its energy. The task's books are the only energy ledger:
+a run is priced from its task records, and a batch run's power trace
+is derived from them afterwards (:mod:`repro.analysis.powerprofile`).
+Between two breakpoints the remaining work falls on one line, so the
+runners never advance a core for another core's event:
 :meth:`SimCore.next_completion_time` extends the line from the last
 update, and :meth:`SimCore.remaining_at` and :meth:`SimCore.finished_by`
-read it at any instant without integrating. The batch runner hands
-each core a meter; the online runner hands none (``meter is None``),
-because an online run prices the task records, never the meters.
+read it at any instant without integrating.
 
 The effective seconds per cycle and the busy watts depend only on the
 (rate, co-runner count) state, so the core caches both and recomputes
@@ -38,7 +37,6 @@ from repro.models.rates import RateTable
 from repro.models.task import Task
 from repro.models.tolerances import CLOCK_ULPS, CYCLE_EPS, CYCLE_OVERRUN_TOL
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
-from repro.simulator.power import PowerMeter
 
 
 def finish_tolerance(cycles: float, now: float, time_per_cycle: float) -> float:
@@ -89,23 +87,14 @@ class TaskExecution:
 
 
 class SimCore:
-    """One core: current rate, current execution, progress integration.
-
-    ``meter``, when given, books every interval the core integrates,
-    busy or idle; without one the core charges only its tasks.
-    """
+    """One core: current rate, current execution, progress integration."""
 
     def __init__(
-        self,
-        index: int,
-        table: RateTable,
-        contention: ContentionModel = NO_CONTENTION,
-        meter: Optional[PowerMeter] = None,
+        self, index: int, table: RateTable, contention: ContentionModel = NO_CONTENTION
     ) -> None:
         self.index = index
         self.table = table
         self.contention = contention
-        self.meter = meter
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
         self._set_state(table.min_rate, 0)
@@ -199,19 +188,11 @@ class SimCore:
         legitimately when an unrelated event lands inside a
         switch-overhead window that :meth:`start` fast-forwarded over.
         """
-        last = self._last_update
-        dt = now - last
+        dt = now - self._last_update
         if not dt > 0.0:
             return
         current = self.current
-        meter = self.meter
-        # dt > 0 rules out NaN and backwards intervals, and the rate
-        # table keeps the watts finite and positive, so the meter's
-        # unchecked booking applies
-        if current is None:
-            if meter is not None:
-                meter.book_idle(last, now)
-        else:
+        if current is not None:
             tpc = self._time_per_cycle
             cycles_done = dt / tpc
             remaining = current.remaining_cycles
@@ -235,10 +216,7 @@ class SimCore:
                 dt = cycles_done * tpc
             current.remaining_cycles = remaining - cycles_done
             current.busy_seconds += dt
-            watts = self._busy_watts
-            current.energy_joules += watts * dt
-            if meter is not None:
-                meter.book_busy(last, now, watts)
+            current.energy_joules += self._busy_watts * dt
         self._last_update = now
 
     # -- state changes (caller must advance() to `now` first or pass now) -------------
@@ -266,15 +244,12 @@ class SimCore:
         self.current = execution
         if execution.started_at is None:
             execution.started_at = now
-        if self.contention.switch_overhead_s > 0:
+        overhead = self.contention.switch_overhead_s
+        if overhead > 0:
             # model the dispatch/DVFS latency as lost wall time at busy power
-            overhead_end = now + self.contention.switch_overhead_s
-            watts = self._busy_watts
-            if self.meter is not None:
-                self.meter.record_busy(now, overhead_end, watts)
-            execution.energy_joules += watts * self.contention.switch_overhead_s
-            execution.busy_seconds += self.contention.switch_overhead_s
-            self._last_update = overhead_end
+            execution.energy_joules += self._busy_watts * overhead
+            execution.busy_seconds += overhead
+            self._last_update = now + overhead
 
     def preempt(self, now: float) -> TaskExecution:
         """Stop the running task at ``now`` and hand its state back."""

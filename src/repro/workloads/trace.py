@@ -169,6 +169,14 @@ def generate_open_loop_trace(
     exponential inter-arrival gaps. Same task-class semantics as
     :func:`generate_judge_trace`.
     """
+    # a non-finite duration or rate never ends the arrival loop below
+    for name, value in (("duration_s", duration_s),
+                        ("interactive_per_s", interactive_per_s),
+                        ("noninteractive_per_s", noninteractive_per_s),
+                        ("noninteractive_median", noninteractive_median),
+                        ("noninteractive_sigma", noninteractive_sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     if interactive_per_s < 0 or noninteractive_per_s < 0:

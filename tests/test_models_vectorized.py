@@ -7,14 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import cost_models, cycle_lists
 from repro.core.batch_single import schedule_cost_lower_bound, schedule_single_core
 from repro.core.dominating import DominatingRanges
-from repro.models.cost import CoreSchedule, CostModel, Placement
-from repro.models.rates import TABLE_II
 from repro.models.task import Task
-from repro.models.vectorized import (
-    core_cost_vectorized,
-    positional_cost_prefix,
-    wbg_optimal_cost,
-)
+from repro.models.vectorized import positional_cost_prefix, wbg_optimal_cost
 
 
 def optimal_cost_one_core(model, cycles, ranges=None):
@@ -22,37 +16,6 @@ def optimal_cost_one_core(model, cycles, ranges=None):
     if ranges is None:
         ranges = DominatingRanges.from_cost_model(model)
     return wbg_optimal_cost([ranges], cycles)
-
-
-class TestCoreCostVectorized:
-    @settings(max_examples=50, deadline=None)
-    @given(cost_models(min_rates=1, max_rates=6), cycle_lists(0, 25), st.integers(0, 10**6))
-    def test_matches_scalar(self, model, cycles, seed):
-        import random
-
-        rng = random.Random(seed)
-        sched = CoreSchedule(
-            Placement(task=Task(cycles=c), rate=rng.choice(model.table.rates))
-            for c in cycles
-        )
-        scalar = model.core_cost(sched).total_cost
-        vector = core_cost_vectorized(model, sched)
-        assert vector == pytest.approx(scalar, rel=1e-9, abs=1e-9)
-
-    def test_empty(self, batch_model):
-        assert core_cost_vectorized(batch_model, CoreSchedule([])) == 0.0
-
-    def test_large_batch(self, batch_model):
-        import random
-
-        rng = random.Random(3)
-        sched = CoreSchedule(
-            Placement(task=Task(cycles=rng.uniform(0.1, 100)), rate=rng.choice(TABLE_II.rates))
-            for _ in range(5000)
-        )
-        assert core_cost_vectorized(batch_model, sched) == pytest.approx(
-            batch_model.core_cost(sched).total_cost, rel=1e-9
-        )
 
 
 class TestOptimalCostVectorized:

@@ -24,10 +24,17 @@ from repro.cli import main
 from repro.schedulers import OLBOnlineScheduler
 from repro.schedulers.yds import yds_schedule
 from repro.simulator import run_batch, run_online
+from repro.simulator.contention import ContentionModel
 from repro.structures import RangeTree
 from repro.verify import ALL_CHECKS, run_fuzz
 from repro.verify.differential import DifferentialCheck
-from repro.workloads import load_trace_csv, load_trace_jsonl, save_trace_csv, save_trace_jsonl
+from repro.workloads import (
+    generate_open_loop_trace,
+    load_trace_csv,
+    load_trace_jsonl,
+    save_trace_csv,
+    save_trace_jsonl,
+)
 
 
 class TestCostModel:
@@ -233,3 +240,32 @@ class TestDuplicateTaskIds:
                 CoreSchedule([Placement(Task(cycles=2e9, task_id=7), rate)], 1)]
         with pytest.raises(ValueError, match="duplicate task_id 7"):
             run_batch(plan, TABLE_II)
+
+
+class TestNonFiniteContention:
+    @pytest.mark.parametrize("field", ["slowdown_per_corunner", "switch_overhead_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejected_at_construction(self, field, value):
+        # a NaN overhead used to run as no overhead (SimCore.start tests
+        # overhead > 0); inf and a NaN slowdown stalled the batch run
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ContentionModel(**{field: value})
+
+
+class TestOpenLoopGenerator:
+    @pytest.mark.parametrize("field, args", [
+        ("duration_s", (math.nan, 1.0, 0.1)),
+        ("duration_s", (math.inf, 1.0, 0.1)),
+        ("interactive_per_s", (10.0, math.inf, 0.1)),
+        ("interactive_per_s", (10.0, math.nan, 0.1)),
+        ("noninteractive_per_s", (10.0, 1.0, math.inf)),
+    ])
+    def test_non_finite_argument_rejected(self, field, args):
+        # each of these used to loop forever, growing the arrival list
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            generate_open_loop_trace(*args)
+
+    @pytest.mark.parametrize("field", ["noninteractive_median", "noninteractive_sigma"])
+    def test_non_finite_size_parameter_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            generate_open_loop_trace(10.0, 1.0, 0.1, **{field: math.nan})

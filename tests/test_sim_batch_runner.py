@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cost_models, cycle_lists
+from repro.analysis.powerprofile import power_trace
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
@@ -21,11 +22,11 @@ from repro.workloads.synthetic import lognormal_batch
 
 
 class TestIdlePowerValidation:
-    @pytest.mark.parametrize("idle_power", [-1.0, math.nan])
+    @pytest.mark.parametrize("idle_power", [-1.0, math.nan, math.inf, -math.inf])
     def test_bad_idle_power_rejected(self, idle_power):
-        sched = CoreSchedule([Placement(Task(cycles=10.0), 2.0)])
+        result = run_batch([CoreSchedule([Placement(Task(cycles=10.0), 2.0)])], TABLE_II)
         with pytest.raises(ValueError, match="idle_power"):
-            run_batch([sched], TABLE_II, idle_power=idle_power)
+            power_trace(result, TABLE_II, idle_power=idle_power)
 
 
 class TestIdealRuns:
@@ -258,9 +259,10 @@ class TestLazyIntegration:
         # the busy count changed as each core ran dry, not at every event
         assert 2 <= SPIES[0].refreshes <= len(plan) + 1
 
-    #: Per-core ``gross_joules`` of the same runs when every core was
-    #: advanced at every completion (recorded before integration became
-    #: lazy): the idle floor is still booked over the whole makespan.
+    #: Per-core gross joules (busy plus a 1.5 W idle floor) of the same
+    #: runs when every core was advanced at every completion (recorded
+    #: before integration became lazy): the idle floor still covers the
+    #: whole makespan.
     EAGER_GROSS = {
         "ideal": (2743.6056723530523, 2581.222251583483, 2456.264367372758,
                   2386.4628575004604),
@@ -270,14 +272,14 @@ class TestLazyIntegration:
 
     @pytest.mark.parametrize("contention", sorted(CONTENTIONS))
     def test_idle_booking_tiles_the_makespan(self, contention):
-        result = run_batch(_uneven_plan(), TABLE_II, contention=CONTENTIONS[contention],
-                           idle_power=1.5, keep_trace=True)
-        for meter, eager in zip(result.meters, self.EAGER_GROSS[contention]):
-            segments = meter._trace
+        result = run_batch(_uneven_plan(), TABLE_II, contention=CONTENTIONS[contention])
+        trace = power_trace(result, TABLE_II, idle_power=1.5)
+        for segments, eager in zip(trace, self.EAGER_GROSS[contention], strict=True):
             assert segments[0].start == 0.0
             assert segments[-1].end == result.makespan
             for before, after in zip(segments, segments[1:]):
                 assert before.end == after.start  # no gap, no overlap
-            assert math.isclose(meter.gross_joules, eager, rel_tol=REL_TOL)
-        # cores that ran dry early booked the idle floor up to the makespan
-        assert sum(any(s.idle for s in m._trace) for m in result.meters) >= 2
+            gross = sum(s.joules for s in segments)
+            assert math.isclose(gross, eager, rel_tol=REL_TOL)
+        # cores that ran dry early idle at the floor up to the makespan
+        assert sum(any(s.idle for s in segments) for segments in trace) >= 2

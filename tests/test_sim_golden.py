@@ -15,12 +15,19 @@ ulps of four scenarios. The float-free outcome of the same runs
 the old and the new runs lies within its bound of the exact replay in
 :mod:`repro.verify.exact_sim`.
 
+The traced batch scenario's four per-core busy joules were re-pinned
+once more when the power trace came to be derived from the task records
+(one segment per record, summed in a different order): each moved by a
+few ulps, recorded on the commit before the change by applying the same
+derivation to its records. Its digest, idle joules and sampled energies
+did not move.
+
 Together the scenarios cover the ideal and the contention batch paths
-(co-runner refresh, switch overhead, meter traces), the online runner
-under LMC, OLB and On-demand with governors (rate switches and ticks),
-one heterogeneous platform, and one platform whose times are exact
-integers, so that arrivals land on completion instants and cores sit
-idle between bursts.
+(co-runner refresh, switch overhead, the derived power trace), the
+online runner under LMC, OLB and On-demand with governors (rate
+switches and ticks), one heterogeneous platform, and one platform whose
+times are exact integers, so that arrivals land on completion instants
+and cores sit idle between bursts.
 """
 
 import dataclasses
@@ -28,6 +35,7 @@ import random
 
 import pytest
 
+from repro.analysis.powerprofile import power_trace, sampled_energy
 from repro.governors import OnDemandGovernor
 from repro.models.rates import TABLE_II, RateTable, rate_table_from_power_law
 from repro.models.task import Task, TaskKind
@@ -76,11 +84,12 @@ def batch_wbg_ideal():
 
 
 def batch_wbg_contention_traced():
-    result = run_batch(_wbg_plan(), TABLE_II, contention=CALIBRATED_X86, idle_power=1.5,
-                       keep_trace=True)
-    meters = tuple((m.busy_joules, m.idle_joules, m.sampled_energy(1.0))
-                   for m in result.meters)
-    return _batch_digest(result) + meters
+    result = run_batch(_wbg_plan(), TABLE_II, contention=CALIBRATED_X86)
+    cores = tuple((sum((s.joules for s in segments if not s.idle), 0.0),
+                   sum((s.joules for s in segments if s.idle), 0.0),
+                   sampled_energy(segments, 1.0))
+                  for segments in power_trace(result, TABLE_II, idle_power=1.5))
+    return _batch_digest(result) + cores
 
 
 def online_lmc():
@@ -141,7 +150,7 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    'batch_wbg_contention_traced': '(59723.50665899158, 94904.00446195995, 1473.4505017702031, (24452.787704640043, 0.0, 24460.656432503656), (24049.954917920222, 45.61311602008243, 24109.083804604168), (23393.879681466227, 153.8893007152243, 23556.092202872536), (23007.382157933378, 210.0457833743003, 23228.79462711493))',
+    'batch_wbg_contention_traced': '(59723.50665899158, 94904.00446195995, 1473.4505017702031, (24452.787704640046, 0.0, 24460.656432503656), (24049.954917920244, 45.61311602008243, 24109.083804604168), (23393.87968146624, 153.8893007152243, 23556.092202872536), (23007.38215793339, 210.0457833743003, 23228.79462711493))',
     'batch_wbg_ideal': '(52623.279099824795, 84076.67775710882, 1321.3323076033494)',
     'online_exact_ties': '(782.0000000000001, 1812.0, 301.0, 240, 13, 553.8, 1092.0, 305.0, 240, 17)',
     'online_lmc': '(1174.0746539948486, 2597.3937262583513, 231.6861904386432, 3080, 363)',

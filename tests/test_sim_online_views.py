@@ -10,9 +10,9 @@ the core's last own breakpoint instead of one per event); a view that
 reads a stale or differently computed field changes the digest.
 
 The same scenarios also pin the cores behind the views: an online run
-builds meterless cores, advances a core only inside its own state
-changes (start, rate switch, preemption, completion), never for another
-core's event, and keeps arrivals out of the event heap.
+advances a core only inside its own state changes (start, rate switch,
+preemption, completion), never for another core's event, and keeps
+arrivals out of the event heap.
 """
 
 import hashlib
@@ -167,8 +167,7 @@ def test_online_cores_are_meterless_and_idle_cores_left_alone(name, monkeypatch)
                         SimpleNamespace(heappush=spy_heappush, heappop=heapq.heappop))
     trace, readings = SCENARIOS[name]()
     assert _digest(readings) == GOLDEN[name]
-    assert CORES and all(core.meter is None for core in CORES)
-    assert all(core.advances > 0 for core in CORES)
+    assert CORES and all(core.advances > 0 for core in CORES)
     assert [core.stray_idle_advances for core in CORES] == [0] * len(CORES)
     assert [core.stray_busy_advances for core in CORES] == [0] * len(CORES)
     # arrivals are streamed: the heap only ever holds completions (core
@@ -177,33 +176,3 @@ def test_online_cores_are_meterless_and_idle_cores_left_alone(name, monkeypatch)
                           for _, _, j in pushed)
     labels = {"done" if j >= 0 else "tick" for _, _, j in pushed}
     assert labels == ({"done", "tick"} if name == "ondemand_governed" else {"done"})
-
-
-def test_meterless_core_charges_tasks_exactly_as_a_metered_one():
-    """Dropping the meter changes no task's books, switch overhead included."""
-    from repro.models.task import Task
-    from repro.simulator.contention import CALIBRATED_X86
-    from repro.simulator.platform import TaskExecution
-    from repro.simulator.power import PowerMeter
-
-    def books(metered):
-        core = SimCore(0, TABLE_II, contention=CALIBRATED_X86,
-                       meter=PowerMeter() if metered else None)
-        first = TaskExecution(task=Task(cycles=3.0), remaining_cycles=3.0)
-        second = TaskExecution(task=Task(cycles=0.7), remaining_cycles=0.7)
-        core.advance(0.25)  # idle
-        core.start(first, 2.0, 0.5)
-        core.set_rate(3.0, 0.9)
-        core.preempt(1.1)
-        core.start(second, 1.6, 1.1)
-        core.complete(core.next_completion_time())
-        core.start(first, 2.4, core.last_update + 0.5)
-        core.complete(core.next_completion_time())
-        return core, [(e.energy_joules, e.busy_seconds, e.remaining_cycles, e.finished_at)
-                      for e in (first, second)]
-
-    metered, metered_books = books(True)
-    meterless, meterless_books = books(False)
-    assert meterless.meter is None and metered.meter is not None
-    assert meterless_books == metered_books
-    assert metered.meter.busy_joules > 0

@@ -9,7 +9,6 @@ from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.simulator.contention import CALIBRATED_X86, NO_CONTENTION, ContentionModel
 from repro.simulator.platform import SimCore, TaskExecution
-from repro.simulator.power import PowerMeter
 
 
 def make_exec(cycles: float) -> TaskExecution:
@@ -61,12 +60,6 @@ class TestIdealExecution:
         done = core.complete(t_done)
         # mixed-rate energy: 5·E(1.6) + 5·E(3.0)
         assert done.energy_joules == pytest.approx(5 * 3.375 + 5 * 7.1)
-
-    def test_idle_time_booked_to_meter(self):
-        core = SimCore(0, TABLE_II, meter=PowerMeter(idle_power=12.0, keep_trace=True))
-        core.advance(4.0)
-        assert core.meter.idle_joules == pytest.approx(48.0)
-        assert core.meter.net_joules == 0.0
 
     def test_completion_in_infinite_when_idle(self):
         core = SimCore(0, TABLE_II)
@@ -200,11 +193,9 @@ class TestCachedStateConstants:
     )
     def test_cache_matches_table_after_any_sequence(self, contention, ops):
         table = TABLE_II
-        core = SimCore(0, table, contention=contention, meter=PowerMeter(keep_trace=True))
+        core = SimCore(0, table, contention=contention)
         now, co_runners = 0.0, 0
         for op, *args in ops:
-            booked = len(core.meter._trace)
-            rate_before = core.rate
             if op == "start":
                 if core.busy:
                     continue
@@ -226,87 +217,7 @@ class TestCachedStateConstants:
             assert core.effective_time_per_cycle() == contention.effective_time_per_cycle(
                 table.time(core.rate), table.time_per_cycle[0], co_runners
             )
-            # progress booked by this op ran at the rate before it; a
-            # switch-overhead window opened by start() at the new rate
-            new = [seg for seg in core.meter._trace[booked:] if not seg.idle]
-            if op == "start" and contention.switch_overhead_s > 0:
-                overhead = new.pop()
-                assert overhead.watts == table.power(core.rate)
-            assert all(seg.watts == table.power(rate_before) for seg in new)
-
-
-_BOOKING_OPS = st.one_of(
-    st.tuples(st.just("start"), st.sampled_from(TABLE_II.rates), st.floats(0.01, 50.0)),
-    st.tuples(st.just("set_rate"), st.sampled_from(TABLE_II.rates)),
-    st.tuples(st.just("set_co_runners"), st.integers(0, 6)),
-    st.tuples(st.just("preempt")),
-    # complete a little past the finish: advance clips the overshoot
-    # from the task's books but the meter still books the whole interval
-    st.tuples(st.just("complete"), st.sampled_from([0.0, 1e-9, 1e-8])),
-    st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
-)
-
-
-class TestMeterBooking:
-    """The core books its meter without the per-call checks; a shadow
-    meter fed the same intervals through the checked ``record_*`` calls
-    must end up with exactly the same books."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        contention=st.sampled_from(
-            [NO_CONTENTION, CALIBRATED_X86, ContentionModel(0.1, 0.3, 0.002)]
-        ),
-        idle_power=st.floats(0.1, 50.0),
-        ops=st.lists(_BOOKING_OPS, max_size=40),
-    )
-    def test_books_match_checked_meter(self, contention, idle_power, ops):
-        core = SimCore(0, TABLE_II, contention=contention,
-                       meter=PowerMeter(idle_power=idle_power, keep_trace=True))
-        shadow = PowerMeter(idle_power=idle_power, keep_trace=True)
-        now = 0.0
-
-        def book_to(t):
-            # what SimCore.advance integrates from its last update to t
-            last = core.last_update
-            if t > last:
-                if core.busy:
-                    shadow.record_busy(last, t, TABLE_II.power(core.rate))
-                else:
-                    shadow.record_idle(last, t)
-
-        for op, *args in ops:
-            if op in ("preempt", "complete") and not core.busy:
-                continue
-            if op == "start":
-                if core.busy:
-                    continue
-                book_to(now)
-                core.start(make_exec(args[1]), args[0], now)
-                if contention.switch_overhead_s > 0:
-                    shadow.record_busy(now, now + contention.switch_overhead_s,
-                                       TABLE_II.power(args[0]))
-                continue
-            if op == "complete":
-                now = core.next_completion_time() + args[0]
-            elif op == "advance":  # never past the running task's completion
-                now = min(now + args[0], core.next_completion_time())
-            book_to(now)
-            if op == "set_rate":
-                core.set_rate(args[0], now)
-            elif op == "set_co_runners":
-                core.set_co_runners(args[0], now)
-            elif op == "preempt":
-                core.preempt(now)
-            elif op == "complete":
-                core.complete(now)
-            else:
-                core.advance(now)
-        meter = core.meter
-        assert meter.busy_joules == shadow.busy_joules
-        assert meter.idle_joules == shadow.idle_joules
-        assert meter._last_end == shadow._last_end
-        assert meter._trace == shadow._trace
+            assert core._busy_watts == table.power(core.rate)
 
 
 class TestLazyReaders:
