@@ -14,7 +14,7 @@ cost_weights``).
 
 import pytest
 
-from conftest import emit
+from harness import emit
 from repro.analysis.reporting import format_table
 from repro.models.rates import TABLE_II
 from repro.perf.sweep import COST_WEIGHT_RATIOS, run_sweep

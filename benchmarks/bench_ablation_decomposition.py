@@ -12,7 +12,7 @@ mechanisms' contributions:
 
 import pytest
 
-from conftest import RE_ONLINE, RT_ONLINE, emit
+from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.reporting import format_table
 from repro.models.rates import TABLE_II
 from repro.schedulers import LMCOnlineScheduler, OLBOnlineScheduler

@@ -9,7 +9,7 @@ menu costs relative to the closed-form optimal rate).
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH, emit
+from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.reporting import format_table
 from repro.core.dominating import DominatingRanges, brute_force_ranges
 from repro.models.cost import CostModel

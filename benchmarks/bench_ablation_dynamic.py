@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import RE_ONLINE, RT_ONLINE, emit
+from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II

@@ -17,7 +17,7 @@ perturbs queue order and frequency choices, but the structure
 
 import pytest
 
-from conftest import RE_ONLINE, RT_ONLINE, emit
+from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.reporting import format_table
 from repro.models.rates import TABLE_II
 from repro.schedulers import LMCOnlineScheduler

@@ -11,7 +11,7 @@ difference — it should be small, validating the Figure 2 methodology.
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH, emit
+from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.reporting import format_table
 from repro.governors import OnDemandGovernor, PowerSavingGovernor
 from repro.models.rates import TABLE_II

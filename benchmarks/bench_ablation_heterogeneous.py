@@ -9,7 +9,7 @@ cores as big when half are little).
 
 import pytest
 
-from conftest import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE, emit
+from harness import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE, emit
 from repro.analysis.reporting import format_table
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.models.cost import CostModel

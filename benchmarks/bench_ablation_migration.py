@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from conftest import RE_ONLINE, RT_ONLINE, emit
+from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.reporting import format_table
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.online_lmc import LeastMarginalCostPolicy

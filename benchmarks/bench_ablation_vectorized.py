@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH
+from harness import RE_BATCH, RT_BATCH
 from repro.core.batch_single import schedule_cost_lower_bound
 from repro.core.dominating import DominatingRanges
 from repro.models.cost import CostModel

@@ -7,7 +7,7 @@ computes only the optimal cost.
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH
+from harness import RE_BATCH, RT_BATCH
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, rate_table_from_power_law

@@ -11,7 +11,7 @@ is about 8% higher than the simulation result."
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH, emit
+from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.reporting import format_table
 from repro.analysis.verification import verify_model
 from repro.models.cost import CostModel

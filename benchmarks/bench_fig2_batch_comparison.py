@@ -13,7 +13,7 @@ execution time by 13%."
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH, emit
+from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_breakdown, render_cost_comparison
 from repro.models.rates import TABLE_II

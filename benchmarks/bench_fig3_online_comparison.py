@@ -16,7 +16,7 @@ once (pedantic mode) rather than statistically sampled.
 
 import pytest
 
-from conftest import RE_ONLINE, RT_ONLINE, emit
+from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_comparison
 from repro.governors import OnDemandGovernor

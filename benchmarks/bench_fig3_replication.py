@@ -12,7 +12,7 @@ The per-seed grid is the registered ``fig3_replication`` sweep
 
 import pytest
 
-from conftest import emit
+from harness import emit
 from repro.analysis.stats import bootstrap_ci
 from repro.perf.sweep import FIG3_SEEDS, run_sweep
 

@@ -11,7 +11,7 @@ Both halves are cells of the registered ``core_count`` sweep
 
 import pytest
 
-from conftest import emit
+from harness import emit
 from repro.analysis.reporting import format_table
 from repro.perf.sweep import CORE_COUNTS_BATCH, CORE_COUNTS_ONLINE, run_sweep
 

@@ -7,7 +7,7 @@ plus the seconds→cycles conversion the schedulers consume.
 
 import pytest
 
-from conftest import emit
+from harness import emit
 from repro.analysis.reporting import render_table_i
 from repro.workloads.spec import SPEC_TABLE_I, spec_cycles, spec_tasks
 

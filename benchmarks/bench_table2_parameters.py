@@ -7,7 +7,7 @@ dominating-position-range precomputation those parameters feed
 
 import pytest
 
-from conftest import RE_BATCH, RT_BATCH, emit
+from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.reporting import format_table, render_table_ii
 from repro.core.dominating import DominatingRanges
 from repro.models.cost import CostModel

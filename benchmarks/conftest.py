@@ -7,6 +7,10 @@ Run with::
 ``-s`` lets each benchmark print the paper-style table it regenerates
 (Table I/II rows, the Figure 1-3 series). Without ``-s`` the numbers
 are still asserted, just not displayed.
+
+The pricing constants and ``emit`` live in ``benchmarks/harness.py``:
+the modules import them by module name, and ``conftest`` is not a
+unique one (the test suite has its own).
 """
 
 from __future__ import annotations
@@ -19,17 +23,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 import pytest
-
-#: The paper's pricing constants.
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
-
-
-def emit(text: str) -> None:
-    """Print a regenerated table (visible with ``pytest -s``)."""
-    print()
-    print(text)
-    sys.stdout.flush()
 
 
 @pytest.fixture(scope="session")

@@ -372,8 +372,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"error: cannot read baseline {baseline_path}: {exc}")
             return EXIT_ERROR
 
-    # Gate first (against the committed numbers), then overwrite them —
-    # mirroring how `repro lint` treats its baseline file.
+    # Gate first (against the committed numbers), then overwrite them,
+    # unless the gate failed: a failing run must not become the numbers
+    # its rerun is compared against.
     code = EXIT_CLEAN
     if args.no_compare:
         print("bench gate: skipped (--no-compare)")
@@ -387,6 +388,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         render_comparison(comparison, print)
         code = comparison.exit_code
 
+    if code != EXIT_CLEAN:
+        print(f"bench gate failed: left {out_path} unchanged")
+        return code
     save_report_file(out_path, report, existing=existing)
     print(f"wrote {out_path} (profile {report.profile!r})")
     return code

@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.dominating import DominatingRanges
-from repro.models.cost import CoreSchedule, CostModel, Placement, ScheduleCost
+from repro.models.cost import CoreSchedule, CostModel, Placement, ScheduleCost, make_placement
 from repro.models.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -105,7 +105,7 @@ class WorkloadBasedGreedy:
             if tracer is not None:
                 self._emit_slot_picks(tracer, by_weight, cores, rates)
             for task, j, rate in zip(by_weight, cores, rates):
-                backward[j].append(Placement(task=task, rate=rate))
+                backward[j].append(make_placement(task, rate))
         return [
             CoreSchedule(reversed(backward[j]), core_index=j) for j in range(self.n_cores)
         ]

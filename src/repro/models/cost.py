@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.models.rates import RateTable
+from repro.models.records import slot_builder
 from repro.models.task import Task
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """One scheduled task: which task, at what (fixed) rate."""
 
@@ -41,6 +42,11 @@ class Placement:
 
     def execution_time(self, table: RateTable) -> float:
         return self.task.cycles * table.time(self.rate)
+
+
+#: ``make_placement(task, rate)`` equals ``Placement(task, rate)``; the
+#: batch planners' per-task loops build through it (:mod:`repro.models.records`).
+make_placement = slot_builder(Placement)
 
 
 @dataclass(frozen=True)

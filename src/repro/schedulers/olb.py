@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from repro.models.cost import CoreSchedule, Placement
+from repro.models.cost import CoreSchedule, Placement, make_placement
 from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
@@ -37,12 +37,13 @@ def olb_plan(
         raise ValueError("n_cores must be >= 1")
     p = table.max_rate if rate is None else rate
     table.index_of(p)  # validate
+    seconds_per_cycle = table.time(p)
     ready = [0.0] * n_cores
     lanes: list[list[Placement]] = [[] for _ in range(n_cores)]
     for task in tasks:
-        j = min(range(n_cores), key=lambda i: (ready[i], i))
-        lanes[j].append(Placement(task=task, rate=p))
-        ready[j] += task.cycles * table.time(p)
+        j = ready.index(min(ready))  # the earliest-ready core, lowest index on ties
+        lanes[j].append(make_placement(task, p))
+        ready[j] += task.cycles * seconds_per_cycle
     return [CoreSchedule(lanes[j], core_index=j) for j in range(n_cores)]
 
 

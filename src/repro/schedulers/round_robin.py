@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.models.cost import CoreSchedule, Placement
+from repro.models.cost import CoreSchedule, Placement, make_placement
 from repro.models.rates import RateTable
 from repro.models.task import Task
 
@@ -28,5 +28,5 @@ def round_robin_plan(
     table.index_of(p)
     lanes: list[list[Placement]] = [[] for _ in range(n_cores)]
     for i, task in enumerate(tasks):
-        lanes[i % n_cores].append(Placement(task=task, rate=p))
+        lanes[i % n_cores].append(make_placement(task, p))
     return [CoreSchedule(lanes[j], core_index=j) for j in range(n_cores)]

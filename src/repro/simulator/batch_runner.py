@@ -26,12 +26,13 @@ from typing import Sequence
 
 from repro.models.cost import CoreSchedule, ScheduleCost, check_prices
 from repro.models.rates import RateTable
+from repro.models.records import slot_builder
 from repro.models.task import Task, check_unique_ids
 from repro.simulator.contention import ContentionModel, NO_CONTENTION
 from repro.simulator.platform import SimCore, TaskExecution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """Measured outcome of one task in a batch run."""
 
@@ -45,6 +46,9 @@ class TaskRecord:
     @property
     def turnaround(self) -> float:
         return self.finish - self.task.arrival
+
+
+_make_record = slot_builder(TaskRecord)
 
 
 @dataclass
@@ -73,13 +77,14 @@ class BatchResult:
     def cost(self, re: float, rt: float) -> ScheduleCost:
         """Convert measurements to money at rates ``Re`` (¢/J) and ``Rt`` (¢/s)."""
         check_prices(re, rt)
+        turnaround_sum = self.turnaround_sum
         return ScheduleCost(
             energy_cost=re * self.energy_joules,
-            temporal_cost=rt * self.turnaround_sum,
+            temporal_cost=rt * turnaround_sum,
             energy_joules=self.energy_joules,
             busy_seconds=self.busy_seconds,
             makespan=self.makespan,
-            turnaround_sum=self.turnaround_sum,
+            turnaround_sum=turnaround_sum,
             task_count=len(self.records),
         )
 
@@ -191,16 +196,11 @@ def run_batch(
         now, idx = heapq.heappop(heap)
         core = cores[idx]
         execution = core.complete(now)
-        records.append(
-            TaskRecord(
-                task=execution.task,
-                core=idx,
-                rate=core.rate,
-                start=execution.started_at if execution.started_at is not None else 0.0,
-                finish=now,
-                energy_joules=execution.energy_joules,
-            )
-        )
+        start = execution.started_at
+        records.append(_make_record(
+            execution.task, idx, core.rate, start if start is not None else 0.0, now,
+            execution.energy_joules,
+        ))
         if start_next(core):
             push(core)  # same busy set, so no other core changed state
         else:

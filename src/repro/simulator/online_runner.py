@@ -25,12 +25,13 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
 from repro.governors.base import Governor
 from repro.models.cost import ScheduleCost, check_prices
 from repro.models.rates import RateTable, per_core_tables
+from repro.models.records import slot_builder
 from repro.models.task import Task, TaskKind, check_unique_ids
 from repro.models.tolerances import STRICT_ABS_TOL, TIME_SLACK
 from repro.simulator.platform import SimCore, TaskExecution
@@ -157,34 +158,7 @@ class OnlineTaskRecord:
         return self.task.kind
 
 
-def _record_factory():
-    """``OnlineTaskRecord(...)`` with positional fields, minus ``__init__``.
-
-    The frozen ``__init__`` sets each field through
-    ``object.__setattr__``; filling the slot descriptors directly builds
-    an equal record in about a quarter of the time. The record stays
-    frozen: only this factory writes its slots.
-    """
-    new = object.__new__
-    setters = tuple(OnlineTaskRecord.__dict__[f.name].__set__ for f in fields(OnlineTaskRecord))
-    set_task, set_core, set_first_start, set_finish, set_energy, set_preemptions, set_busy = setters
-
-    def make(task: Task, core: int, first_start: float, finish: float,
-             energy_joules: float, preemptions: int, busy_seconds: float) -> OnlineTaskRecord:
-        record = new(OnlineTaskRecord)
-        set_task(record, task)
-        set_core(record, core)
-        set_first_start(record, first_start)
-        set_finish(record, finish)
-        set_energy(record, energy_joules)
-        set_preemptions(record, preemptions)
-        set_busy(record, busy_seconds)
-        return record
-
-    return make
-
-
-_make_record = _record_factory()
+_make_record = slot_builder(OnlineTaskRecord)
 
 
 @dataclass

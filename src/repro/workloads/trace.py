@@ -74,6 +74,26 @@ class JudgeTraceConfig:
             raise ValueError("interactive_cycles must satisfy 0 < lo <= hi")
 
 
+def _cdf(weights: Sequence[float]) -> list[float]:
+    """Running sums of ``weights`` normalised, ending at exactly 1.0.
+
+    The rounded running sum can end below 1.0 (``0.9999999999999998``),
+    where ``random()`` can still draw (up to ``1 - 2**-53``), and a
+    ``while cdf[b] < u`` scan would then run off the table. Every entry
+    from the last positive weight on is pinned to 1.0, so each draw
+    lands in a bin of positive weight.
+    """
+    total = sum(weights)
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    last = max(i for i, w in enumerate(weights) if w > 0)
+    cdf[last:] = [1.0] * (len(cdf) - last)
+    return cdf
+
+
 def _profile_arrivals(
     rng: random.Random, n: int, duration: float, profile: Sequence[float]
 ) -> list[float]:
@@ -83,12 +103,7 @@ def _profile_arrivals(
     then a uniform offset within it. Exact count, seeded, O(n log b).
     """
     bins = len(profile)
-    total = sum(profile)
-    cdf = []
-    acc = 0.0
-    for w in profile:
-        acc += w / total
-        cdf.append(acc)
+    cdf = _cdf(profile)
     width = duration / bins
     times = []
     for _ in range(n):
@@ -126,12 +141,7 @@ def generate_judge_trace(config: JudgeTraceConfig | None = None) -> list[Task]:
     # non-interactive: code judging, one of five problems each
     ni_times = _profile_arrivals(rng, cfg.n_noninteractive, cfg.duration_s,
                                  cfg.noninteractive_profile)
-    weight_sum = sum(cfg.problem_weights)
-    cum = []
-    acc = 0.0
-    for w in cfg.problem_weights:
-        acc += w / weight_sum
-        cum.append(acc)
+    cum = _cdf(cfg.problem_weights)
     for i, t in enumerate(ni_times):
         u = rng.random()
         p = 0

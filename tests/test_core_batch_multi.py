@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models, cycle_lists
+from strategies import cost_models, cycle_lists
 from repro.core.batch_multi import (
     WorkloadBasedGreedy,
     brute_force_multi_core,

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models, cycle_lists
+from strategies import cost_models, cycle_lists
 from repro.core.batch_single import (
     brute_force_single_core,
     schedule_cost_lower_bound,

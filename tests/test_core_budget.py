@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle_lists
+from strategies import cycle_lists
 from repro.core.budget import (
     min_energy,
     pareto_frontier,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle_lists
+from strategies import cycle_lists
 from repro.core.batch_single import schedule_single_core
 from repro.core.continuous import ContinuousRelaxation
 from repro.models.cost import CostModel

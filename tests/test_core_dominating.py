@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models
+from strategies import cost_models
 from repro.core.dominating import (
     DominatingRange,
     DominatingRanges,

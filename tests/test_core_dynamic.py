@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cost_models
+from strategies import cost_models
 from repro.core.batch_single import schedule_cost_lower_bound
 from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.models.cost import CostModel

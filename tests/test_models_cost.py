@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models, cycle_lists
+from strategies import cost_models, cycle_lists
 from repro.models.cost import CoreSchedule, CostModel, Placement, ScheduleCost, ZERO_COST
 from repro.models.rates import TABLE_II, rate_table_from_power_law
 from repro.models.task import Task

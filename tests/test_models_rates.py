@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given
 
-from conftest import rate_tables
+from strategies import rate_tables
 from repro.models.rates import (
     EXYNOS_4412,
     I7_950,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models, cycle_lists
+from strategies import cost_models, cycle_lists
 from repro.core.batch_single import schedule_cost_lower_bound, schedule_single_core
 from repro.core.dominating import DominatingRanges
 from repro.models.task import Task

@@ -214,6 +214,24 @@ def test_cli_bench_detects_planted_regression(tmp_path) -> None:
     assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
 
 
+def test_cli_bench_failed_gate_leaves_baseline_unchanged(tmp_path, capsys) -> None:
+    out = tmp_path / "BENCH_schedulers.json"
+    args = ["bench", "--quick", "--repeats", "1",
+            "--scenario", "dynamic_churn", "--out", str(out)]
+    assert main(args) == EXIT_CLEAN
+    raw = json.loads(out.read_text())
+    raw["profiles"]["quick"]["scenarios"]["dynamic_churn"]["checksum"] = "0" * 16
+    out.write_text(json.dumps(raw))
+    doctored = out.read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
+    assert out.read_bytes() == doctored
+    assert f"left {out} unchanged" in capsys.readouterr().out
+    # a rerun still fails against the committed numbers, not its own
+    assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
+    assert out.read_bytes() == doctored
+
+
 def test_cli_bench_scenario_keeps_unmeasured_entries(tmp_path) -> None:
     committed = Path(__file__).resolve().parents[1] / "BENCH_schedulers.json"
     out = tmp_path / "BENCH_schedulers.json"

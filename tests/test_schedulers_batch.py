@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle_lists
+from strategies import cycle_lists
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, rate_table_from_power_law
 from repro.models.task import Task
@@ -28,6 +28,24 @@ class TestOLBPlan:
         tasks = tasks_of([10.0, 1.0, 1.0, 1.0])
         plan = olb_plan(tasks, TABLE_II, 1)
         assert [pl.task.cycles for pl in plan[0]] == [10.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("cycles", [
+        [2.0] * 13,  # every round is a four-way tie
+        [3.0, 1.0, 2.0, 1.0, 1.0, 2.0, 3.0, 1.0, 2.0, 2.0, 1.0, 1.0],
+    ])
+    def test_ties_go_to_the_lowest_core_index(self, cycles):
+        """The earliest-ready core wins; equal ready times go to the
+        lowest index, as the readable ``(ready[i], i)`` key says."""
+        tasks = tasks_of(cycles)
+        seconds = TABLE_II.time(TABLE_II.max_rate)
+        ready = [0.0] * 4
+        expected: list[list[int]] = [[] for _ in range(4)]
+        for task in tasks:
+            j = min(range(4), key=lambda i: (ready[i], i))
+            expected[j].append(task.task_id)
+            ready[j] += task.cycles * seconds
+        plan = olb_plan(tasks, TABLE_II, 4)
+        assert [[pl.task.task_id for pl in s] for s in plan] == expected
 
     def test_defaults_to_max_rate(self):
         plan = olb_plan(tasks_of([5.0]), TABLE_II, 1)

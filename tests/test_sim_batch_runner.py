@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_models, cycle_lists
+from strategies import cost_models, cycle_lists
 from repro.analysis.powerprofile import power_trace
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II

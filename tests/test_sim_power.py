@@ -6,7 +6,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rate_tables
+from strategies import rate_tables
 from repro.analysis.powerprofile import PowerSegment, power_at, power_trace, sampled_energy
 from repro.models.cost import CoreSchedule, Placement
 from repro.models.rates import RateTable

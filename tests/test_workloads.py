@@ -1,6 +1,8 @@
 """Tests for the workload generators (Table I, synthetic, Judgegirl trace)."""
 
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +20,37 @@ from repro.workloads.synthetic import (
     lognormal_batch,
     uniform_batch,
 )
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     JudgeTraceConfig,
     generate_judge_trace,
     trace_summary,
 )
+
+#: Weights whose rounded running sum ends at 0.9999999999999998, below
+#: the largest ``random()`` draw.
+SHORT_CDF = (0.1, 0.3, 0.2)
+
+
+#: The largest value ``random.random()`` returns.
+TOP_DRAW = 1.0 - 2.0**-53
+
+
+class _ScriptedDraws(random.Random):
+    """``random()`` returns ``draws`` in order, then 0.5."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0) if self.draws else 0.5
+
+
+def _script_trace_rng(monkeypatch, draws):
+    """Make ``generate_judge_trace`` draw ``draws`` first."""
+    monkeypatch.setattr(trace_module, "random",
+                        types.SimpleNamespace(Random=lambda seed: _ScriptedDraws(draws)))
 
 
 class TestSpecTableI:
@@ -169,6 +197,25 @@ class TestJudgeTrace:
             JudgeTraceConfig(interactive_profile=())
         with pytest.raises(ValueError):
             JudgeTraceConfig(interactive_cycles=(0.0, 1.0))
+
+    @pytest.mark.parametrize("profile", [SHORT_CDF, SHORT_CDF + (0.0,)])
+    def test_top_draw_lands_in_last_weighted_bin(self, monkeypatch, profile):
+        """The arrival-bin table ends at exactly 1.0, so the largest draw
+        picks the last bin of positive weight instead of indexing past
+        the table."""
+        _script_trace_rng(monkeypatch, [TOP_DRAW])  # the bin; its offset draws 0.5
+        cfg = JudgeTraceConfig(n_interactive=1, n_noninteractive=0, duration_s=len(profile),
+                               interactive_profile=profile)
+        (task,) = generate_judge_trace(cfg)
+        assert task.arrival == 2.5
+
+    def test_top_draw_picks_last_problem(self, monkeypatch):
+        """The problem-choice table ends at exactly 1.0 as well."""
+        _script_trace_rng(monkeypatch, [0.5, 0.5, TOP_DRAW])  # arrival bin, offset, problem
+        cfg = JudgeTraceConfig(n_interactive=0, n_noninteractive=1,
+                               problem_medians=(7.2, 12.6, 18.0), problem_weights=SHORT_CDF)
+        (task,) = generate_judge_trace(cfg)
+        assert task.name.endswith("/p3")
 
     def test_utilisation_metric(self):
         cfg = JudgeTraceConfig(n_interactive=10, n_noninteractive=10, seed=4)
