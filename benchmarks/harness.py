@@ -1,12 +1,13 @@
-"""The paper's pricing constants and the table printer the benchmarks share."""
+"""The paper's pricing constants (from :mod:`repro.models.cost`) and the
+table printer the benchmarks share."""
 
 from __future__ import annotations
 
 import sys
 
-#: The paper's pricing constants.
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
+from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE
+
+__all__ = ["RE_BATCH", "RE_ONLINE", "RT_BATCH", "RT_ONLINE", "emit"]
 
 
 def emit(text: str) -> None:

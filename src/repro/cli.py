@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import (
@@ -41,7 +41,7 @@ from repro.analysis.reporting import (
 from repro.analysis.verification import verify_model
 from repro.core.dominating import DominatingRanges
 from repro.governors import OnDemandGovernor
-from repro.models.cost import CostModel
+from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE, CostModel
 from repro.models.rates import TABLE_II
 from repro.models.rates import TABLE_II_VERIFICATION
 from repro.models.task import Task
@@ -57,6 +57,9 @@ from repro.simulator import run_batch, run_online
 from repro.workloads import generate_judge_trace, JudgeTraceConfig, spec_tasks
 from repro.workloads.spec import SPEC_TABLE_I
 from repro.workloads.trace import trace_summary
+
+if TYPE_CHECKING:
+    from repro.obs import RecordingTracer
 
 
 def _add_pricing(parser: argparse.ArgumentParser, re_default: float, rt_default: float) -> None:
@@ -238,14 +241,28 @@ def _format_event(event, width: int = 110) -> str:
     return f"{event.seq:>5}  {event.kind:<18}{stamp}  {data}"
 
 
+def _run_scenario(args: argparse.Namespace, tracer: "RecordingTracer") -> Optional[dict[str, Any]]:
+    """Run ``args.scenario`` traced; ``None`` (after printing the error)
+    when the scenario rejects its options, e.g. one it does not take."""
+    from repro.obs import run_traced_scenario
+
+    try:
+        return run_traced_scenario(
+            args.scenario, tracer,
+            re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return None
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import RecordingTracer, run_traced_scenario
+    from repro.obs import RecordingTracer, write_trace
 
     tracer = RecordingTracer()
-    summary = run_traced_scenario(
-        args.scenario, tracer,
-        re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed,
-    )
+    summary = _run_scenario(args, tracer)
+    if summary is None:
+        return 2
     events = tracer.events
     parts = [f"{k}={summary[k]}" for k in ("n_tasks", "n_ops", "n_cores", "total_cost")
              if k in summary]
@@ -253,7 +270,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     counts = ", ".join(f"{k}×{v}" for k, v in sorted(tracer.counts.items()))
     print(f"{len(events)} trace events: {counts}")
     if args.out:
-        n = tracer.write_jsonl(args.out)
+        n = write_trace(args.out, events)
         print(f"wrote {n} events to {args.out}")
         return 0
     shown = events if args.limit is None else events[: args.limit]
@@ -265,13 +282,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        ExplainError,
-        RecordingTracer,
-        explain_task,
-        read_trace,
-        run_traced_scenario,
-    )
+    from repro.obs import ExplainError, RecordingTracer, explain_task, read_trace
 
     key = int(args.task) if args.task.lstrip("-").isdigit() else args.task
     if args.trace:
@@ -282,10 +293,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             return 2
     else:
         tracer = RecordingTracer()
-        run_traced_scenario(
-            args.scenario, tracer,
-            re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed,
-        )
+        if _run_scenario(args, tracer) is None:
+            return 2
         events = tracer.events
     try:
         explanation = explain_task(events, key)
@@ -498,29 +507,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table2", help="print Table II").set_defaults(func=cmd_table2)
 
     p = sub.add_parser("ranges", help="dominating position ranges (Algorithm 1)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_ranges)
 
     p = sub.add_parser("fig1", help="model verification (Sim vs Exp)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="batch mode comparison (WBG/OLB/PS)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="online mode comparison (LMC/OLB/OD)")
-    _add_pricing(p, 0.4, 0.1)
+    _add_pricing(p, RE_ONLINE, RT_ONLINE)
     p.add_argument("--seed", type=int, default=2014, help="trace seed (default 2014)")
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("batch", help="schedule an ad-hoc batch with WBG")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("gantt", help="ASCII Gantt chart of a WBG plan")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.add_argument("--width", type=int, default=72, help="chart width in chars")
     p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_gantt)

@@ -29,6 +29,11 @@ from repro.models.rates import RateTable
 from repro.models.records import slot_builder
 from repro.models.task import Task
 
+#: The paper's prices, Re in cents per joule and Rt in cents per second:
+#: the batch experiments (Fig. 2) and the online experiments (Fig. 3).
+RE_BATCH, RT_BATCH = 0.1, 0.4
+RE_ONLINE, RT_ONLINE = 0.4, 0.1
+
 
 @dataclass(frozen=True, slots=True)
 class Placement:

@@ -7,9 +7,9 @@ without changing them:
   structured decision the instrumented code can emit (Algorithm 1 range
   construction, Algorithm 3 slot picks, Equation 27/32 marginal-cost
   comparisons, dynamic-index mutations, simulator lifecycle events).
-* :mod:`repro.obs.tracer` — the :class:`Tracer` protocol plus the
-  :class:`NullTracer` (zero-overhead default), :class:`RecordingTracer`
-  (in-memory ring), and :class:`JsonlTracer` (streaming file sink).
+* :mod:`repro.obs.tracer` — the emit-only :class:`Tracer` protocol,
+  its one implementation :class:`RecordingTracer` (in memory, validating
+  every event), and the JSONL :func:`write_trace` / :func:`read_trace`.
 * :mod:`repro.obs.metrics` — counters / gauges / histograms and a
   :class:`MetricsRegistry`; :func:`scheduler_metrics` unifies the
   pre-existing ad-hoc stats (LMC probe counters, dynamic-index
@@ -44,8 +44,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.run import TRACE_SCENARIOS, run_traced_scenario
 from repro.obs.tracer import (
-    JsonlTracer,
-    NullTracer,
     RecordingTracer,
     Tracer,
     read_trace,
@@ -70,8 +68,6 @@ __all__ = [
     "scheduler_metrics",
     "TRACE_SCENARIOS",
     "run_traced_scenario",
-    "JsonlTracer",
-    "NullTracer",
     "RecordingTracer",
     "Tracer",
     "read_trace",

@@ -16,7 +16,7 @@ kind                      decision it records
 ========================  =======================================================
 ``ranges.build``          Algorithm 1 — the dominating position ranges a
                           scheduler component will read rates/costs from
-``wbg.schedule``          Algorithm 3 span summary (one per batch)
+``wbg.schedule``          Algorithm 3 batch summary (one per batch)
 ``wbg.slot_pick``         Algorithm 3 — one heap pop: the globally cheapest
                           ``C*_j(k)`` slot, with every core's candidate cost
 ``lmc.interactive``       Equation 27 — per-core marginal costs for an
@@ -30,7 +30,6 @@ kind                      decision it records
 ``sim.complete``          a task completion (energy, turnaround)
 ``sim.preempt``           an interactive arrival preempting a running task
 ``sim.rate``              a per-core frequency change (DVFS action)
-``span.begin``/``.end``   logical span brackets (no wall-clock durations)
 ========================  =======================================================
 """
 
@@ -40,8 +39,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-#: Bumped when an existing event kind's required fields change meaning.
-TRACE_SCHEMA_VERSION = 2
+#: Bumped when an existing event kind's fields are removed or change
+#: meaning (3: ``span.begin``/``span.end`` and ``wbg.slot_pick``'s
+#: ``heap_digest`` retired).
+TRACE_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ EVENT_SPECS: dict[str, EventSpec] = {
               "Algorithm 3 batch summary"),
         _spec("wbg.slot_pick",
               ("task_id", "task", "cycles", "core", "slot", "rate",
-               "positional_cost", "candidates"), ("heap_digest",),
+               "positional_cost", "candidates"), (),
               "one Algorithm 3 heap pop"),
         _spec("lmc.interactive",
               ("cycles", "costs", "chosen", "delayed"), ("task_id", "task"),
@@ -99,12 +100,6 @@ EVENT_SPECS: dict[str, EventSpec] = {
               "running task preempted by interactive arrival"),
         _spec("sim.rate", ("time", "core", "rate", "prev_rate"), (),
               "per-core frequency change"),
-        _spec("span.begin", ("name",),
-              ("n_tasks", "n_cores", "kernel", "scenario", "n_events"),
-              "logical span opened"),
-        _spec("span.end", ("name",),
-              ("n_tasks", "n_cores", "kernel", "scenario", "n_events"),
-              "logical span closed"),
     )
 }
 

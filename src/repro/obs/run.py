@@ -6,7 +6,7 @@ decision log is short enough to read end to end:
 
 * ``wbg``     — Algorithm 3 over the Table I SPEC batch (24 tasks) on a
   Table II platform: one ``ranges.build`` per core, one ``wbg.schedule``
-  span, one ``wbg.slot_pick`` per task.
+  summary, one ``wbg.slot_pick`` per task.
 * ``lmc``     — the online LMC policy over a seeded Judgegirl-style
   trace through the event-driven runner: ``lmc.*`` decisions plus the
   ``dynamic.*`` queue mutations and ``sim.*`` lifecycle events.
@@ -19,14 +19,12 @@ reproducible artefacts — diffable across code changes.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Any, Callable, Optional
 
+from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE
 from repro.obs.tracer import Tracer
-
-#: Paper pricing (matches ``repro.perf.scenarios``): Fig. 2 batch / Fig. 3 online.
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
 
 
 def run_wbg(
@@ -35,10 +33,8 @@ def run_wbg(
     re: float = RE_BATCH,
     rt: float = RT_BATCH,
     n_cores: int = 2,
-    seed: int = 2014,
 ) -> dict[str, Any]:
-    """Trace Algorithm 3 over the Table I SPEC batch (seed unused: the
-    batch is fixed)."""
+    """Trace Algorithm 3 over the Table I SPEC batch (fixed, so unseeded)."""
     from repro.core.batch_multi import WorkloadBasedGreedy
     from repro.models.cost import CostModel
     from repro.models.rates import TABLE_II
@@ -103,12 +99,10 @@ def run_dynamic(
     *,
     re: float = RE_BATCH,
     rt: float = RT_BATCH,
-    n_cores: int = 1,
     seed: int = 99,
 ) -> dict[str, Any]:
-    """Trace Algorithms 4–6 under seeded insert/delete/probe churn
-    (``n_cores`` is accepted for signature uniformity but unused —
-    the scenario drives a single queue)."""
+    """Trace Algorithms 4–6 under seeded insert/delete/probe churn on a
+    single queue (so no core count)."""
     from repro.core.dynamic import DynamicCostIndex
     from repro.models.cost import CostModel
     from repro.models.rates import TABLE_II
@@ -164,7 +158,9 @@ def run_traced_scenario(
     """Run a named scenario with ``tracer`` attached; returns a summary.
 
     ``None`` keyword values fall back to the scenario's own defaults
-    (the paper's pricing for its mode).
+    (the paper's pricing for its mode). An option the scenario does not
+    take (``seed`` for ``wbg``, ``n_cores`` for ``dynamic``) raises
+    :class:`ValueError` rather than being ignored.
     """
     try:
         fn, _ = TRACE_SCENARIOS[name]
@@ -172,13 +168,11 @@ def run_traced_scenario(
         raise ValueError(
             f"unknown trace scenario {name!r}; choose from {sorted(TRACE_SCENARIOS)}"
         ) from None
-    kwargs: dict[str, Any] = {}
-    if re is not None:
-        kwargs["re"] = re
-    if rt is not None:
-        kwargs["rt"] = rt
-    if n_cores is not None:
-        kwargs["n_cores"] = n_cores
-    if seed is not None:
-        kwargs["seed"] = seed
+    options = {"re": re, "rt": rt, "n_cores": n_cores, "seed": seed}
+    kwargs = {k: v for k, v in options.items() if v is not None}
+    unused = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
+    if unused:
+        raise ValueError(
+            f"trace scenario {name!r} does not take option(s): {', '.join(unused)}"
+        )
     return fn(tracer, **kwargs)

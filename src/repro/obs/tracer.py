@@ -1,188 +1,65 @@
-"""Tracer implementations: no-op default, in-memory ring, JSONL stream.
+"""The tracer protocol, its one implementation, and the JSONL reader/writer.
 
-The tracer contract (:class:`Tracer`) is deliberately tiny so that
-instrumented hot paths pay nothing when tracing is off:
+The tracer contract (:class:`Tracer`) is one method, so instrumented
+hot paths pay nothing when tracing is off: every instrumented component
+takes ``tracer=None`` and guards each emission with ``if tracer is not
+None`` — one attribute test, no call, no allocation on the default path.
 
-* every instrumented component takes ``tracer=None`` and guards each
-  emission with ``if tracer is not None`` — one attribute test, no
-  call, no allocation on the default path;
-* :class:`NullTracer` exists for call sites that prefer a real object
-  over ``None`` (its :meth:`~NullTracer.emit` discards immediately);
-* :class:`RecordingTracer` keeps events in memory (optionally as a
-  bounded ring, counting drops) and validates each against the
-  :mod:`repro.obs.events` schema registry;
-* :class:`JsonlTracer` streams events to a file for decision logs too
-  large to hold in memory (``repro trace --out``).
+:class:`RecordingTracer` keeps every event in memory and validates each
+against the :mod:`repro.obs.events` schema registry as it is emitted,
+so an instrumentation bug surfaces where it happens, not in a
+downstream parser. :func:`write_trace` and :func:`read_trace` move a
+decision log to and from a JSONL file (``repro trace --out``,
+``repro explain --trace``).
 
-Tracers never read the host clock: events are ordered by a monotone
-``seq`` counter, and time stamps — where they exist — are *simulated*
-seconds supplied by the caller. That keeps traced runs exactly as
-deterministic as untraced ones.
+Tracers never read the host clock: an event's ``seq`` is its index in
+the trace, and time stamps — where they exist — are *simulated* seconds
+supplied by the caller. That keeps traced runs exactly as deterministic
+as untraced ones.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
-from typing import Any, IO, Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Any, Iterable, Iterator, Optional, Protocol, Union
 
 from repro.obs.events import TraceEvent, validate_event
 
 
-@runtime_checkable
 class Tracer(Protocol):
     """What instrumented components require of a tracer."""
-
-    enabled: bool
 
     def emit(self, kind: str, data: dict[str, Any], time: Optional[float] = None) -> None:
         """Record one decision event."""
         ...
 
-    def span(self, name: str, **data: Any) -> "contextlib.AbstractContextManager[None]":
-        """Bracket a logical phase with ``span.begin`` / ``span.end`` events."""
-        ...
-
-
-class NullTracer:
-    """The zero-overhead default: every emission is discarded."""
-
-    enabled = False
-
-    def emit(self, kind: str, data: dict[str, Any], time: Optional[float] = None) -> None:
-        pass
-
-    def span(self, name: str, **data: Any) -> "contextlib.AbstractContextManager[None]":
-        return contextlib.nullcontext()
-
-
-class _SpanContext(contextlib.AbstractContextManager):
-    def __init__(self, tracer: "RecordingTracer | JsonlTracer", name: str,
-                 data: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._data = data
-
-    def __enter__(self) -> None:
-        self._tracer.emit("span.begin", {"name": self._name, **self._data})
-
-    def __exit__(self, *exc: object) -> None:
-        self._tracer.emit("span.end", {"name": self._name, **self._data})
-        return None
-
 
 class RecordingTracer:
-    """Validating in-memory tracer.
+    """Validating in-memory tracer: keeps every event, oldest first."""
 
-    Parameters
-    ----------
-    capacity:
-        ``None`` keeps every event; an integer keeps only the *last*
-        ``capacity`` events as a ring buffer (:attr:`dropped` counts the
-        overflow — no silent truncation).
-    validate:
-        Check each event against the schema registry at emission time
-        (cheap; on by default so instrumentation bugs surface where they
-        happen, not in a downstream parser).
-    """
-
-    enabled = True
-
-    def __init__(self, capacity: Optional[int] = None, validate: bool = True) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self.capacity = capacity
-        self.validate = validate
-        self.dropped = 0
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
         self.counts: Counter[str] = Counter()
-        self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """The retained events, oldest first."""
-        return list(self._events)
+        return iter(self.events)
 
     def emit(self, kind: str, data: dict[str, Any], time: Optional[float] = None) -> None:
-        event = TraceEvent(seq=self._seq, kind=kind, data=data, time=time)
-        self._seq += 1
-        if self.validate:
-            validate_event(event)
-        if self.capacity is not None and len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
+        event = TraceEvent(seq=len(self.events), kind=kind, data=data, time=time)
+        validate_event(event)
+        self.events.append(event)
         self.counts[kind] += 1
-
-    def span(self, name: str, **data: Any) -> contextlib.AbstractContextManager:
-        return _SpanContext(self, name, data)
-
-    def clear(self) -> None:
-        """Forget everything recorded so far (the seq counter keeps rising)."""
-        self._events.clear()
-        self.counts.clear()
-        self.dropped = 0
 
     def by_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self._events if e.kind == kind]
-
-    def write_jsonl(self, path: Union[str, Path]) -> int:
-        """Dump the retained events as JSON lines; returns the count written."""
-        return write_trace(path, self._events)
+        return [e for e in self.events if e.kind == kind]
 
 
-class JsonlTracer:
-    """Streams every event to a JSONL sink as it is emitted.
-
-    Owns the file handle when constructed from a path (use as a context
-    manager or call :meth:`close`); borrows it when handed an open
-    file object.
-    """
-
-    enabled = True
-
-    def __init__(self, sink: Union[str, Path, IO[str]], validate: bool = True) -> None:
-        if isinstance(sink, (str, Path)):
-            self._fh: IO[str] = open(sink, "w", encoding="utf-8")
-            self._owns = True
-        else:
-            self._fh = sink
-            self._owns = False
-        self.validate = validate
-        self.counts: Counter[str] = Counter()
-        self._seq = 0
-
-    def emit(self, kind: str, data: dict[str, Any], time: Optional[float] = None) -> None:
-        event = TraceEvent(seq=self._seq, kind=kind, data=data, time=time)
-        self._seq += 1
-        if self.validate:
-            validate_event(event)
-        self._fh.write(event.to_json())
-        self._fh.write("\n")
-        self.counts[kind] += 1
-
-    def span(self, name: str, **data: Any) -> contextlib.AbstractContextManager:
-        return _SpanContext(self, name, data)
-
-    def close(self) -> None:
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlTracer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def write_trace(path: Union[str, Path], events: Sequence[TraceEvent] | Iterator[TraceEvent]) -> int:
+def write_trace(path: Union[str, Path], events: Iterable[TraceEvent]) -> int:
     """Write ``events`` to ``path`` as JSON lines; returns the count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -193,8 +70,8 @@ def write_trace(path: Union[str, Path], events: Sequence[TraceEvent] | Iterator[
     return n
 
 
-def read_trace(path: Union[str, Path], validate: bool = True) -> list[TraceEvent]:
-    """Load a JSONL decision log written by any tracer here."""
+def read_trace(path: Union[str, Path]) -> list[TraceEvent]:
+    """Load a JSONL decision log, validating every event."""
     events: list[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -205,7 +82,6 @@ def read_trace(path: Union[str, Path], validate: bool = True) -> list[TraceEvent
                 event = TraceEvent.from_dict(json.loads(line))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed trace line: {exc}") from exc
-            if validate:
-                validate_event(event)
+            validate_event(event)
             events.append(event)
     return events

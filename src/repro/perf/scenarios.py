@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.dynamic import DynamicCostIndex
-from repro.models.cost import CostModel
+from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE, CostModel
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task
 from repro.perf.reference import reference_block, scale
@@ -38,10 +38,6 @@ from repro.perf.report import ScenarioResult
 from repro.verify.reference import wbg_heap_plan
 
 T = TypeVar("T")
-
-#: Paper pricing: batch experiments (Fig. 2) and online experiments (Fig. 3).
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE
 from repro.perf.reference import reference_block, scale
 from repro.perf.report import BenchReport, ScenarioResult
-
-#: The paper's pricing constants (batch: Fig. 2, online: Fig. 3).
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
 
 #: Trace seeds for the Figure 3 replication grid (one cell per seed).
 FIG3_SEEDS = (11, 23, 37, 41, 59)

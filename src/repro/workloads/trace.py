@@ -58,17 +58,27 @@ class JudgeTraceConfig:
     seed: int = 2014
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # a NaN compares false either way, so each check is written to
+        # fail on it; non-finite values would otherwise skew the arrival
+        # CDF silently or only fail later, inside Task
+        if not (0 < self.duration_s < math.inf):
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s!r}")
         if self.n_interactive < 0 or self.n_noninteractive < 0:
             raise ValueError("task counts must be non-negative")
         if len(self.problem_medians) != len(self.problem_weights):
             raise ValueError("problem medians and weights must align")
-        if any(w < 0 for w in self.problem_weights) or sum(self.problem_weights) <= 0:
-            raise ValueError("problem weights must be non-negative, not all zero")
-        for profile in (self.interactive_profile, self.noninteractive_profile):
-            if not profile or any(w < 0 for w in profile) or sum(profile) <= 0:
-                raise ValueError("intensity profiles must be non-negative, not all zero")
+        for name in ("interactive_profile", "noninteractive_profile", "problem_weights"):
+            weights = getattr(self, name)
+            if not all(0 <= w < math.inf for w in weights) or not any(w > 0 for w in weights):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, not all zero, got {weights!r}"
+                )
+        if not all(0 < m < math.inf for m in self.problem_medians):
+            raise ValueError(
+                f"problem_medians must be finite and > 0, got {self.problem_medians!r}"
+            )
+        if not (0 <= self.judging_sigma < math.inf):
+            raise ValueError(f"judging_sigma must be finite and >= 0, got {self.judging_sigma!r}")
         lo, hi = self.interactive_cycles
         if not (0 < lo <= hi):
             raise ValueError("interactive_cycles must satisfy 0 < lo <= hi")

@@ -132,6 +132,27 @@ class TestCommands:
         assert "least marginal cost" in out
         assert "Equation 27" in out
 
+    @pytest.mark.parametrize("argv, scenario, option", [
+        (["trace", "wbg", "--seed", "5"], "wbg", "seed"),
+        (["trace", "dynamic", "--cores", "3"], "dynamic", "n_cores"),
+        (["explain", "3", "--seed", "5"], "wbg", "seed"),
+        (["explain", "3", "--scenario", "dynamic", "--cores", "3"], "dynamic", "n_cores"),
+    ])
+    def test_scenario_rejects_an_option_it_ignores(self, capsys, argv, scenario, option):
+        # the fixed SPEC batch takes no seed and the single-queue churn no
+        # core count; both used to run as if the option applied
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert f"error: trace scenario {scenario!r} does not take option(s): {option}" in out
+
+    def test_scenario_ignoring_options_is_a_value_error(self):
+        from repro.obs import RecordingTracer, run_traced_scenario
+
+        with pytest.raises(ValueError, match="'wbg'.*seed"):
+            run_traced_scenario("wbg", RecordingTracer(), seed=5)
+        with pytest.raises(ValueError, match="'dynamic'.*n_cores"):
+            run_traced_scenario("dynamic", RecordingTracer(), n_cores=3)
+
     def test_explain_unknown_task(self, capsys):
         assert main(["explain", "no-such-task"]) == 1
         assert "no placement decision" in capsys.readouterr().out

@@ -5,6 +5,7 @@ subprocess (the fastest configuration available) and must exit 0
 without writing to stderr beyond warnings.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,17 +16,31 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def example_env() -> dict[str, str]:
+    """The parent's environment with ``PYTHONPATH`` pointing at ``src``
+    (so settings such as ``PYTHONDONTWRITEBYTECODE`` carry over)."""
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
 def run_example(name: str, *args: str, timeout: float = 240.0):
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=example_env(),
     )
     assert proc.returncode == 0, f"{name} failed:\n{proc.stdout}\n{proc.stderr}"
     return proc.stdout
+
+
+def test_example_env_keeps_the_parent_environment(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    env = example_env()
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPATH"] == str(SRC)
+    assert env["PATH"] == os.environ["PATH"]
 
 
 def test_quickstart():

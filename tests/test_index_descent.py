@@ -55,7 +55,7 @@ def _churn_record():
     its marginal cost. Floats are pinned by ``repr``.
     """
     rng = random.Random(1919)
-    tracer = RecordingTracer(capacity=1)
+    tracer = RecordingTracer()
     index = DynamicCostIndex(CostModel(TABLE_II, 0.4, 0.1), seed=31, tracer=tracer)
     handles = []
     h = hashlib.sha256()
@@ -66,7 +66,7 @@ def _churn_record():
             cycles = rng.choice(TIES) if rng.random() < 0.3 else rng.uniform(0.1, 60.0)
             node = index.insert(cycles, payload=step)
             handles.append(node)
-            row = ("insert", index.tree.rank(node), next(iter(tracer)).data["position"])
+            row = ("insert", index.tree.rank(node), tracer.events[-1].data["position"])
         elif draw < (0.6 if grow else 0.4):
             index.delete(handles.pop(rng.randrange(len(handles))))
             row = ("delete",)

@@ -60,11 +60,10 @@ class TestOracleProperty:
         want = choose_core_interactive(sched.policy.models, cycles, delayed)
         assert sched.select_core(task, views) == want
 
-        tracer = RecordingTracer(capacity=1)
+        tracer = RecordingTracer()
         traced = _scheduler(tables, depths, tracer=tracer)
         assert traced.select_core(task, views) == want
-        (event,) = tracer.events
-        assert event.kind == "lmc.interactive"
+        (event,) = tracer.by_kind("lmc.interactive")
         costs = [m.interactive_marginal_cost(cycles, n)
                  for m, n in zip(traced.policy.models, delayed)]
         assert [c.hex() for c in event.data["costs"]] == [c.hex() for c in costs]

@@ -14,8 +14,6 @@ from repro.obs import (
     EVENT_SPECS,
     TRACE_SCHEMA_VERSION,
     EventSchemaError,
-    JsonlTracer,
-    NullTracer,
     RecordingTracer,
     TraceEvent,
     read_trace,
@@ -30,7 +28,7 @@ PINNED_SPECS = {
     "wbg.slot_pick": (
         ["candidates", "core", "cycles", "positional_cost", "rate", "slot",
          "task", "task_id"],
-        ["heap_digest"],
+        [],
     ),
     "lmc.interactive": (["chosen", "costs", "cycles", "delayed"], ["task", "task_id"]),
     "lmc.noninteractive": (["chosen", "costs", "cycles"],
@@ -45,14 +43,12 @@ PINNED_SPECS = {
                       "turnaround"], []),
     "sim.preempt": (["core", "task", "task_id", "time"], []),
     "sim.rate": (["core", "prev_rate", "rate", "time"], []),
-    "span.begin": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
-    "span.end": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
 }
 
 
 class TestSchemaStability:
     def test_schema_version(self):
-        assert TRACE_SCHEMA_VERSION == 2
+        assert TRACE_SCHEMA_VERSION == 3
 
     def test_kind_registry_is_pinned(self):
         assert sorted(EVENT_SPECS) == sorted(PINNED_SPECS)
@@ -70,19 +66,27 @@ class TestSchemaStability:
             assert spec.summary
 
 
+RATE = {"time": 1.0, "core": 0, "rate": 2.0, "prev_rate": 1.6}
+
+
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(EventSchemaError, match="unknown event kind"):
             validate_event(TraceEvent(0, "nope.never", {}))
 
     def test_missing_required_field_rejected(self):
-        with pytest.raises(EventSchemaError, match="missing required"):
-            validate_event(TraceEvent(0, "span.begin", {"n_tasks": 1}))
+        data = {k: v for k, v in RATE.items() if k != "prev_rate"}
+        with pytest.raises(EventSchemaError, match="missing required.*prev_rate"):
+            validate_event(TraceEvent(0, "sim.rate", data))
 
     def test_undeclared_field_rejected(self):
-        with pytest.raises(EventSchemaError, match="undeclared"):
-            validate_event(TraceEvent(0, "span.begin",
-                                      {"name": "x", "extra": 1}))
+        with pytest.raises(EventSchemaError, match="undeclared.*extra"):
+            validate_event(TraceEvent(0, "sim.rate", {**RATE, "extra": 1}))
+
+    @pytest.mark.parametrize("kind", ["span.begin", "span.end"])
+    def test_retired_kinds_rejected(self, kind):
+        with pytest.raises(EventSchemaError, match="unknown event kind"):
+            validate_event(TraceEvent(0, kind, {"name": "x"}))
 
     def test_optional_fields_accepted(self):
         validate_event(TraceEvent(
@@ -92,100 +96,52 @@ class TestValidation:
         ))
 
 
-class TestNullTracer:
-    def test_is_disabled_and_silent(self):
-        t = NullTracer()
-        assert t.enabled is False
-        t.emit("not-even-a-kind", {"whatever": 1})  # discarded, never validated
-        with t.span("phase", n_tasks=3):
-            pass
-
-
 class TestRecordingTracer:
     def test_seq_is_monotone_and_counts_by_kind(self):
         t = RecordingTracer()
-        t.emit("span.begin", {"name": "a"}, time=0.0)
-        t.emit("span.begin", {"name": "b"}, time=1.0)
-        t.emit("wbg.schedule", {"n_tasks": 1, "n_cores": 1, "kernel": "scalar"})
+        t.emit("sim.rate", RATE, time=0.0)
+        t.emit("sim.rate", {**RATE, "time": 2.0}, time=2.0)
+        t.emit("wbg.schedule", {"n_tasks": 1, "n_cores": 1, "kernel": "auto"})
         assert [e.seq for e in t.events] == [0, 1, 2]
-        assert t.counts == {"span.begin": 2, "wbg.schedule": 1}
-        assert len(t.by_kind("span.begin")) == 2
+        assert [e.seq for e in t] == [0, 1, 2]
+        assert len(t) == 3
+        assert t.counts == {"sim.rate": 2, "wbg.schedule": 1}
+        assert [e.time for e in t.by_kind("sim.rate")] == [0.0, 2.0]
 
     def test_validates_at_emission(self):
         t = RecordingTracer()
-        with pytest.raises(EventSchemaError):
-            t.emit("span.begin", {"n_tasks": 0})  # missing name
-        t_lax = RecordingTracer(validate=False)
-        t_lax.emit("span.begin", {"n_tasks": 0})  # tolerated when asked
-
-    def test_ring_buffer_counts_drops(self):
-        t = RecordingTracer(capacity=3)
-        for i in range(5):
-            t.emit("span.begin", {"name": f"e{i}"})
-        assert len(t) == 3
-        assert t.dropped == 2
-        assert [e.data["name"] for e in t.events] == ["e2", "e3", "e4"]
-        assert t.counts["span.begin"] == 5  # counts survive eviction
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RecordingTracer(capacity=0)
-
-    def test_clear_keeps_seq_rising(self):
-        t = RecordingTracer()
-        t.emit("span.begin", {"name": "a"})
-        t.clear()
+        with pytest.raises(EventSchemaError, match="prev_rate"):
+            t.emit("sim.rate", {"time": 0.0, "core": 0, "rate": 2.0})
+        with pytest.raises(EventSchemaError, match="unknown event kind"):
+            t.emit("span.begin", {"name": "a"})
         assert len(t) == 0 and t.counts == {}
-        t.emit("span.begin", {"name": "b"})
-        assert t.events[0].seq == 1
-
-    def test_span_brackets(self):
-        t = RecordingTracer()
-        with t.span("schedule", n_tasks=4):
-            t.emit("wbg.schedule", {"n_tasks": 4, "n_cores": 2, "kernel": "scalar"})
-        kinds = [e.kind for e in t.events]
-        assert kinds == ["span.begin", "wbg.schedule", "span.end"]
-        assert t.events[0].data == {"name": "schedule", "n_tasks": 4}
-        assert t.events[-1].data == {"name": "schedule", "n_tasks": 4}
 
 
 class TestJsonlRoundTrip:
-    def test_jsonl_tracer_round_trip(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTracer(path) as t:
-            t.emit("span.begin", {"name": "go"}, time=0.5)
-            t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1, "kernel": "vector"})
-        events = read_trace(path)
-        assert [e.kind for e in events] == ["span.begin", "wbg.schedule"]
-        assert events[0].time == 0.5
-        assert events[1].time is None
-        assert events[0].data["name"] == "go"
-
     def test_recording_write_then_read(self, tmp_path):
         t = RecordingTracer()
-        t.emit("sim.rate", {"time": 1.0, "core": 0, "rate": 2.0, "prev_rate": 1.6},
-               time=1.0)
+        t.emit("sim.rate", RATE, time=1.0)
+        t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1, "kernel": "auto"})
         path = tmp_path / "t.jsonl"
-        assert t.write_jsonl(path) == 1
+        assert write_trace(path, t.events) == 2
         back = read_trace(path)
         assert back == t.events
+        assert back[0].time == 1.0 and back[1].time is None
 
     def test_write_trace_counts(self, tmp_path):
-        events = [TraceEvent(i, "span.begin", {"name": ""})
-                  for i in range(4)]
+        events = [TraceEvent(i, "sim.rate", RATE) for i in range(4)]
         assert write_trace(tmp_path / "t.jsonl", events) == 4
 
     def test_read_trace_reports_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"seq": 0, "kind": "span.begin", "data": {"name": ""}}\n'
-                        "not json\n")
+        path.write_text(json.dumps({"seq": 0, "kind": "sim.rate", "data": RATE})
+                        + "\nnot json\n")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_trace(path)
 
-    def test_read_trace_validates_unless_told_not_to(self, tmp_path):
+    def test_read_trace_validates(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text(json.dumps(
-            {"seq": 0, "kind": "span.begin", "data": {"n_tasks": 0}}) + "\n")
+            {"seq": 0, "kind": "span.begin", "data": {"name": "x"}}) + "\n")
         with pytest.raises(EventSchemaError):
             read_trace(path)
-        assert len(read_trace(path, validate=False)) == 1

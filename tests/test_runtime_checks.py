@@ -29,6 +29,8 @@ from repro.structures import RangeTree
 from repro.verify import ALL_CHECKS, run_fuzz
 from repro.verify.differential import DifferentialCheck
 from repro.workloads import (
+    JudgeTraceConfig,
+    generate_judge_trace,
     generate_open_loop_trace,
     load_trace_csv,
     load_trace_jsonl,
@@ -269,3 +271,34 @@ class TestOpenLoopGenerator:
     def test_non_finite_size_parameter_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             generate_open_loop_trace(10.0, 1.0, 0.1, **{field: math.nan})
+
+
+class TestJudgeTraceConfig:
+    """Non-finite or negative knobs are rejected at construction, naming
+    the field; each used to skew the trace silently or fail in ``Task``."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("interactive_profile", (1.0, math.nan, 1.0)),
+        ("interactive_profile", (1.0, math.inf, 1.0)),
+        ("noninteractive_profile", (math.nan, 1.0)),
+        ("noninteractive_profile", (-1.0, 2.0)),
+        ("problem_weights", (0.3, math.nan, 0.2, 0.15, 0.1)),
+        ("problem_weights", (0.3, math.inf, 0.2, 0.15, 0.1)),
+        ("problem_medians", (7.2, math.nan, 18.0, 28.8, 46.8)),
+        ("problem_medians", (7.2, 0.0, 18.0, 28.8, 46.8)),
+        ("duration_s", math.nan),
+        ("duration_s", math.inf),
+        ("judging_sigma", -1.0),
+        ("judging_sigma", math.nan),
+        ("judging_sigma", math.inf),
+    ])
+    def test_bad_knob_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JudgeTraceConfig(**{field: value})
+
+    def test_zero_sigma_and_zero_weights_still_accepted(self):
+        cfg = JudgeTraceConfig(judging_sigma=0.0, problem_weights=(0.0, 1.0, 0.0, 0.0, 0.0),
+                               n_interactive=5, n_noninteractive=5, duration_s=10.0)
+        trace = generate_judge_trace(cfg)
+        judged = [t.cycles for t in trace if t.name.startswith("submit")]
+        assert judged == pytest.approx([12.6] * 5)
