@@ -39,9 +39,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-#: Bumped when an existing event kind's fields are removed or change
-#: meaning (3: ``span.begin``/``span.end`` and ``wbg.slot_pick``'s
-#: ``heap_digest`` retired).
+#: Bumped when an event kind or field is removed, or a field changes
+#: meaning (docs/OBSERVABILITY.md lists what each version dropped).
 TRACE_SCHEMA_VERSION = 3
 
 
