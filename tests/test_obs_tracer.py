@@ -118,6 +118,19 @@ class TestRecordingTracer:
 
 
 class TestJsonlRoundTrip:
+    def test_jsonl_tracer_round_trip(self, tmp_path):
+        t = RecordingTracer()
+        t.emit("sim.rate", {**RATE, "time": 0.5}, time=0.5)
+        t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1, "kernel": "vector"})
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, t.events)
+        events = read_trace(path)
+        assert [e.kind for e in events] == ["sim.rate", "wbg.schedule"]
+        assert events[0].time == 0.5
+        assert events[1].time is None
+        assert events[0].data["prev_rate"] == 1.6
+        assert events[1].data["kernel"] == "vector"
+
     def test_recording_write_then_read(self, tmp_path):
         t = RecordingTracer()
         t.emit("sim.rate", RATE, time=1.0)
@@ -126,7 +139,6 @@ class TestJsonlRoundTrip:
         assert write_trace(path, t.events) == 2
         back = read_trace(path)
         assert back == t.events
-        assert back[0].time == 1.0 and back[1].time is None
 
     def test_write_trace_counts(self, tmp_path):
         events = [TraceEvent(i, "sim.rate", RATE) for i in range(4)]
