@@ -17,20 +17,12 @@ from harness import RE_BATCH, RT_BATCH, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_breakdown, render_cost_comparison
 from repro.models.rates import TABLE_II
-from repro.schedulers import olb_plan, power_saving_plan, wbg_plan
-from repro.simulator import run_batch
+from repro.schedulers import batch_comparison, wbg_plan
 
 
 def _run_all(tasks):
-    plans = {
-        "WBG": wbg_plan(tasks, TABLE_II, 4, RE_BATCH, RT_BATCH),
-        "OLB": olb_plan(tasks, TABLE_II, 4),
-        "PS": power_saving_plan(tasks, TABLE_II, 4),
-    }
-    return {
-        name: run_batch(plan, TABLE_II).cost(RE_BATCH, RT_BATCH)
-        for name, plan in plans.items()
-    }
+    results = batch_comparison(tasks, 4, RE_BATCH, RT_BATCH)
+    return {name: r.cost(RE_BATCH, RT_BATCH) for name, r in results.items()}
 
 
 def test_fig2_comparison(benchmark, spec_batch):

@@ -19,14 +19,8 @@ import pytest
 from harness import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_comparison
-from repro.governors import OnDemandGovernor
 from repro.models.rates import TABLE_II
-from repro.schedulers import (
-    LMCOnlineScheduler,
-    OLBOnlineScheduler,
-    OnDemandRoundRobinScheduler,
-)
-from repro.simulator import run_online
+from repro.schedulers import LMCOnlineScheduler, online_comparison
 from repro.workloads import generate_judge_trace
 from repro.workloads.trace import trace_summary
 
@@ -37,18 +31,7 @@ def trace():
 
 
 def _run_all(trace):
-    return {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, 4, RE_ONLINE, RT_ONLINE), TABLE_II
-        ),
-        "OLB": run_online(trace, OLBOnlineScheduler(TABLE_II, 4), TABLE_II),
-        "OD": run_online(
-            trace,
-            OnDemandRoundRobinScheduler(4),
-            TABLE_II,
-            governors=[OnDemandGovernor(TABLE_II) for _ in range(4)],
-        ),
-    }
+    return online_comparison(trace, 4, RE_ONLINE, RT_ONLINE)
 
 
 def test_fig3_comparison(benchmark, trace):

@@ -17,10 +17,11 @@ Run:  python examples/datacenter_batch.py
 
 from collections import Counter
 
-from repro import TABLE_II, olb_plan, power_saving_plan, run_batch, spec_tasks, wbg_plan
+from repro import TABLE_II, run_batch, spec_tasks, wbg_plan
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.powerprofile import batch_power_profile
 from repro.analysis.reporting import format_table, render_cost_comparison
+from repro.schedulers import batch_comparison
 
 RE, RT = 0.1, 0.4
 
@@ -30,12 +31,8 @@ def main() -> None:
     print(f"workload: {len(tasks)} SPEC2006int runs, "
           f"{tasks.total_cycles():.0f} Gcycles total\n")
 
-    plans = {
-        "WBG": wbg_plan(tasks, TABLE_II, 4, RE, RT),
-        "OLB": olb_plan(tasks, TABLE_II, 4),
-        "PS": power_saving_plan(tasks, TABLE_II, 4),
-    }
-    costs = {name: run_batch(plan, TABLE_II).cost(RE, RT) for name, plan in plans.items()}
+    results = batch_comparison(tasks, 4, RE, RT)
+    costs = {name: r.cost(RE, RT) for name, r in results.items()}
 
     print(render_cost_comparison(
         normalize_costs(costs, "WBG"), "WBG", "Figure 2 — batch mode cost comparison"
@@ -49,16 +46,15 @@ def main() -> None:
 
     # what does the optimal plan actually look like? count rate usage
     print("\nfrequency mix chosen by WBG (tasks per rate):")
-    mix = Counter(pl.rate for s in plans["WBG"] for pl in s)
+    mix = Counter(record.rate for record in results["WBG"].records)
     for rate in sorted(mix):
         print(f"  {rate:g} GHz: {'#' * mix[rate]} ({mix[rate]})")
 
-    # what the wall meter would see: power profile of the two plans,
+    # what the wall meter would see: power profile of the two runs,
     # derived from each run's task records
     for name in ("WBG", "OLB"):
-        result = run_batch(plans[name], TABLE_II)
         print(f"\nplatform power over time — {name}:")
-        print(batch_power_profile(result, TABLE_II, width=64, height=5))
+        print(batch_power_profile(results[name], TABLE_II, width=64, height=5))
 
     # pricing sweep: the same workload under different energy prices
     rows = []

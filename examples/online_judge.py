@@ -20,19 +20,10 @@ Run:  python examples/online_judge.py           # ~2 minutes of sim work
 
 import sys
 
-from repro import (
-    JudgeTraceConfig,
-    LMCOnlineScheduler,
-    OLBOnlineScheduler,
-    OnDemandRoundRobinScheduler,
-    TABLE_II,
-    TaskKind,
-    generate_judge_trace,
-    run_online,
-)
+from repro import JudgeTraceConfig, TABLE_II, TaskKind, generate_judge_trace
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import format_table, render_cost_comparison
-from repro.governors import OnDemandGovernor
+from repro.schedulers import online_comparison
 from repro.workloads.trace import trace_summary
 
 RE, RT = 0.4, 0.1  # online pricing: energy is the scarce resource here
@@ -52,16 +43,7 @@ def main() -> None:
           f"{s.utilisation_at(TABLE_II.max_rate, CORES) * 100:.0f}% offered load "
           f"at max frequency\n")
 
-    results = {
-        "LMC": run_online(trace, LMCOnlineScheduler(TABLE_II, CORES, RE, RT), TABLE_II),
-        "OLB": run_online(trace, OLBOnlineScheduler(TABLE_II, CORES), TABLE_II),
-        "OD": run_online(
-            trace,
-            OnDemandRoundRobinScheduler(CORES),
-            TABLE_II,
-            governors=[OnDemandGovernor(TABLE_II) for _ in range(CORES)],
-        ),
-    }
+    results = online_comparison(trace, CORES, RE, RT)
     costs = {k: r.cost(RE, RT) for k, r in results.items()}
 
     print(render_cost_comparison(

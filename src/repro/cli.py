@@ -40,20 +40,12 @@ from repro.analysis.reporting import (
 )
 from repro.analysis.verification import verify_model
 from repro.core.dominating import DominatingRanges
-from repro.governors import OnDemandGovernor
 from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE, CostModel
 from repro.models.rates import TABLE_II
 from repro.models.rates import TABLE_II_VERIFICATION
 from repro.models.task import Task
-from repro.schedulers import (
-    LMCOnlineScheduler,
-    OLBOnlineScheduler,
-    OnDemandRoundRobinScheduler,
-    olb_plan,
-    power_saving_plan,
-    wbg_plan,
-)
-from repro.simulator import run_batch, run_online
+from repro.schedulers import batch_comparison, online_comparison, wbg_plan
+from repro.simulator import run_batch
 from repro.workloads import generate_judge_trace, JudgeTraceConfig, spec_tasks
 from repro.workloads.spec import SPEC_TABLE_I
 from repro.workloads.trace import trace_summary
@@ -121,14 +113,8 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    tasks = spec_tasks()
-    plans = {
-        "WBG": wbg_plan(tasks, TABLE_II, args.cores, args.re, args.rt),
-        "OLB": olb_plan(tasks, TABLE_II, args.cores),
-        "PS": power_saving_plan(tasks, TABLE_II, args.cores),
-    }
-    costs = {name: run_batch(plan, TABLE_II).cost(args.re, args.rt)
-             for name, plan in plans.items()}
+    results = batch_comparison(spec_tasks(), args.cores, args.re, args.rt)
+    costs = {name: r.cost(args.re, args.rt) for name, r in results.items()}
     print(render_cost_comparison(normalize_costs(costs, "WBG"), "WBG",
                                  "FIG. 2 — BATCH MODE COST COMPARISON"))
     print()
@@ -150,13 +136,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     print(f"trace: {s.n_interactive} interactive + {s.n_noninteractive} non-interactive tasks, "
           f"offered load {100 * s.utilisation_at(TABLE_II.max_rate, args.cores):.0f}% "
           f"of {args.cores} cores at {TABLE_II.max_rate:g} GHz")
-    results = {
-        "LMC": run_online(trace, LMCOnlineScheduler(TABLE_II, args.cores, args.re, args.rt),
-                          TABLE_II),
-        "OLB": run_online(trace, OLBOnlineScheduler(TABLE_II, args.cores), TABLE_II),
-        "OD": run_online(trace, OnDemandRoundRobinScheduler(args.cores), TABLE_II,
-                         governors=[OnDemandGovernor(TABLE_II) for _ in range(args.cores)]),
-    }
+    results = online_comparison(trace, args.cores, args.re, args.rt)
     costs = {k: r.cost(args.re, args.rt) for k, r in results.items()}
     print(render_cost_comparison(normalize_costs(costs, "LMC"), "LMC",
                                  "FIG. 3 — ONLINE MODE COST COMPARISON"))
@@ -573,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("task", help="task id (integer) or task name")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="read a recorded JSONL decision log (from `repro trace --out`)")
-    p.add_argument("--scenario", choices=sorted(TRACE_SCENARIOS), default="wbg",
+    # `dynamic` drives its index without task payloads, so it records no
+    # placement decision to explain
+    p.add_argument("--scenario", choices=["lmc", "wbg"], default="wbg",
                    help="scenario to run when no --trace is given (default wbg)")
     _add_scenario_opts(p)
     p.set_defaults(func=cmd_explain)

@@ -5,14 +5,12 @@ unrelated shapes: each
 :class:`~repro.core.dynamic.DynamicCostIndex`'s ``counters`` dict, a
 policy's probe counters, and the per-scenario ``ops`` dicts
 ``repro bench`` records. This registry unifies them behind three
-instrument types with explicit merge/reset semantics:
+instrument types, each with an explicit reset:
 
-* :class:`Counter` — monotone event count; merging **adds**.
-* :class:`Gauge` — last-observed value; merging **takes the other
-  registry's value** (last write wins).
+* :class:`Counter` — monotone event count.
+* :class:`Gauge` — last-observed value.
 * :class:`Histogram` — bucketed observation counts over fixed,
-  ascending upper bounds (plus a ``+inf`` overflow bucket); merging
-  adds bucket-wise and requires identical bucket layouts.
+  ascending upper bounds (plus a ``+inf`` overflow bucket).
 
 Metric names are dotted lowercase (``component.metric``), e.g.
 ``lmc.probes``, ``dynamic.core0.inserts``,
@@ -40,7 +38,7 @@ def _check_name(name: str) -> str:
 
 
 class Counter:
-    """A monotone counter. ``inc`` only; merging adds."""
+    """A monotone counter. ``inc`` only."""
 
     kind = "counter"
 
@@ -57,15 +55,12 @@ class Counter:
     def reset(self) -> None:
         self.value = 0
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> int:
         return self.value
 
 
 class Gauge:
-    """A point-in-time value. ``set`` wins; merging takes the other's value."""
+    """A point-in-time value. The last ``set`` wins."""
 
     kind = "gauge"
 
@@ -82,9 +77,6 @@ class Gauge:
     def reset(self) -> None:
         self.value = 0.0
 
-    def merge(self, other: "Gauge") -> None:
-        self.value = other.value
-
     def snapshot(self) -> float:
         return self.value
 
@@ -94,8 +86,8 @@ class Histogram:
 
     ``buckets=(1, 10, 100)`` yields counts for ``<=1``, ``<=10``,
     ``<=100`` and ``+inf``; :attr:`total` and :attr:`sum` support mean
-    queries. Bucket layouts are part of a histogram's identity — merge
-    rejects mismatched layouts rather than guessing a rebinning.
+    queries. Bucket layouts are part of a histogram's identity — the
+    registry rejects a second registration with other buckets.
     """
 
     kind = "histogram"
@@ -125,16 +117,6 @@ class Histogram:
         self.total = 0
         self.sum = 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket layouts differ "
-                f"({self.bounds} vs {other.bounds})"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.total += other.total
-        self.sum += other.sum
-
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
@@ -152,7 +134,7 @@ _I = TypeVar("_I", Counter, Gauge, Histogram)
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create access and snapshot/merge/reset.
+    """Named instruments with get-or-create access and snapshot/reset.
 
     Lookups are type-checked: asking for an existing name with a
     different instrument type (or different histogram buckets) raises
@@ -209,24 +191,6 @@ class MetricsRegistry:
         """Zero every instrument, keeping registrations (names, buckets)."""
         for instrument in self._instruments.values():
             instrument.reset()
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry per each type's semantics.
-
-        Instruments only present in ``other`` are copied in by
-        re-registering the same name/type and merging; type conflicts
-        raise. Returns ``self`` for chaining.
-        """
-        for instrument in other:
-            if isinstance(instrument, Counter):
-                self.counter(instrument.name, instrument.help).merge(instrument)
-            elif isinstance(instrument, Gauge):
-                self.gauge(instrument.name, instrument.help).merge(instrument)
-            else:
-                self.histogram(
-                    instrument.name, instrument.bounds, instrument.help
-                ).merge(instrument)
-        return self
 
     def render_text(self) -> str:
         """Human-readable one-line-per-metric dump (sorted by name)."""

@@ -7,7 +7,11 @@ core-count sweep in ``bench_sweep_cores.py``) all share one shape: a
 fixed list of independent, fully seeded cells, each running a handful
 of schedulers and reporting cost margins. This module pins those grids
 as :class:`SweepSpec` entries in :data:`SWEEPS` and runs them in cell
-order.
+order. The schedulers a cell compares are not listed here: the Figure 2
+line-up (WBG/OLB/PS) is :func:`repro.schedulers.batch_comparison` and
+the Figure 3 line-up (LMC/OLB/OD) is
+:func:`repro.schedulers.online_comparison`; a cell only builds its
+workload, prices the results and keeps its margins.
 
 Every cell function is a pure function of its cell config (seeds
 included in the config, never drawn from the environment), so a grid's
@@ -45,14 +49,7 @@ CORE_COUNTS_ONLINE = (2, 4, 8)
 def fig3_replication_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
     """One Figure 3 replication cell: LMC/OLB/OD margins at one seed."""
     from repro.analysis.metrics import improvement_summary
-    from repro.governors import OnDemandGovernor
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import (
-        LMCOnlineScheduler,
-        OLBOnlineScheduler,
-        OnDemandRoundRobinScheduler,
-    )
-    from repro.simulator import run_online
+    from repro.schedulers import online_comparison
     from repro.workloads import JudgeTraceConfig, generate_judge_trace
 
     cfg = JudgeTraceConfig(
@@ -61,21 +58,8 @@ def fig3_replication_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
         duration_s=120.0 if quick else 450.0,
         seed=int(cell["seed"]),
     )
-    trace = generate_judge_trace(cfg)
-    n_cores = 4
-    costs = {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, n_cores, RE_ONLINE, RT_ONLINE),
-            TABLE_II,
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OLB": run_online(
-            trace, OLBOnlineScheduler(TABLE_II, n_cores), TABLE_II
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OD": run_online(
-            trace, OnDemandRoundRobinScheduler(n_cores), TABLE_II,
-            governors=[OnDemandGovernor(TABLE_II) for _ in range(n_cores)],
-        ).cost(RE_ONLINE, RT_ONLINE),
-    }
+    results = online_comparison(generate_judge_trace(cfg), 4, RE_ONLINE, RT_ONLINE)
+    costs = {k: r.cost(RE_ONLINE, RT_ONLINE) for k, r in results.items()}
     return {
         "seed": cfg.seed,
         "vs_olb_total_pct": improvement_summary(costs, "LMC", "OLB")["total_pct"],
@@ -86,18 +70,12 @@ def fig3_replication_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
 def cost_weights_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
     """One pricing-ratio cell: WBG margins over OLB/PS at one Re:Rt."""
     from repro.analysis.metrics import improvement_summary
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import olb_plan, power_saving_plan, wbg_plan
-    from repro.simulator import run_batch
+    from repro.schedulers import batch_comparison
     from repro.workloads import spec_tasks
 
     re, rt = float(cell["re"]), float(cell["rt"])
-    tasks = spec_tasks()
-    costs = {
-        "WBG": run_batch(wbg_plan(tasks, TABLE_II, 4, re, rt), TABLE_II).cost(re, rt),
-        "OLB": run_batch(olb_plan(tasks, TABLE_II, 4), TABLE_II).cost(re, rt),
-        "PS": run_batch(power_saving_plan(tasks, TABLE_II, 4), TABLE_II).cost(re, rt),
-    }
+    results = batch_comparison(spec_tasks(), 4, re, rt)
+    costs = {k: r.cost(re, rt) for k, r in results.items()}
     return {
         "re": re,
         "rt": rt,
@@ -107,33 +85,19 @@ def cost_weights_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
 
 
 def core_count_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
-    """One core-count cell: batch (WBG) or online (LMC) margins at a width."""
+    """One core-count cell: batch (WBG) or online (LMC) margins at a width.
+
+    The online half runs the whole Figure 3 line-up and reports only the
+    OLB margin.
+    """
     from repro.analysis.metrics import improvement_summary
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import (
-        LMCOnlineScheduler,
-        OLBOnlineScheduler,
-        olb_plan,
-        power_saving_plan,
-        wbg_plan,
-    )
-    from repro.simulator import run_batch, run_online
+    from repro.schedulers import batch_comparison, online_comparison
     from repro.workloads import JudgeTraceConfig, generate_judge_trace, spec_tasks
 
     n_cores = int(cell["n_cores"])
     if cell["mode"] == "batch":
-        tasks = spec_tasks()
-        costs = {
-            "WBG": run_batch(
-                wbg_plan(tasks, TABLE_II, n_cores, RE_BATCH, RT_BATCH), TABLE_II
-            ).cost(RE_BATCH, RT_BATCH),
-            "OLB": run_batch(olb_plan(tasks, TABLE_II, n_cores), TABLE_II).cost(
-                RE_BATCH, RT_BATCH
-            ),
-            "PS": run_batch(
-                power_saving_plan(tasks, TABLE_II, n_cores), TABLE_II
-            ).cost(RE_BATCH, RT_BATCH),
-        }
+        results = batch_comparison(spec_tasks(), n_cores, RE_BATCH, RT_BATCH)
+        costs = {k: r.cost(RE_BATCH, RT_BATCH) for k, r in results.items()}
         return {
             "mode": "batch",
             "n_cores": n_cores,
@@ -146,16 +110,8 @@ def core_count_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
         duration_s=120.0 if quick else 450.0,
         seed=31,
     )
-    trace = generate_judge_trace(cfg)
-    costs = {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, n_cores, RE_ONLINE, RT_ONLINE),
-            TABLE_II,
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OLB": run_online(
-            trace, OLBOnlineScheduler(TABLE_II, n_cores), TABLE_II
-        ).cost(RE_ONLINE, RT_ONLINE),
-    }
+    results = online_comparison(generate_judge_trace(cfg), n_cores, RE_ONLINE, RT_ONLINE)
+    costs = {k: r.cost(RE_ONLINE, RT_ONLINE) for k, r in results.items()}
     return {
         "mode": "online",
         "n_cores": n_cores,

@@ -22,6 +22,14 @@ Online-mode policies (implement the
   core at maximum frequency.
 * :class:`~repro.schedulers.ondemand_rr.OnDemandRoundRobinScheduler` —
   round-robin placement, frequencies left to the ondemand governor.
+
+The paper's two headline line-ups are defined once, in
+:mod:`repro.schedulers.compare`:
+
+* :func:`~repro.schedulers.compare.batch_comparison` — Figure 2
+  (WBG / OLB / PS, each plan run through ``run_batch``).
+* :func:`~repro.schedulers.compare.online_comparison` — Figure 3
+  (LMC / OLB / On-demand, each run through ``run_online``).
 """
 
 from repro.schedulers.wbg import wbg_plan
@@ -34,6 +42,7 @@ from repro.schedulers.yds import yds_schedule, YDSSchedule
 from repro.schedulers.wbg_rerun import WBGRerunScheduler
 from repro.schedulers.fixed_assignment import FixedAssignmentScheduler
 from repro.schedulers.sjf import SJFMaxRateScheduler
+from repro.schedulers.compare import batch_comparison, online_comparison
 
 __all__ = [
     "wbg_plan",
@@ -48,4 +57,6 @@ __all__ = [
     "WBGRerunScheduler",
     "FixedAssignmentScheduler",
     "SJFMaxRateScheduler",
+    "batch_comparison",
+    "online_comparison",
 ]

@@ -136,7 +136,6 @@ class TestCommands:
         (["trace", "wbg", "--seed", "5"], "wbg", "seed"),
         (["trace", "dynamic", "--cores", "3"], "dynamic", "n_cores"),
         (["explain", "3", "--seed", "5"], "wbg", "seed"),
-        (["explain", "3", "--scenario", "dynamic", "--cores", "3"], "dynamic", "n_cores"),
     ])
     def test_scenario_rejects_an_option_it_ignores(self, capsys, argv, scenario, option):
         # the fixed SPEC batch takes no seed and the single-queue churn no
@@ -144,6 +143,14 @@ class TestCommands:
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert f"error: trace scenario {scenario!r} does not take option(s): {option}" in out
+
+    def test_explain_offers_no_dynamic_scenario(self, capsys):
+        # the dynamic churn inserts no task payloads, so it records no
+        # placement an explanation could cite; argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "0", "--scenario", "dynamic"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dynamic'" in capsys.readouterr().err
 
     def test_scenario_ignoring_options_is_a_value_error(self):
         from repro.obs import RecordingTracer, run_traced_scenario

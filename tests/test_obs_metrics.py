@@ -1,4 +1,4 @@
-"""Metrics instruments: merge/reset semantics and the unified collector."""
+"""Metrics instruments: reset semantics and the unified collector."""
 
 import random
 
@@ -30,13 +30,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="only go up"):
             Counter("a.b").inc(-1)
 
-    def test_merge_adds(self):
-        a, b = Counter("x"), Counter("x")
-        a.inc(2)
-        b.inc(3)
-        a.merge(b)
-        assert a.snapshot() == 5
-
 
 class TestGauge:
     def test_set_and_nan_rejected(self):
@@ -45,13 +38,6 @@ class TestGauge:
         assert g.snapshot() == 7.0
         with pytest.raises(ValueError, match="NaN"):
             g.set(float("nan"))
-
-    def test_merge_is_last_write_wins(self):
-        a, b = Gauge("x"), Gauge("x")
-        a.set(10)
-        b.set(3)
-        a.merge(b)
-        assert a.snapshot() == 3.0
 
 
 class TestHistogram:
@@ -70,15 +56,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="ascending"):
             Histogram("h", (1.0, 1.0))
 
-    def test_merge_requires_identical_layout(self):
-        a = Histogram("h", (1.0, 2.0))
-        b = Histogram("h", (1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        a.merge(b)
-        assert a.counts == [1, 1, 0] and a.total == 2
-        with pytest.raises(ValueError, match="bucket layouts differ"):
-            a.merge(Histogram("h", (1.0, 3.0)))
 
     def test_nan_observation_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -124,21 +101,6 @@ class TestRegistry:
         assert reg.snapshot()["a"] == 0
         assert reg.histogram("h", (1.0, 2.0)).total == 0  # layout survived
 
-    def test_merge_folds_per_type(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        b.gauge("g").set(9)
-        b.histogram("h", (1.0,)).observe(0.5)
-        out = a.merge(b)
-        assert out is a
-        assert a.snapshot()["n"] == 5
-        assert a.snapshot()["g"] == 9.0  # copied in from b
-        assert a.snapshot()["h"]["total"] == 1
-        b2 = MetricsRegistry()
-        b2.gauge("n")
-        with pytest.raises(ValueError, match="already registered"):
-            a.merge(b2)
 
     def test_render_text_mentions_every_metric(self):
         reg = MetricsRegistry()

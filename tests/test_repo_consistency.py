@@ -106,7 +106,7 @@ class TestDocsDrift:
     LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
     @staticmethod
-    def cli_subcommands() -> list[str]:
+    def subparsers() -> dict:
         import argparse
 
         from repro.cli import build_parser
@@ -115,7 +115,16 @@ class TestDocsDrift:
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        return sorted(sub.choices)
+        return sub.choices
+
+    @classmethod
+    def cli_subcommands(cls) -> list[str]:
+        return sorted(cls.subparsers())
+
+    @classmethod
+    def scenario_choices(cls, command: str) -> set[str]:
+        parser = cls.subparsers()[command]
+        return set(next(a for a in parser._actions if a.dest == "scenario").choices)
 
     def test_every_docs_file_linked_from_readme(self):
         readme = read("README.md")
@@ -142,6 +151,19 @@ class TestDocsDrift:
             assert re.search(rf"\b{name}\b", synopsis), (
                 f"docs/API.md synopsis missing {name}"
             )
+
+    @pytest.mark.parametrize("command, pattern", [
+        ("trace", r"`trace \{([^}]*)\}`"),
+        ("explain", r"`--scenario \{([^}]*)\}`"),
+    ], ids=["trace", "explain"])
+    def test_api_doc_scenario_choices_match_parser(self, command, pattern):
+        api = read("docs/API.md")
+        row = next(line for line in api.splitlines() if line.startswith(f"| `{command} "))
+        documented = re.search(pattern, row)
+        assert documented, f"docs/API.md `{command}` row documents no {{…}} choice set"
+        assert set(documented.group(1).split(",")) == self.scenario_choices(command), (
+            f"docs/API.md `{command}` choices drifted from the parser"
+        )
 
     def test_relative_markdown_links_resolve(self):
         files = [ROOT / "README.md", ROOT / "DESIGN.md"]
