@@ -75,6 +75,8 @@ class DominatingRanges:
         for prev, cur in zip(ranges, ranges[1:]):
             if prev.hi != cur.lo:
                 raise ValueError("dominating ranges must tile the naturals without gaps")
+            if cur.lo <= prev.lo:  # prev.hi == cur.lo, so prev is empty or reversed
+                raise ValueError("every bounded dominating range must be non-empty (lo < hi)")
             if prev.rate >= cur.rate:
                 raise ValueError("dominating ranges must be in ascending rate order")
         if ranges[-1].hi is not None:

@@ -16,6 +16,13 @@ a 1D range tree and keeping, **per dominating range** ``i``:
 * ``α_i`` / ``β_i`` — pointers to the boundary tree nodes,
 * ``x_i = ξ([a_i, b_i])`` and ``d_i = Δ([a_i, b_i])``.
 
+Ranges fill in order, so two of these follow from what the index
+already holds: ``b_i = min(hi_i − 1, N)`` (``a_i − 1`` while empty)
+from the queue length ``N``, and ``α_{i+1} = β_i.next`` from the tree's
+threading. This index therefore stores only ``x_i``, ``d_i`` and, while
+range ``i`` is full (``hi_i ≤ N + 1``), its boundary node: the task at
+rank ``hi_i − 1``, the one a cascade moves across the boundary.
+
 An insert lands in exactly one range and shifts at most one element
 across each later range boundary (the cascade loops of Algorithms 5
 and 6), so maintenance costs ``O(|P̂| + log N)``. The total cost is
@@ -70,8 +77,8 @@ def _check_cycles(cycles: float) -> None:
 
 
 def _lost_boundary(i: int) -> RuntimeError:
-    """The error for a non-empty range whose boundary pointer is ``None``."""
-    return RuntimeError(f"dominating range {i} is non-empty but has no boundary node; "
+    """The error for a full range whose boundary node is ``None``."""
+    return RuntimeError(f"dominating range {i} is full but has no boundary node; "
                         "the index was corrupted")
 
 
@@ -101,13 +108,13 @@ class DynamicCostIndex:
         #: ``refreshes`` counts the absorption re-derivations in ``delete``.
         self.counters = {"inserts": 0, "deletes": 0, "probes": 0, "refreshes": 0}
 
-        # Algorithm 4: per-dominating-range bookkeeping.
+        # Algorithm 4: per-dominating-range bookkeeping (b_i and α_i are
+        # derived, see the module docstring).
         n_ranges = len(self.ranges)
         self._a = [r.lo for r in self.ranges.ranges]
         self._hi = [r.hi for r in self.ranges.ranges]  # exclusive; None = unbounded
-        self._b = [a - 1 for a in self._a]
-        self._alpha: list[Optional[RangeTreeNode]] = [None] * n_ranges
-        self._beta: list[Optional[RangeTreeNode]] = [None] * n_ranges
+        # the node at rank hi_i - 1 while range i is full, else None
+        self._edge: list[Optional[RangeTreeNode]] = [None] * n_ranges
         self._x = [0.0] * n_ranges
         self._d = [0.0] * n_ranges
         # high-water mark of _x since the range's last exact recompute
@@ -173,33 +180,34 @@ class DynamicCostIndex:
         ``jump_i`` (see ``__init__``). Hence
 
         ``ΔC = CB*(kb)·L + Rt·T(p̂_i)·ξ([kb, b_i]) + Σ_{j>i} Rt·T(p̂_j)·x_j
-        + Σ_{full j >= i, b_j >= kb} jump_j·L^B_{b_j}``
+        + Σ_{full j >= i} jump_j·L^B_{hi_j − 1}``
 
         — one value descent and a loop over the maintained per-range
         aggregates. The descent also sums every queued task below ``L``,
-        which is ``ξ([kb, b_i])`` when range ``i`` is the last non-empty
-        one; an interior range's ``ξ`` costs one more range sum.
+        which is ``ξ([kb, b_i])`` unless range ``i`` ends before the last
+        rank (``hi_i ≤ N``); only then does ``ξ`` cost one more range sum.
         """
         _check_cycles(cycles)
         self.counters["probes"] += 1
         tree = self.tree
+        n = tree.size
         kb, tail = tree.count_ge_tail(cycles)
         kb += 1
         i = self.ranges.range_index_for(kb)
-        a, b, hi, rtt = self._a, self._b, self._hi, self._rtt
-        if b[i] != tree.size:
-            tail = tree.range_sum(kb, b[i])
+        a, hi, rtt = self._a, self._hi, self._rtt
+        if hi[i] is not None and hi[i] <= n:
+            tail = tree.range_sum(kb, hi[i] - 1)
         marginal = (self._ree[i] + kb * rtt[i]) * cycles + rtt[i] * tail
         for j in range(i, len(a)):
-            if b[j] < a[j]:  # ranges fill in order: the rest are empty too
+            if a[j] > n:  # ranges fill in order: the rest are empty too
                 break
             if j > i:
                 marginal += rtt[j] * self._x[j]
-            if hi[j] is not None and b[j] == hi[j] - 1 and b[j] >= kb:
-                beta = self._beta[j]
-                if beta is None:
+            if hi[j] is not None and hi[j] <= n + 1:  # full: its edge shifts out
+                edge = self._edge[j]
+                if edge is None:
                     raise _lost_boundary(j)
-                marginal += self._jump[j] * beta.value
+                marginal += self._jump[j] * edge.value
         if self._tracer is not None:
             data: dict[str, Any] = {"cycles": cycles, "marginal": marginal}
             if self.label:
@@ -225,49 +233,38 @@ class DynamicCostIndex:
         self.counters["inserts"] += 1
         tree = self.tree
         ptr, kb, tail = tree.insert_ranked(cycles, payload)
+        n = tree.size
         i = self.ranges.range_index_for(kb)
+        a, hi, x, d, peak, edge = self._a, self._hi, self._x, self._d, self._peak, self._edge
 
-        if kb == self._a[i]:
-            self._alpha[i] = ptr
-        if kb > self._b[i]:
-            self._beta[i] = ptr
-        self._b[i] += 1
-        self._x[i] += cycles
-        if self._x[i] > self._peak[i]:
-            self._peak[i] = self._x[i]
+        x[i] += cycles
+        if x[i] > peak[i]:
+            peak[i] = x[i]
         # the new node contributes local position (kb - a_i + 1); everything
         # after it inside the range shifts one local position later. The
-        # descent's tail is that sum when the range ends at the last rank.
-        if self._b[i] != tree.size:
-            tail = tree.range_sum(kb + 1, self._b[i])
-        self._d[i] += (kb - self._a[i] + 1) * cycles + tail
+        # descent's tail is that sum unless the range, now holding ranks
+        # up to min(hi_i, N), ends before the last rank.
+        if hi[i] is not None and hi[i] < n:
+            tail = tree.range_sum(kb + 1, hi[i])
+        d[i] += (kb - a[i] + 1) * cycles + tail
 
-        # cascade: while range i overflows, its last element moves to range i+1
-        while self._hi[i] is not None and self._b[i] > self._hi[i] - 1:
-            moved = self._beta[i]
+        # cascade: a range that was full overflows, and its edge moves to range i+1
+        while hi[i] is not None and hi[i] <= n:
+            moved = edge[i]
             if moved is None:
                 raise _lost_boundary(i)
-            self._d[i] -= (self._b[i] - self._a[i] + 1) * moved.value
-            self._x[i] -= moved.value
-            self._b[i] -= 1
-            self._beta[i] = moved.prev
-            if self._b[i] < self._a[i]:
-                self._alpha[i] = None
-                self._beta[i] = None
-                self._x[i] = 0.0  # snap float residue: the range is empty
-                self._d[i] = 0.0
-                self._peak[i] = 0.0
+            d[i] -= (hi[i] - a[i] + 1) * moved.value
+            x[i] -= moved.value
+            edge[i] = moved.prev
             i += 1
-            self._alpha[i] = moved
-            if self._a[i] > self._b[i]:
-                self._beta[i] = moved
-            self._b[i] += 1
-            self._x[i] += moved.value
-            if self._x[i] > self._peak[i]:
-                self._peak[i] = self._x[i]
+            x[i] += moved.value
+            if x[i] > peak[i]:
+                peak[i] = x[i]
             # moved enters at local position 1; prior occupants shift +1 each:
             # Δ gains x_i(old) + moved.value = x_i(new).
-            self._d[i] += self._x[i]
+            d[i] += x[i]
+        if hi[i] == n + 1:  # the last range touched has just filled
+            edge[i] = tree.max_node()
 
         self._cost = None
         if self._tracer is not None:
@@ -284,77 +281,71 @@ class DynamicCostIndex:
         Raises ``ValueError`` (and counts nothing) if ``ptr`` is not in
         this index.
         """
-        kb = self.tree.rank(ptr)
+        tree = self.tree
+        kb = tree.rank(ptr)
         self.counters["deletes"] += 1
         deleted_cycles, deleted_payload = ptr.value, ptr.payload
+        n = tree.size
+        a, hi, x, d, peak, edge = self._a, self._hi, self._x, self._d, self._peak, self._edge
         # i ← last non-empty range: ranges fill in order, so the one
-        # holding the last rank
-        i = self.ranges.range_index_for(self.tree.size)
+        # holding the last rank. Even if full now, it will not be after.
+        i = self.ranges.range_index_for(n)
+        edge[i] = None
         refresh: list[int] = []
 
         # cascade: every non-empty range past kb's range loses its first
-        # element across the boundary into the previous range.
-        while self._a[i] > kb:
-            tptr = self._alpha[i]
-            if tptr is None:
-                raise _lost_boundary(i)
-            self._d[i] -= self._x[i]
-            self._x[i] -= tptr.value
-            self._b[i] -= 1
-            if self._a[i] <= self._b[i]:
-                self._alpha[i] = tptr.next
-                if self._peak[i] > _ABSORPTION_RATIO * self._x[i]:
+        # element, the successor of the previous range's edge, across the
+        # boundary; that element becomes the previous range's new edge.
+        while a[i] > kb:
+            prev_edge = edge[i - 1]
+            if prev_edge is None:
+                raise _lost_boundary(i - 1)
+            tptr = prev_edge.next
+            d[i] -= x[i]
+            x[i] -= tptr.value
+            if a[i] < n:  # range i keeps ranks a_i+1 .. min(hi_i - 1, N)
+                if peak[i] > _ABSORPTION_RATIO * x[i]:
                     refresh.append(i)
             else:
-                self._alpha[i] = None
-                self._beta[i] = None
-                self._x[i] = 0.0  # snap float residue: the range is empty
-                self._d[i] = 0.0
-                self._peak[i] = 0.0
+                x[i] = 0.0  # snap float residue: the range is empty
+                d[i] = 0.0
+                peak[i] = 0.0
             i -= 1
-            self._beta[i] = tptr
-            if self._a[i] > self._b[i]:
-                self._alpha[i] = tptr
-            self._b[i] += 1
-            self._x[i] += tptr.value
-            if self._x[i] > self._peak[i]:
-                self._peak[i] = self._x[i]
-            self._d[i] += (self._b[i] - self._a[i] + 1) * tptr.value
+            edge[i] = tptr
+            x[i] += tptr.value
+            if x[i] > peak[i]:
+                peak[i] = x[i]
+            d[i] += (hi[i] - a[i] + 1) * tptr.value
 
-        # remove ptr from range i (it still occupies rank kb in the tree).
-        # Inverse of Algorithm 5 line 8 — both terms subtracted (see module
-        # docstring on the paper's sign slip).
-        self._d[i] -= (kb - self._a[i] + 1) * ptr.value + self.tree.range_sum(kb + 1, self._b[i])
-        self._x[i] -= ptr.value
-        self._b[i] -= 1
-        if self._a[i] > self._b[i]:
-            self._alpha[i] = None
-            self._beta[i] = None
-            self._x[i] = 0.0  # snap float residue: the range is empty
-            self._d[i] = 0.0
-            self._peak[i] = 0.0
-        else:
-            if self._alpha[i] is ptr:
-                self._alpha[i] = ptr.next
-            elif self._beta[i] is ptr:
-                self._beta[i] = ptr.prev
-            if self._peak[i] > _ABSORPTION_RATIO * self._x[i]:
+        # remove ptr from range i (it still occupies rank kb in the tree,
+        # and the range now ends at rank min(hi_i, N)). Inverse of
+        # Algorithm 5 line 8 — both terms subtracted (see module docstring
+        # on the paper's sign slip).
+        end = n if hi[i] is None else min(hi[i], n)
+        d[i] -= (kb - a[i] + 1) * ptr.value + tree.range_sum(kb + 1, end)
+        x[i] -= ptr.value
+        if a[i] < end:
+            if peak[i] > _ABSORPTION_RATIO * x[i]:
                 refresh.append(i)
+        else:
+            x[i] = 0.0  # snap float residue: the range is empty
+            d[i] = 0.0
+            peak[i] = 0.0
 
-        self.tree.delete(ptr)
+        tree.delete(ptr)
         # Re-derive aggregates wherever the range's peak sum dominates
         # what remains: the incremental subtractions leave ulp-of-the-peak
         # residue (catastrophic absorption), unbounded relative to the
         # small remainder. The treap recomputes subtree sums along the
         # delete path and range_delta sums the range afresh, so these
         # queries are absorption-free. O(log N + range length) each, and
-        # only dominant drops trigger them.
+        # only dominant drops trigger them; every range listed is non-empty.
         for j in refresh:
-            if self._a[j] <= self._b[j]:
-                self.counters["refreshes"] += 1
-                self._x[j] = self.tree.range_sum(self._a[j], self._b[j])
-                self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
-                self._peak[j] = self._x[j]
+            self.counters["refreshes"] += 1
+            b = self._end(j)
+            x[j] = tree.range_sum(a[j], b)
+            d[j] = tree.range_delta(a[j], b)
+            peak[j] = x[j]
         self._cost = None
         if self._tracer is not None:
             self._trace_mutation(self._tracer, "dynamic.delete", deleted_cycles, kb,
@@ -371,30 +362,33 @@ class DynamicCostIndex:
             c += self._ree[i] * self._x[i] + self._rtt[i] * gamma
         return c
 
+    def _end(self, i: int) -> int:
+        """``b_i``: the last rank range ``i`` holds now (``a_i - 1`` while empty)."""
+        n, hi = self.tree.size, self._hi[i]
+        return max(self._a[i] - 1, n if hi is None else min(hi - 1, n))
+
     def check_invariants(self) -> None:
         """Cross-check every aggregate against the tree. ``O(N + |P̂| log N)``; tests only.
 
-        Also audits the absorption trigger's state: a range's peak is at
-        least its current sum, and exactly 0.0 while the range is empty.
+        Also audits each boundary node by rank (set exactly while its
+        range is full) and the absorption trigger's state: a range's peak
+        is at least its current sum, and exactly 0.0 while the range is
+        empty.
         """
         self.tree.check_invariants()
         n = len(self.tree)
         for i in range(len(self._a)):
-            a, b = self._a[i], self._b[i]
-            hi = self._hi[i]
-            expected_b = min(hi - 1, n) if hi is not None else n
-            expected_b = max(expected_b, a - 1)
-            assert b == expected_b, f"range {i}: b={b} expected {expected_b}"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+            a, b, hi = self._a[i], self._end(i), self._hi[i]
+            if hi is not None and hi <= n + 1:
+                assert self._edge[i] is self.tree.select(hi - 1), f"range {i}: edge is not the node at rank {hi - 1}"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
+            else:
+                assert self._edge[i] is None, f"range {i}: edge set on a range that is not full"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
             if a > b:
-                assert self._alpha[i] is None and self._beta[i] is None  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
                 assert self._x[i] == 0.0  # repro-lint: disable=RP004,RP008 -- exact 0.0 by construction; invariant audit
                 assert abs(self._d[i]) < AGG_ABS_TOL  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
                 assert self._peak[i] == 0.0, f"range {i}: peak of an empty range"  # repro-lint: disable=RP004,RP008 -- exact 0.0 by construction; invariant audit
                 continue
             assert self._peak[i] >= self._x[i], f"range {i}: peak below the sum"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
-            assert self._alpha[i] is not None and self._beta[i] is not None  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
-            assert self.tree.rank(self._alpha[i]) == a, f"range {i}: alpha rank mismatch"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
-            assert self.tree.rank(self._beta[i]) == b, f"range {i}: beta rank mismatch"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError
             xs = self.tree.range_sum(a, b)
             ds = self.tree.range_delta(a, b)
             assert math.isclose(self._x[i], xs, rel_tol=REL_TOL, abs_tol=AGG_ABS_TOL), f"range {i}: x"  # repro-lint: disable=RP008 -- invariant audit; callers catch AssertionError

@@ -20,7 +20,6 @@ reproducible artefacts — diffable across code changes.
 from __future__ import annotations
 
 import inspect
-import random
 from typing import Any, Callable, Optional
 
 from repro.models.cost import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE
@@ -102,27 +101,14 @@ def run_dynamic(
     seed: int = 99,
 ) -> dict[str, Any]:
     """Trace Algorithms 4–6 under seeded insert/delete/probe churn on a
-    single queue (so no core count)."""
-    from repro.core.dynamic import DynamicCostIndex
-    from repro.models.cost import CostModel
-    from repro.models.rates import TABLE_II
+    single queue (so no core count): the ``dynamic_churn`` bench loop,
+    shortened to 120 operations."""
+    from repro.perf.scenarios import seeded_churn
 
     n_ops = 120
-    probe_menu = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    index = DynamicCostIndex(
-        CostModel(TABLE_II, re, rt), seed=seed, tracer=tracer, label="queue"
+    index, probe_sum = seeded_churn(
+        n_ops, re=re, rt=rt, seed=seed, tracer=tracer, label="queue"
     )
-    rng = random.Random(seed)
-    handles = []
-    probe_sum = 0.0
-    for _ in range(n_ops):
-        draw = rng.random()
-        if draw < 0.45 or not handles:
-            handles.append(index.insert(rng.uniform(0.1, 50.0)))
-        elif draw < 0.75:
-            index.delete(handles.pop(rng.randrange(len(handles))))
-        else:
-            probe_sum += index.marginal_insert_cost(rng.choice(probe_menu))
     return {
         "scenario": "dynamic",
         "n_ops": n_ops,

@@ -26,7 +26,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.dynamic import DynamicCostIndex
@@ -36,6 +36,9 @@ from repro.models.task import Task
 from repro.perf.reference import reference_block, scale
 from repro.perf.report import ScenarioResult
 from repro.verify.reference import wbg_heap_plan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Tracer
 
 T = TypeVar("T")
 
@@ -205,36 +208,54 @@ def lmc_online_trace(quick: bool, repeats: int) -> ScenarioResult:
     )
 
 
-def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
-    """Algorithms 4–6 under random insert/delete/probe churn.
+#: The cycle counts a churn probe draws from.
+CHURN_PROBE_MENU = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
-    A seeded mix of inserts (45%), deletes (30%), and marginal-cost
-    probes (25%) against one :class:`DynamicCostIndex`. Probes draw
-    from a small cycle menu; their sum is part of the gated checksum.
+
+def seeded_churn(
+    n_ops: int,
+    *,
+    re: float = RE_BATCH,
+    rt: float = RT_BATCH,
+    seed: int = 99,
+    tracer: Optional[Tracer] = None,
+    label: str = "",
+) -> tuple[DynamicCostIndex, float]:
+    """Drive one Table II :class:`DynamicCostIndex` through ``n_ops``
+    seeded operations: inserts (45%) of ``uniform(0.1, 50)`` cycles,
+    deletes (30%) of a random queued task, and marginal-cost probes
+    (25%) from :data:`CHURN_PROBE_MENU`. An empty queue always inserts.
+
+    ``seed`` seeds both the operation stream and the index's treap.
+    Returns the index and the sum of the probe results.
+    """
+    index = DynamicCostIndex(
+        CostModel(TABLE_II, re, rt), seed=seed, tracer=tracer, label=label
+    )
+    rng = random.Random(seed)
+    handles = []
+    probe_sum = 0.0
+    for _ in range(n_ops):
+        draw = rng.random()
+        if draw < 0.45 or not handles:
+            handles.append(index.insert(rng.uniform(0.1, 50.0)))
+        elif draw < 0.75:
+            index.delete(handles.pop(rng.randrange(len(handles))))
+        else:
+            probe_sum += index.marginal_insert_cost(rng.choice(CHURN_PROBE_MENU))
+    return index, probe_sum
+
+
+def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
+    """Algorithms 4–6 under random insert/delete/probe churn
+    (:func:`seeded_churn`); the probe sum is part of the gated checksum.
     """
     n_ops = 4_000 if quick else 20_000
-    probe_menu = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
-    def run():
-        index = DynamicCostIndex(CostModel(TABLE_II, RE_BATCH, RT_BATCH), seed=99)
-        rng = random.Random(99)
-        handles = []
-        probe_sum = 0.0
-        for _ in range(n_ops):
-            draw = rng.random()
-            if draw < 0.45 or not handles:
-                handles.append(index.insert(rng.uniform(0.1, 50.0)))
-            elif draw < 0.75:
-                index.delete(handles.pop(rng.randrange(len(handles))))
-            else:
-                probe_sum += index.marginal_insert_cost(rng.choice(probe_menu))
-        return index, probe_sum
-
-    t_run, (index, probe_sum) = _timed(run, repeats)
+    t_run, (index, probe_sum) = _timed(lambda: seeded_churn(n_ops), repeats)
     return _result(
         "dynamic_churn",
         {"n_ops": n_ops, "seed": 99, "re": RE_BATCH, "rt": RT_BATCH,
-         "probe_menu": list(probe_menu)},
+         "probe_menu": list(CHURN_PROBE_MENU)},
         {"run": t_run},
         dict(index.counters),
         _checksum(index.total_cost, probe_sum, len(index)),

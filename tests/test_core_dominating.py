@@ -181,6 +181,20 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError, match="position 1"):
             DominatingRanges(batch_model, [DominatingRange(1.6, 2, None)])
 
+    @pytest.mark.parametrize("middle_hi", [3, 2], ids=["empty", "reversed"])
+    def test_constructor_rejects_empty_or_reversed_range(self, batch_model, middle_hi):
+        # tiles and ascends, but [3, middle_hi) holds no position; the
+        # dynamic index would then price a queue with the wrong rates
+        with pytest.raises(ValueError, match="non-empty"):
+            DominatingRanges(
+                batch_model,
+                [
+                    DominatingRange(1.6, 1, 3),
+                    DominatingRange(2.0, 3, middle_hi),
+                    DominatingRange(2.4, middle_hi, None),
+                ],
+            )
+
 
 class TestAgainstBruteForce:
     """Algorithm 1's entire contract: agree with the per-position argmin."""

@@ -182,7 +182,7 @@ def _preorder(node):
 def _state(idx):
     """Everything a probe could disturb, compared bit-for-bit."""
     tree = idx.tree
-    return (idx._x[:], idx._d[:], idx._b[:], idx.total_cost, _preorder(tree._root),
+    return (idx._x[:], idx._d[:], idx._edge[:], idx.total_cost, _preorder(tree._root),
             tree._seq, tree._rng.getstate())
 
 
@@ -313,10 +313,10 @@ class TestClosedFormProbe:
             naive.delete(v)
         assert idx.counters["refreshes"] >= 1
         idx.check_invariants()
-        for i in range(len(idx.ranges)):
-            a, b = idx._a[i], idx._b[i]
-            if a <= b:
-                exact = idx.tree.range_delta(a, b)
+        for i, r in enumerate(idx.ranges):
+            held = r.clipped(len(idx))
+            if held:
+                exact = idx.tree.range_delta(held[0], held[-1])
                 assert abs(idx._d[i] - exact) <= REL_TOL * exact
         for probe in _landing_probes(idx):
             _assert_probe(idx, naive, probe)
@@ -326,14 +326,31 @@ class TestClosedFormProbe:
         for v in (5.0, 25.0, 125.0):
             idx.insert(v)
         idx.check_invariants()
-        held = next(i for i in range(len(idx.ranges)) if idx._a[i] <= idx._b[i])
+        held = next(i for i, r in enumerate(idx.ranges) if r.clipped(len(idx)))
         idx._peak[held] = idx._x[held] / 2
         with pytest.raises(AssertionError, match="peak below the sum"):
             idx.check_invariants()
         idx._peak[held] = idx._x[held]
-        empty = next(i for i in range(len(idx.ranges)) if idx._a[i] > idx._b[i])
+        empty = next(i for i, r in enumerate(idx.ranges) if not r.clipped(len(idx)))
         idx._peak[empty] = 1.0
         with pytest.raises(AssertionError, match="peak of an empty range"):
+            idx.check_invariants()
+
+
+    def test_corrupted_edge_is_caught(self, online_model):
+        idx = DynamicCostIndex(online_model)
+        first = idx.ranges.ranges[0]
+        for c in range(1, first.hi + 2):
+            idx.insert(float(c))
+        idx.check_invariants()
+        idx._edge[0] = idx._edge[0].prev
+        with pytest.raises(AssertionError, match="range 0: edge is not the node"):
+            idx.check_invariants()
+        idx = DynamicCostIndex(online_model)
+        for c in range(1, first.hi - 1):  # range 0 one task short of full
+            idx.insert(float(c))
+        idx._edge[0] = idx.tree.max_node()
+        with pytest.raises(AssertionError, match="range 0: edge set on a range that is not full"):
             idx.check_invariants()
 
 

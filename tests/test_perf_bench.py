@@ -173,6 +173,19 @@ def test_run_bench_scenario_deterministic_ops_and_checksum() -> None:
     assert compare_reports(second, first, threshold=10.0).ok
 
 
+@pytest.mark.parametrize("name", ["dynamic_churn", "lmc_online_trace"])
+def test_quick_scenario_matches_committed_baseline(name: str) -> None:
+    """The dynamic cost index's outputs are pinned bit for bit: one quick
+    run's ops counters and checksum equal the committed quick profile
+    (no timing gate)."""
+    committed = load_report_file(Path(__file__).resolve().parents[1] / "BENCH_schedulers.json")
+    expected = committed["quick"].scenarios[name]
+    got = run_bench(scenarios=[name], quick=True, repeats=1).scenarios[name]
+    assert got.params == expected.params
+    assert got.ops == expected.ops
+    assert got.checksum == expected.checksum
+
+
 def test_run_bench_unknown_scenario_raises() -> None:
     with pytest.raises(KeyError):
         run_bench(scenarios=["nope"])

@@ -75,7 +75,7 @@ class TestYDS:
 
 
 class TestDynamicIndexBoundaries:
-    """A non-empty dominating range without a boundary node is a corrupted index."""
+    """A full dominating range without a boundary node is a corrupted index."""
 
     @pytest.fixture
     def index(self):
@@ -83,22 +83,20 @@ class TestDynamicIndexBoundaries:
         first = q.ranges.ranges[0]
         for c in range(1, first.hi + 3):  # fill range 0 and spill into range 1
             q.insert(float(c))
-        assert q._b[0] == first.hi - 1 and q._b[1] >= q._a[1]
+        assert len(q) > first.hi and q._edge[0] is q.tree.select(first.hi - 1)
+        q._edge[0] = None
         return q
 
     def test_probe(self, index):
-        index._beta[0] = None
-        with pytest.raises(RuntimeError, match="range 0 is non-empty"):
+        with pytest.raises(RuntimeError, match="range 0 is full"):
             index.marginal_insert_cost(1e6)
 
     def test_insert_cascade(self, index):
-        index._beta[0] = None
-        with pytest.raises(RuntimeError, match="range 0 is non-empty"):
+        with pytest.raises(RuntimeError, match="range 0 is full"):
             index.insert(1e6)
 
     def test_delete_cascade(self, index):
-        index._alpha[1] = None
-        with pytest.raises(RuntimeError, match="range 1 is non-empty"):
+        with pytest.raises(RuntimeError, match="range 0 is full"):
             index.delete(index.tree.min_node())
 
 
