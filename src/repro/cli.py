@@ -54,6 +54,17 @@ if TYPE_CHECKING:
     from repro.obs import RecordingTracer
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (a negative slice bound would count from the end)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_pricing(parser: argparse.ArgumentParser, re_default: float, rt_default: float) -> None:
     parser.add_argument("--re", type=float, default=re_default,
                         help=f"cents per joule (default {re_default})")
@@ -426,19 +437,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.lint import (
-        Baseline,
-        DEFAULT_BASELINE,
         EXIT_CLEAN,
         EXIT_ERROR,
+        RULES,
         Project,
-        all_rules,
         render_json,
         render_text,
         run_lint,
     )
 
     if args.list_rules:
-        for rule in all_rules():
+        for rule in RULES:
             print(f"{rule.code}  {rule.name}: {rule.summary}")
         return EXIT_CLEAN
 
@@ -448,26 +457,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return EXIT_ERROR
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot read baseline: {exc}")
-            return EXIT_ERROR
-
     try:
-        report = run_lint(project, select=args.select, ignore=args.ignore,
-                          baseline=baseline)
+        report = run_lint(project, select=args.select, ignore=args.ignore)
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return EXIT_ERROR
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return EXIT_CLEAN
 
     if args.format == "json":
         print(render_json(report))
@@ -545,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_opts(p)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the decision log as JSONL instead of printing")
-    p.add_argument("--limit", type=int, default=30,
+    p.add_argument("--limit", type=_non_negative_int, default=30,
                    help="max events to print (default 30; ignored with --out)")
     p.set_defaults(func=cmd_trace)
 
@@ -615,12 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this rule (repeatable)")
     p.add_argument("--ignore", action="append", default=None, metavar="CODE",
                    help="skip this rule (repeatable)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline file (default: ./lint-baseline.json if present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="grandfather all current findings into the baseline")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--verbose", action="store_true",

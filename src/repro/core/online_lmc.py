@@ -161,24 +161,22 @@ class LeastMarginalCostPolicy:
         """Remove a queued task (it completed, was cancelled, or starts running)."""
         self.queues[core].delete(node)
 
-    def pop_head(self, core: int) -> Optional[tuple[Any, float, float]]:
+    def pop_head(self, core: int) -> Optional[tuple[Any, float]]:
         """Dequeue the task that should run next on ``core``.
 
-        Returns ``(payload, cycles, rate)`` — the rate is the one its
-        backward position dictates at dequeue time — or ``None`` if the
-        queue is empty. The task leaves the queue index; the caller
-        owns it from here (it is "running", not "waiting"). The head is
-        the tree's last node, so both of its rank queries (for the rate
-        and for the delete) are ``Θ(1)``.
+        Returns ``(payload, cycles)``, or ``None`` if the queue is
+        empty. The task leaves the queue index; the caller owns it from
+        here (it is "running", not "waiting") and asks
+        :meth:`running_rate` for its rate. The head is the tree's last
+        node, so the delete's rank query is ``Θ(1)``.
         """
         q = self.queues[core]
         node = q.head()
         if node is None:
             return None
-        rate = q.rate_of(node)
         payload, cycles = node.payload, node.value
         q.delete(node)
-        return payload, cycles, rate
+        return payload, cycles
 
     def running_rate(self, core: int) -> float:
         """Rate for the task currently running on ``core``.

@@ -3,7 +3,7 @@
 The static complement to :mod:`repro.verify`: where the fuzzer catches
 tolerance and determinism bugs by *running* schedulers, this package
 forbids the bug classes at rest, on every commit, with a stdlib-``ast``
-analyzer and a small plugin rule registry.
+analyzer and one fixed rule set (:data:`repro.lint.rules.RULES`).
 
 Rule catalog (see :mod:`repro.lint.rules` and docs/STATIC_ANALYSIS.md):
 
@@ -15,6 +15,8 @@ RP003   wall-clock access inside the simulator/core hot paths
 RP004   float ``==``/``!=`` against literals in ``core/``
 RP005   ``print()`` outside ``cli.py`` / ``analysis/reporting.py``
 RP006   scheduler contract: public plans/policies re-exported in ``__all__``
+RP007   ``multiprocessing`` / ``concurrent.futures`` imports (pool-boundary)
+RP008   bare ``assert`` outside ``lint/`` (bare-assert)
 ======  ==========================================================
 
 Typical use::
@@ -28,14 +30,9 @@ or from the command line: ``repro-dvfs lint src/`` (exit 0 clean,
 1 findings, 2 usage error). Per-line suppression::
 
     if x == 0.0:  # repro-lint: disable=RP004 -- exact sentinel, never computed
-
-Grandfathered findings live in a committed ``lint-baseline.json``
-(:mod:`repro.lint.baseline`), auto-loaded from the working directory.
 """
 
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE
-from repro.lint.findings import Finding, fingerprint_findings
-from repro.lint.registry import Rule, all_rules, get_rule, register, resolve_codes, unregister
+from repro.lint.findings import Finding
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import (
     EXIT_CLEAN,
@@ -45,30 +42,22 @@ from repro.lint.runner import (
     lint_paths,
     run_lint,
 )
+from repro.lint.rules import RULES, Rule, resolve_codes
 from repro.lint.source import Project, SourceModule
 
-# importing the catalog registers the built-in rules
-from repro.lint import rules as _rules  # noqa: F401
-
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE",
     "EXIT_CLEAN",
     "EXIT_ERROR",
     "EXIT_FINDINGS",
     "Finding",
     "LintReport",
     "Project",
+    "RULES",
     "Rule",
     "SourceModule",
-    "all_rules",
-    "fingerprint_findings",
-    "get_rule",
     "lint_paths",
-    "register",
     "render_json",
     "render_text",
     "resolve_codes",
     "run_lint",
-    "unregister",
 ]

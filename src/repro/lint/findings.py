@@ -1,16 +1,11 @@
-"""Finding record and stable fingerprints for the lint subsystem.
+"""Finding record for the lint subsystem.
 
-A :class:`Finding` pins a rule violation to a file/line/column. Its
-*fingerprint* deliberately excludes the line **number**: it hashes the
-rule code, the module path, the stripped text of the offending line and
-an occurrence index among identical lines. Editing unrelated parts of a
-file therefore never invalidates a committed baseline entry, while
-editing (or duplicating) the flagged line itself does.
+A :class:`Finding` pins a rule violation to a file/line/column and
+carries the offending line's text for the report.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -32,29 +27,4 @@ class Finding:
         return f"{self.location()}: {self.rule} {self.message}"
 
 
-def fingerprint(finding: Finding, occurrence: int) -> str:
-    """Line-number-independent identity of a finding.
-
-    ``occurrence`` disambiguates several identical violations (same
-    rule, same stripped line text) within one file; callers number them
-    in source order.
-    """
-    payload = "\x1f".join(
-        (finding.rule, finding.path, finding.line_text.strip(), str(occurrence))
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-
-
-def fingerprint_findings(findings: list[Finding]) -> list[tuple[Finding, str]]:
-    """Pair each finding with its fingerprint, numbering duplicates in order."""
-    seen: dict[tuple[str, str, str], int] = {}
-    out: list[tuple[Finding, str]] = []
-    for f in sorted(findings):
-        key = (f.rule, f.path, f.line_text.strip())
-        occ = seen.get(key, 0)
-        seen[key] = occ + 1
-        out.append((f, fingerprint(f, occ)))
-    return out
-
-
-__all__ = ["Finding", "fingerprint", "fingerprint_findings"]
+__all__ = ["Finding"]

@@ -3,7 +3,7 @@
 The text form is one ``path:line:col: RPxxx message`` row per finding
 (stable sort: path, line, column, rule) plus a one-line summary — the
 shape editors and CI annotations already understand. The JSON form
-carries the same data plus suppression/baseline counters for tooling.
+carries the same data plus the suppressed findings for tooling.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ def _summary_line(report: LintReport) -> str:
     ]
     if report.suppressed:
         bits.append(f"{len(report.suppressed)} suppressed")
-    if report.baselined:
-        bits.append(f"{len(report.baselined)} baselined")
-    if report.stale_baseline:
-        bits.append(f"{report.stale_baseline} stale baseline entr(y|ies)")
     return ("OK: " if report.ok else "FAIL: ") + ", ".join(bits)
 
 
@@ -59,8 +55,6 @@ def render_json(report: LintReport) -> str:
         "counts_by_rule": report.counts_by_rule(),
         "findings": [_finding_dict(f) for f in report.findings],
         "suppressed": [_finding_dict(f) for f in report.suppressed],
-        "baselined": [_finding_dict(f) for f in report.baselined],
-        "stale_baseline": report.stale_baseline,
     }
     return json.dumps(payload, indent=2)
 

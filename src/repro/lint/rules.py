@@ -43,10 +43,9 @@ rest* on every commit:
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, register
 from repro.lint.source import Project, SourceModule
 
 #: Largest magnitude a float literal may have and still read as a
@@ -107,7 +106,44 @@ def _in_scope(mod: SourceModule, prefixes: tuple[str, ...]) -> bool:
     return mod.pkgpath.startswith(prefixes)
 
 
-@register
+class Rule:
+    """Base class for lint rules.
+
+    A rule has a ``code`` (``RPxxx``), a ``name``, a one-line
+    ``summary`` and a ``check_project`` generator. Most rules look at
+    one module at a time and override :meth:`check_module`; whole-project
+    rules (the scheduler re-export contract) override
+    :meth:`check_project` directly.
+    """
+
+    code: str = ""
+    name: str = ""
+    summary: str = ""
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        for mod in project:
+            if mod.tree is None:
+                continue
+            yield from self.check_module(mod)
+
+    def check_module(self, mod: SourceModule) -> Iterator[Finding]:
+        return iter(())
+
+    def finding(
+        self, mod: SourceModule, node: ast.AST, message: str
+    ) -> Finding:
+        line = getattr(node, "lineno", 1)
+        col = getattr(node, "col_offset", 0)
+        return Finding(
+            path=mod.pkgpath,
+            line=line,
+            col=col + 1,
+            rule=self.code,
+            message=message,
+            line_text=mod.line_text(line),
+        )
+
+
 class DirectiveHygieneRule(Rule):
     code = "RP000"
     name = "directive-hygiene"
@@ -115,7 +151,7 @@ class DirectiveHygieneRule(Rule):
                "`-- justification`; directives that suppress nothing are reported")
 
     def check_module(self, mod: SourceModule) -> Iterator[Finding]:
-        known = {r.code for r in all_rules()}
+        known = {r.code for r in RULES}
         for d in mod.directives.values():
             loc = ast.Constant(value=None, lineno=d.line, col_offset=0)
             if not d.codes:
@@ -135,7 +171,6 @@ class DirectiveHygieneRule(Rule):
                 )
 
 
-@register
 class ToleranceLiteralRule(Rule):
     code = "RP001"
     name = "raw-tolerance-literal"
@@ -158,7 +193,6 @@ class ToleranceLiteralRule(Rule):
                 )
 
 
-@register
 class UnseededRandomRule(Rule):
     code = "RP002"
     name = "unseeded-randomness"
@@ -213,7 +247,6 @@ class UnseededRandomRule(Rule):
                 )
 
 
-@register
 class WallClockRule(Rule):
     code = "RP003"
     name = "wall-clock-access"
@@ -236,7 +269,6 @@ class WallClockRule(Rule):
                 )
 
 
-@register
 class FloatEqualityRule(Rule):
     code = "RP004"
     name = "float-literal-equality"
@@ -266,7 +298,6 @@ class FloatEqualityRule(Rule):
                         break
 
 
-@register
 class PrintRule(Rule):
     code = "RP005"
     name = "print-outside-reporting"
@@ -290,7 +321,6 @@ class PrintRule(Rule):
                 )
 
 
-@register
 class SchedulerContractRule(Rule):
     code = "RP006"
     name = "scheduler-contract"
@@ -355,7 +385,6 @@ class SchedulerContractRule(Rule):
         return None
 
 
-@register
 class PoolBoundaryRule(Rule):
     code = "RP007"
     name = "pool-boundary"
@@ -380,7 +409,6 @@ class PoolBoundaryRule(Rule):
                     break
 
 
-@register
 class BareAssertRule(Rule):
     code = "RP008"
     name = "bare-assert"
@@ -400,15 +428,51 @@ class BareAssertRule(Rule):
                 )
 
 
+#: The rule set, in code order. It is fixed: a new rule is added here,
+#: with the tree fixed or its findings suppressed with a justification.
+RULES: tuple[Rule, ...] = (
+    DirectiveHygieneRule(),
+    ToleranceLiteralRule(),
+    UnseededRandomRule(),
+    WallClockRule(),
+    FloatEqualityRule(),
+    PrintRule(),
+    SchedulerContractRule(),
+    PoolBoundaryRule(),
+    BareAssertRule(),
+)
+
+
+def resolve_codes(
+    select: Iterable[str] | None = None, ignore: Iterable[str] | None = None
+) -> list[Rule]:
+    """The active rule set after ``--select`` / ``--ignore`` filtering.
+
+    Raises :class:`KeyError` on a code that names no rule, so a typo
+    fails loudly instead of silently linting nothing.
+    """
+    known = {r.code for r in RULES}
+    for group in (select, ignore):
+        for code in group or ():
+            if code not in known:
+                raise KeyError(f"unknown rule code {code!r}")
+    active = set(select) if select else set(known)
+    active -= set(ignore or ())
+    return [r for r in RULES if r.code in active]
+
+
 __all__ = [
     "BareAssertRule",
     "DirectiveHygieneRule",
     "FloatEqualityRule",
     "PoolBoundaryRule",
     "PrintRule",
+    "RULES",
+    "Rule",
     "SchedulerContractRule",
     "ToleranceLiteralRule",
     "UnseededRandomRule",
     "WallClockRule",
     "dotted_name",
+    "resolve_codes",
 ]

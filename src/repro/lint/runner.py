@@ -1,10 +1,9 @@
 """Lint runner: rules × project → report.
 
-Pipeline: parse every module, run the active rules, apply per-line
+Pipeline: parse every module, run the active rules, then apply per-line
 suppressions (recording which directives actually fired so unused ones
-can be reported), then filter grandfathered findings through the
-baseline. Exit-code policy lives here too so the CLI and the test suite
-agree on it.
+can be reported). Every finding left fails the run. Exit-code policy
+lives here too so the CLI and the test suite agree on it.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, resolve_codes
+from repro.lint.rules import Rule, resolve_codes
 from repro.lint.source import Project
 
 #: Exit codes: clean / findings / usage-or-internal error.
@@ -32,8 +30,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: int = 0
     modules_checked: int = 0
     rules_run: list[str] = field(default_factory=list)
 
@@ -57,7 +53,6 @@ def run_lint(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
     """Run the active rule set over ``project``.
 
@@ -110,15 +105,7 @@ def run_lint(
                             line_text=mod.line_text(d.line),
                         ))
 
-    # -- baseline ----------------------------------------------------------------
-    if baseline is not None:
-        new, base, stale = baseline.split(kept)
-        report.findings = new
-        report.baselined = base
-        report.stale_baseline = stale
-    else:
-        report.findings = sorted(kept)
-
+    report.findings = sorted(kept)
     report.suppressed.sort()
     return report
 
@@ -128,12 +115,10 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    baseline_path: Path | None = None,
 ) -> LintReport:
-    """Convenience wrapper: load files, optionally a baseline, and lint."""
+    """Convenience wrapper: load files and lint."""
     project = Project.from_paths(Path(p) for p in paths)
-    baseline = Baseline.load(baseline_path) if baseline_path is not None else None
-    return run_lint(project, select=select, ignore=ignore, baseline=baseline)
+    return run_lint(project, select=select, ignore=ignore)
 
 
 __all__ = [

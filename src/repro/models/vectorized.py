@@ -106,6 +106,24 @@ def positional_rate_prefix(ranges: DominatingRanges, n: int) -> np.ndarray:
     return _prefix_arrays(ranges, n)[1][:n]
 
 
+def _merge_slots(
+    ranges_per_core: Sequence[DominatingRanges], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The WBG merge: ``(costs, cores, order)`` over the ``R × n`` slots.
+
+    ``costs``/``cores`` are the flat candidate arrays (core-major, slot
+    ``k`` of core ``j`` at index ``j·n + k``) and ``order`` holds the
+    flat indices of the ``n`` cheapest, in pick order: cost first,
+    cross-core ties on the core index.
+    """
+    if len(ranges_per_core) < 1:
+        raise ValueError("at least one core is required")
+    costs = np.concatenate([positional_cost_prefix(r, n) for r in ranges_per_core])
+    cores = np.repeat(np.arange(len(ranges_per_core), dtype=np.intp), n)
+    order = np.lexsort((cores, costs))[:n]
+    return costs, cores, order
+
+
 def wbg_slot_sequence(
     ranges_per_core: Sequence[DominatingRanges], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,14 +142,9 @@ def wbg_slot_sequence(
     they are bit-identical to what the heap-loop oracle
     (:func:`repro.verify.reference.wbg_heap_picks`) feeds its heap.
     """
-    n_cores = len(ranges_per_core)
-    if n_cores < 1:
-        raise ValueError("at least one core is required")
     if n < 1:
         raise ValueError("n must be >= 1")
-    costs = np.concatenate([positional_cost_prefix(r, n) for r in ranges_per_core])
-    cores = np.repeat(np.arange(n_cores, dtype=np.intp), n)
-    order = np.lexsort((cores, costs))[:n]
+    _costs, cores, order = _merge_slots(ranges_per_core, n)
     sel_cores = cores[order]
     slots = order - sel_cores * n  # slot index within the core, 0-based
     all_rates = np.stack([positional_rate_prefix(r, n) for r in ranges_per_core])
@@ -144,7 +157,7 @@ def wbg_optimal_cost(
 ) -> float:
     """Vectorised ``Σ C*·L`` of the Workload Based Greedy assignment.
 
-    Merge the per-core positional costs (same order as
+    Merge the per-core positional costs (the merge of
     :func:`wbg_slot_sequence`), pair them with descending cycle counts,
     and reduce with one dot product. With one core this is the
     single-core optimal cost ``Σ CB*(k)·L^B_k``.
@@ -155,9 +168,7 @@ def wbg_optimal_cost(
         return 0.0
     if np.any(L <= 0):
         raise ValueError("cycle counts must be positive")
-    costs = np.concatenate([positional_cost_prefix(r, n) for r in ranges_per_core])
-    cores = np.repeat(np.arange(len(ranges_per_core), dtype=np.intp), n)
-    order = np.lexsort((cores, costs))[:n]
+    costs, _cores, order = _merge_slots(ranges_per_core, n)
     return float(costs[order] @ L)
 
 

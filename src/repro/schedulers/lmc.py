@@ -139,7 +139,7 @@ class LMCOnlineScheduler:
         popped = self.policy.pop_head(core)
         if popped is None:
             return None
-        task, _cycles, _rate = popped
+        task, _cycles = popped
         self._handles.pop(task.task_id, None)
         return task
 
@@ -163,10 +163,6 @@ class LMCOnlineScheduler:
         but supported by the dynamic index and exposed for users)."""
         core, node = self._handles.pop(task.task_id)
         self.policy.remove(core, node)
-
-    def queued_cost(self) -> float:
-        """Θ(1)-maintained total cost of all waiting queues."""
-        return self.policy.total_queued_cost()
 
     def counters(self) -> dict[str, int]:
         """Deterministic ops counters (queue mutations, marginal probes)

@@ -417,16 +417,19 @@ class LmcCheck(DifferentialCheck):
                         failures.append(f"step {step}: core {j} empty but naive has {before}")
                         break
                     continue
-                _, cycles, rate = popped
+                _, cycles = popped
                 head = min(vals[j])
                 if cycles != head:
                     failures.append(
                         f"step {step}: popped cycles {cycles!r} != queue minimum {head!r}"
                     )
                     break
-                want = policy.ranges[j].rate_for(before)  # head sits at backward position N
+                # the popped task runs at forward position 1, behind which
+                # the N - 1 still waiting: backward position N
+                rate = policy.running_rate(j)
+                want = policy.ranges[j].rate_for(before)
                 if rate != want:
-                    failures.append(f"step {step}: popped rate {rate!r} != {want!r}")
+                    failures.append(f"step {step}: running rate {rate!r} != {want!r}")
                     break
                 vals[j].remove(cycles)
                 naive[j].delete(cycles)

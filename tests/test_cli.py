@@ -107,6 +107,13 @@ class TestCommands:
         assert "ranges.build" in out
         assert "more (use --limit" in out
 
+    def test_trace_rejects_negative_limit(self, capsys):
+        # a negative slice bound would print all but the last |N| events
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "wbg", "--limit", "-3"])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
+
     def test_trace_writes_jsonl(self, capsys, tmp_path):
         out_path = str(tmp_path / "decisions.jsonl")
         assert main(["trace", "lmc", "--out", out_path]) == 0

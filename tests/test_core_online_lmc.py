@@ -71,11 +71,11 @@ class TestQueueMechanics:
     def test_pop_head_is_shortest_with_positional_rate(self, policy):
         for L in (30.0, 10.0, 20.0):
             policy.enqueue(1, L, payload=f"t{L}")
-        payload, cycles, rate = policy.pop_head(1)
+        payload, cycles = policy.pop_head(1)
         assert cycles == 10.0
         assert payload == "t10.0"
-        # three tasks were queued: the head sat at backward position 3
-        assert rate == policy.ranges[1].rate_for(3)
+        # three tasks were queued: the popped head runs at backward position 3
+        assert policy.running_rate(1) == policy.ranges[1].rate_for(3)
         assert policy.waiting_count(1) == 2
 
     def test_pop_empty_returns_none(self, policy):
@@ -86,7 +86,7 @@ class TestQueueMechanics:
         policy.enqueue(0, 25.0)
         policy.remove(0, node)
         assert policy.waiting_count(0) == 1
-        payload, cycles, _ = policy.pop_head(0)
+        payload, cycles = policy.pop_head(0)
         assert cycles == 25.0
 
     def test_running_rate_tracks_queue_depth(self, policy, online_model):

@@ -1,12 +1,13 @@
 """End-to-end coverage of the ``repro lint`` CLI subcommand.
 
 Exercises exit codes (0 clean / 1 findings / 2 usage error), the text
-and JSON reporters, ``--select``/``--ignore``, ``--list-rules`` and the
-baseline write → reload → clean-run cycle against real temp trees.
+and JSON reporters, ``--select``/``--ignore`` and ``--list-rules``
+against real temp trees, and that no file can grandfather a finding.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -82,46 +83,33 @@ class TestReporting:
                      "--ignore", "RP002"]) == EXIT_CLEAN
 
 
-class TestBaselineCycle:
-    def test_write_then_rerun_is_clean(self, tmp_path, capsys):
-        tree = make_tree(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-
-        assert main(["lint", str(tree), "--baseline", str(baseline),
-                     "--write-baseline"]) == EXIT_CLEAN
-        assert "wrote 1 finding(s)" in capsys.readouterr().out
-        entries = json.loads(baseline.read_text())["findings"]
-        assert entries and entries[0]["rule"] == "RP001"
-
-        assert main(["lint", str(tree), "--baseline", str(baseline)]) == EXIT_CLEAN
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_new_violation_still_fails_with_baseline(self, tmp_path, capsys):
-        tree = make_tree(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(tree), "--baseline", str(baseline), "--write-baseline"])
-        capsys.readouterr()
-
-        (tree / "core" / "x.py").write_text("EPS = 1e-9\nNEW = 1e-7\n")
-        assert main(["lint", str(tree), "--baseline", str(baseline)]) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "1e-07" in out and "1 baselined" in out
-
-    def test_default_baseline_autoloaded_from_cwd(self, tmp_path, capsys, monkeypatch):
-        tree = make_tree(tmp_path, DIRTY)
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(tree), "--write-baseline"]) == EXIT_CLEAN
-        assert (tmp_path / "lint-baseline.json").exists()
-        capsys.readouterr()
-        assert main(["lint", str(tree)]) == EXIT_CLEAN
-        assert main(["lint", str(tree), "--no-baseline"]) == EXIT_FINDINGS
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
+class TestNoGrandfathering:
+    @pytest.mark.parametrize("argv", [
+        ["--baseline", "x"],
+        ["--no-baseline"],
+        ["--write-baseline"],
+    ], ids=["baseline", "no-baseline", "write-baseline"])
+    def test_retired_baseline_options_are_usage_errors(self, tmp_path, argv, capsys):
         tree = make_tree(tmp_path, CLEAN)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{\"version\": 99}")
-        assert main(["lint", str(tree), "--baseline", str(baseline)]) == EXIT_ERROR
-        assert "cannot read baseline" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tree), *argv])
+        assert exc.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_baseline_file_in_cwd_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # a v1 lint-baseline.json that lists the finding (the retired
+        # grandfathering format: rule, path, stripped line, occurrence)
+        # must not change the result: the gate is the same from any cwd
+        tree = make_tree(tmp_path, DIRTY)
+        key = "\x1f".join(("RP001", "core/x.py", "EPS = 1e-9", "0"))
+        entry = {"fingerprint": hashlib.sha256(key.encode()).hexdigest()[:20],
+                 "rule": "RP001", "path": "core/x.py"}
+        (tmp_path / "lint-baseline.json").write_text(
+            json.dumps({"version": 1, "findings": [entry]})
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", str(tree)]) == EXIT_FINDINGS
+        assert "core/x.py:1:7: RP001" in capsys.readouterr().out
 
 
 class TestRepoTreeIntegration:
@@ -130,4 +118,4 @@ class TestRepoTreeIntegration:
         from pathlib import Path
 
         src = Path(__file__).resolve().parent.parent / "src"
-        assert main(["lint", str(src), "--no-baseline"]) == EXIT_CLEAN
+        assert main(["lint", str(src)]) == EXIT_CLEAN

@@ -1,8 +1,8 @@
 """Per-rule positive/negative fixtures for the ``repro.lint`` catalog.
 
 Every rule gets at least one snippet that triggers it and one that
-proves a clean pass, plus coverage of the suppression-directive and
-baseline machinery the runner wraps around them.
+proves a clean pass, plus coverage of the suppression-directive
+machinery the runner wraps around them.
 """
 
 from __future__ import annotations
@@ -11,16 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    Finding,
-    Project,
-    Rule,
-    all_rules,
-    register,
-    run_lint,
-    unregister,
-)
+from repro.lint import Project, run_lint
 
 
 def lint(sources: dict[str, str], **kw):
@@ -327,66 +318,3 @@ class TestRunnerMechanics:
         })
         locs = [(f.path, f.line) for f in r.findings]
         assert locs == sorted(locs)
-
-    def test_custom_rule_registration(self):
-        @register
-        class TodoRule(Rule):
-            code = "RP901"
-            name = "no-todo"
-            summary = "test-only rule"
-
-            def check_module(self, mod):
-                for i, line in enumerate(mod.lines, start=1):
-                    if "TODO" in line:
-                        yield Finding(path=mod.pkgpath, line=i, col=1,
-                                      rule=self.code, message="TODO found",
-                                      line_text=line)
-
-        try:
-            assert "RP901" in {rule.code for rule in all_rules()}
-            r = lint({"core/x.py": "x = 1  # TODO later\n"}, select=["RP901"])
-            assert codes(r) == ["RP901"]
-        finally:
-            unregister("RP901")
-
-
-class TestBaseline:
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        src = {"core/x.py": "EPS = 1e-9\n"}
-        first = lint(src)
-        assert codes(first) == ["RP001"]
-
-        baseline = Baseline.from_findings(first.findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        reloaded = Baseline.load(path)
-        assert reloaded.fingerprints == baseline.fingerprints
-
-        second = lint(src, baseline=reloaded)
-        assert second.ok
-        assert [f.rule for f in second.baselined] == ["RP001"]
-
-    def test_new_finding_not_masked_by_baseline(self):
-        baseline = Baseline.from_findings(lint({"core/x.py": "EPS = 1e-9\n"}).findings)
-        r = lint({"core/x.py": "EPS = 1e-9\nOTHER = 1e-7\n"}, baseline=baseline)
-        assert len(r.findings) == 1
-        assert "1e-07" in r.findings[0].message
-        assert len(r.baselined) == 1
-
-    def test_fingerprint_survives_line_moves(self):
-        baseline = Baseline.from_findings(lint({"core/x.py": "EPS = 1e-9\n"}).findings)
-        moved = lint({"core/x.py": "import math\n\nEPS = 1e-9\n"}, baseline=baseline)
-        assert moved.ok and len(moved.baselined) == 1
-
-    def test_stale_entries_counted(self):
-        baseline = Baseline.from_findings(lint({"core/x.py": "EPS = 1e-9\n"}).findings)
-        r = lint({"core/x.py": "x = 1\n"}, baseline=baseline)
-        assert r.ok
-        assert r.stale_baseline == 1
-
-    def test_duplicate_lines_fingerprint_distinctly(self):
-        src = {"core/x.py": "A = 1e-9\nA = 1e-9\n"}
-        baseline = Baseline.from_findings(lint(src).findings)
-        assert len(baseline.fingerprints) == 2
-        r = lint(src, baseline=baseline)
-        assert r.ok and len(r.baselined) == 2

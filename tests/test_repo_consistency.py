@@ -165,6 +165,31 @@ class TestDocsDrift:
             f"docs/API.md `{command}` choices drifted from the parser"
         )
 
+    def test_api_doc_key_flags_match_parser(self):
+        # every --flag in a row's "Key flags" column is an option of a
+        # subcommand that the row names in its first column
+        api = read("docs/API.md")
+        subparsers = self.subparsers()
+        problems = []
+        for row in api.splitlines():
+            if not row.startswith("| `"):
+                continue
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            names = [span.split()[0] for span in re.findall(r"`([^`]+)`", cells[0])]
+            if not any(name in subparsers for name in names):
+                continue  # a row of another table (library API)
+            options = set()
+            for name in names:
+                if name in subparsers:
+                    options.update(subparsers[name]._option_string_actions)
+            for flag in re.findall(r"--[a-z][a-z-]*", cells[-1]):
+                if flag not in options:
+                    problems.append(f"{' / '.join(names)}: {flag}")
+        assert not problems, (
+            "docs/API.md Key flags name options the parser does not have: "
+            + ", ".join(problems)
+        )
+
     def test_relative_markdown_links_resolve(self):
         files = [ROOT / "README.md", ROOT / "DESIGN.md"]
         files += sorted((ROOT / "docs").glob("*.md"))
@@ -283,37 +308,25 @@ class TestStaticAnalysis:
     """The tree must stay clean under its own linter (docs/STATIC_ANALYSIS.md)."""
 
     def test_src_passes_full_lint_rule_set(self):
-        from repro.lint import Baseline, lint_paths
+        from repro.lint import lint_paths
 
-        report = lint_paths(
-            [ROOT / "src"], baseline_path=ROOT / "lint-baseline.json"
-        )
+        report = lint_paths([ROOT / "src"])
         details = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"repro lint found new violations:\n{details}"
 
-    def test_committed_baseline_is_empty(self):
-        # Grandfathered debt is meant to be paid down, not accumulated:
-        # the committed baseline must stay empty, so every pre-existing
-        # finding is either fixed or carries a justified suppression.
-        import json
-
-        data = json.loads((ROOT / "lint-baseline.json").read_text())
-        assert data["version"] == 1
-        assert data["findings"] == []
-
     def test_every_rule_is_documented(self):
-        from repro.lint import all_rules
+        from repro.lint import RULES
 
         doc = read("docs/STATIC_ANALYSIS.md")
-        for rule in all_rules():
+        for rule in RULES:
             assert rule.code in doc, f"docs/STATIC_ANALYSIS.md missing {rule.code}"
 
     def test_rule_catalog_is_complete(self):
-        from repro.lint import all_rules
+        from repro.lint import RULES
 
-        codes = {r.code for r in all_rules()}
-        assert {"RP000", "RP001", "RP002", "RP003", "RP004", "RP005",
-                "RP006", "RP007", "RP008"} <= codes
+        codes = [r.code for r in RULES]
+        assert codes == ["RP000", "RP001", "RP002", "RP003", "RP004", "RP005",
+                         "RP006", "RP007", "RP008"]
 
     def test_in_tree_suppressions_carry_justifications(self):
         from repro.lint import Project
