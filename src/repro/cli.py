@@ -65,18 +65,22 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_pricing(parser: argparse.ArgumentParser, re_default: float, rt_default: float) -> None:
+def _add_pricing(parser: argparse.ArgumentParser, re_default: float, rt_default: float,
+                 *, cores: bool = True, export: bool = False) -> None:
+    """``--re``/``--rt``, plus ``--cores`` and ``--json`` for the commands that read them."""
     parser.add_argument("--re", type=float, default=re_default,
                         help=f"cents per joule (default {re_default})")
     parser.add_argument("--rt", type=float, default=rt_default,
                         help=f"cents per second of waiting (default {rt_default})")
-    parser.add_argument("--cores", type=int, default=4, help="number of cores (default 4)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the result as structured JSON")
+    if cores:
+        parser.add_argument("--cores", type=int, default=4, help="number of cores (default 4)")
+    if export:
+        parser.add_argument("--json", metavar="PATH", default=None,
+                            help="also write the result as structured JSON")
 
 
 def _maybe_export(args: argparse.Namespace, payload: dict) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         from repro.analysis.export import write_json
 
         write_json(payload, args.json)
@@ -182,7 +186,12 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 
     tasks = [Task(cycles=c, name=f"job{i}") for i, c in enumerate(args.cycles)]
     plan = wbg_plan(tasks, TABLE_II, args.cores, args.re, args.rt)
-    print(render_plan_gantt(plan, TABLE_II, width=args.width))
+    try:
+        chart = render_plan_gantt(plan, TABLE_II, width=args.width)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
+    print(chart)
     return 0
 
 
@@ -190,7 +199,11 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     from repro.core.budget import pareto_frontier
 
     tasks = [Task(cycles=c, name=f"job{i}") for i, c in enumerate(args.cycles)]
-    points = pareto_frontier(tasks, TABLE_II, points=args.points)
+    try:
+        points = pareto_frontier(tasks, TABLE_II, points=args.points)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     print(format_table(
         ["Energy (J)", "Total flow time (s)"],
         [(e, f) for e, f in points],
@@ -352,7 +365,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             scenarios=args.scenario,
             quick=args.quick,
             repeats=args.repeats,
-            log=print,
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
@@ -481,19 +493,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table2", help="print Table II").set_defaults(func=cmd_table2)
 
     p = sub.add_parser("ranges", help="dominating position ranges (Algorithm 1)")
-    _add_pricing(p, RE_BATCH, RT_BATCH)
+    _add_pricing(p, RE_BATCH, RT_BATCH, cores=False)
     p.set_defaults(func=cmd_ranges)
 
     p = sub.add_parser("fig1", help="model verification (Sim vs Exp)")
-    _add_pricing(p, RE_BATCH, RT_BATCH)
+    _add_pricing(p, RE_BATCH, RT_BATCH, export=True)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="batch mode comparison (WBG/OLB/PS)")
-    _add_pricing(p, RE_BATCH, RT_BATCH)
+    _add_pricing(p, RE_BATCH, RT_BATCH, export=True)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="online mode comparison (LMC/OLB/OD)")
-    _add_pricing(p, RE_ONLINE, RT_ONLINE)
+    _add_pricing(p, RE_ONLINE, RT_ONLINE, export=True)
     p.add_argument("--seed", type=int, default=2014, help="trace seed (default 2014)")
     p.set_defaults(func=cmd_fig3)
 

@@ -17,7 +17,7 @@ minimises ``Σ C*·L`` — an exchange argument identical to Theorem 3's.
 
 The paper's min-heap loop is the test oracle
 :func:`repro.verify.reference.wbg_heap_plan`; here one NumPy merge over
-the memoized positional costs
+each core's positional costs
 (:func:`repro.models.vectorized.wbg_slot_sequence`) makes the same
 picks, bit for bit (docs/PERFORMANCE.md).
 """
@@ -47,8 +47,8 @@ class WorkloadBasedGreedy:
 
     Each core's dominating ranges are built once, here (Lemma 1: they
     do not depend on the workload), so repeated :meth:`schedule` calls
-    on one instance reuse both the ranges and their vectorized
-    positional-cost prefixes.
+    on one instance reuse them. Each :meth:`schedule` call fills the
+    positional costs ``CB*(1..n)`` it merges afresh.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) records one
     ``ranges.build`` event per core at construction, and one

@@ -20,13 +20,13 @@ against the exact solvers on small inputs):
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional
 
 from repro.core.deadline import DeadlineInstance, DeadlineSolution
 from repro.models.task import Task
 from repro.models.tolerances import STRICT_ABS_TOL, TIME_SLACK
-from repro.structures.indexed_heap import IndexedMinHeap
 
 
 def _completion_times(order, rates, table) -> list[float]:
@@ -122,14 +122,12 @@ def lpt_multi_core(instance: DeadlineInstance) -> Optional[DeadlineSolution]:
     (allocated greedily core by core).
     """
     table = instance.table
-    heap = IndexedMinHeap()
-    for j in range(instance.n_cores):
-        heap.push(j, 0.0, tiebreak=j)
+    heap = [(0.0, j) for j in range(instance.n_cores)]
     lanes: list[list[Task]] = [[] for _ in range(instance.n_cores)]
     for task in sorted(instance.tasks, key=lambda t: (-t.cycles, t.task_id)):
-        j, load = heap.pop()
+        load, j = heapq.heappop(heap)
         lanes[j].append(task)
-        heap.push(j, load + task.cycles * table.time(table.max_rate), tiebreak=j)
+        heapq.heappush(heap, (load + task.cycles * table.time(table.max_rate), j))
 
     remaining_budget = instance.energy_budget
     order: list[Task] = []

@@ -3,7 +3,7 @@
 The pure-Python evaluators in :mod:`repro.models.cost` are the readable
 reference; for parameter sweeps over 10⁵-task batches the interpreter
 loop dominates. This module vectorises the hot computations — the
-memoized positional costs ``CB*(1..n)``, the Workload Based Greedy slot
+positional costs ``CB*(1..n)``, the Workload Based Greedy slot
 merge and its optimal-cost sum ``Σ C*·L``, and the Equation 27
 interactive marginal — with NumPy, following the repo's HPC guidance
 (vectorise the measured bottleneck, keep the loop version as the
@@ -11,19 +11,14 @@ specification). A single core is the one-element case of the
 multi-core kernels: ``wbg_optimal_cost([r], L)`` is Algorithm 2's
 optimal cost.
 
-Two guarantees matter more than raw speed:
-
-* **Bit-identity.** Every kernel that mirrors a scheduling *decision*
-  (:func:`wbg_slot_sequence`, :func:`interactive_marginal_batch`)
-  evaluates the exact float expression of its scalar counterpart in the
-  same association order, so the fast path produces bit-identical plans
-  — verified by the ``wbg_kernel`` differential fuzz check and the
-  cache-correctness tests.
-* **Amortised reuse.** Per-position prefixes (``CB*(1..n)`` and the
-  per-position optimal rate) are memoized per
-  :class:`~repro.core.dominating.DominatingRanges` instance and grown
-  on demand, so a scheduler that replans repeatedly fills them once
-  (see docs/PERFORMANCE.md).
+Bit-identity matters more than raw speed: every kernel that mirrors a
+scheduling *decision* (:func:`wbg_slot_sequence`,
+:func:`interactive_marginal_batch`) evaluates the exact float
+expression of its scalar counterpart in the same association order, so
+the fast path produces bit-identical plans — verified by the
+``wbg_kernel`` differential fuzz check and the cache-correctness tests.
+The kernels keep no state between calls: each plan fills its own
+positional costs (see docs/PERFORMANCE.md).
 
 Agreement with the scalar implementations is property-tested; the
 speedup is measured in ``benchmarks/bench_ablation_vectorized.py`` and
@@ -32,7 +27,6 @@ gated by ``repro bench``.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,61 +61,36 @@ def _fill_positional(
             rate_out[sl] = r.rate
 
 
-#: Per-DominatingRanges grown prefix arrays: ranges -> (CB* array, rate array).
-#: Keyed weakly so an entry lives exactly as long as its ranges instance
-#: (each scheduler builds its own), and fuzzer-generated throwaway
-#: instances don't pin memory.
-_PREFIX_CACHE: "weakref.WeakKeyDictionary[DominatingRanges, tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _prefix_arrays(ranges: DominatingRanges, n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _PREFIX_CACHE.get(ranges)
-    if cached is None or cached[0].shape[0] < n:
-        # geometric growth so a climbing n (WBG batches of creeping size)
-        # costs O(log) refills, not one per call
-        cap = max(n, 2 * cached[0].shape[0] if cached is not None else n, 16)
-        costs = np.empty(cap, dtype=np.float64)
-        rates = np.empty(cap, dtype=np.float64)
-        _fill_positional(ranges, costs, rates)
-        costs.setflags(write=False)
-        rates.setflags(write=False)
-        cached = (costs, rates)
-        _PREFIX_CACHE[ranges] = cached
-    return cached
-
-
 def positional_cost_prefix(ranges: DominatingRanges, n: int) -> np.ndarray:
-    """Memoized read-only ``CB*(1..n)`` for a ranges instance."""
+    """``CB*(1..n)`` for a ranges instance, as a fresh array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _prefix_arrays(ranges, n)[0][:n]
-
-
-def positional_rate_prefix(ranges: DominatingRanges, n: int) -> np.ndarray:
-    """Memoized read-only optimal rate for backward positions ``1..n``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _prefix_arrays(ranges, n)[1][:n]
+    costs = np.empty(n, dtype=np.float64)
+    _fill_positional(ranges, costs)
+    return costs
 
 
 def _merge_slots(
     ranges_per_core: Sequence[DominatingRanges], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The WBG merge: ``(costs, cores, order)`` over the ``R × n`` slots.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The WBG merge: ``(costs, rates, cores, order)`` over the ``R × n`` slots.
 
-    ``costs``/``cores`` are the flat candidate arrays (core-major, slot
-    ``k`` of core ``j`` at index ``j·n + k``) and ``order`` holds the
-    flat indices of the ``n`` cheapest, in pick order: cost first,
-    cross-core ties on the core index.
+    ``costs``/``rates``/``cores`` are the flat candidate arrays
+    (core-major, slot ``k`` of core ``j`` at index ``j·n + k``), filled
+    once per core, and ``order`` holds the flat indices of the ``n``
+    cheapest, in pick order: cost first, cross-core ties on the core
+    index.
     """
-    if len(ranges_per_core) < 1:
+    n_cores = len(ranges_per_core)
+    if n_cores < 1:
         raise ValueError("at least one core is required")
-    costs = np.concatenate([positional_cost_prefix(r, n) for r in ranges_per_core])
-    cores = np.repeat(np.arange(len(ranges_per_core), dtype=np.intp), n)
+    costs = np.empty(n_cores * n, dtype=np.float64)
+    rates = np.empty(n_cores * n, dtype=np.float64)
+    for j, r in enumerate(ranges_per_core):
+        _fill_positional(r, costs[j * n:(j + 1) * n], rates[j * n:(j + 1) * n])
+    cores = np.repeat(np.arange(n_cores, dtype=np.intp), n)
     order = np.lexsort((cores, costs))[:n]
-    return costs, cores, order
+    return costs, rates, cores, order
 
 
 def wbg_slot_sequence(
@@ -137,18 +106,15 @@ def wbg_slot_sequence(
     ``R × n`` candidate slots. Equivalence with the heap is exact, not
     approximate: ``CB*_j(k)`` is strictly increasing in ``k`` (so a
     core's slots already arrive in pop order) and cross-core cost ties
-    break on the core index — precisely the heap's ``(priority,
-    tiebreak=j)`` comparison. Costs come from the memoized prefixes, so
-    they are bit-identical to what the heap-loop oracle
+    break on the core index — precisely the heap's ``(cost, j)``
+    comparison. Costs come from :func:`_fill_positional`,
+    so they are bit-identical to what the heap-loop oracle
     (:func:`repro.verify.reference.wbg_heap_picks`) feeds its heap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _costs, cores, order = _merge_slots(ranges_per_core, n)
-    sel_cores = cores[order]
-    slots = order - sel_cores * n  # slot index within the core, 0-based
-    all_rates = np.stack([positional_rate_prefix(r, n) for r in ranges_per_core])
-    return sel_cores, all_rates[sel_cores, slots]
+    _costs, rates, cores, order = _merge_slots(ranges_per_core, n)
+    return cores[order], rates[order]
 
 
 def wbg_optimal_cost(
@@ -168,7 +134,7 @@ def wbg_optimal_cost(
         return 0.0
     if np.any(L <= 0):
         raise ValueError("cycle counts must be positive")
-    costs, _cores, order = _merge_slots(ranges_per_core, n)
+    costs, _rates, _cores, order = _merge_slots(ranges_per_core, n)
     return float(costs[order] @ L)
 
 

@@ -10,9 +10,9 @@ in :mod:`repro.perf.scenarios`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.perf.report import BenchReport, ScenarioResult
+from repro.perf.report import BenchReport
 from repro.perf.scenarios import ALL_SCENARIOS
 
 #: Default best-of repeats per profile. Quick uses *more* repeats than
@@ -25,12 +25,10 @@ def run_bench(
     scenarios: Optional[Sequence[str]] = None,
     quick: bool = False,
     repeats: Optional[int] = None,
-    log: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
     """Execute the suite; returns the fresh (uncompared) report.
 
-    Raises ``KeyError`` naming the first unknown scenario. ``log``
-    receives one progress line per scenario when provided.
+    Raises ``KeyError`` naming the first unknown scenario.
     """
     profile = "quick" if quick else "full"
     if repeats is None:
@@ -44,14 +42,5 @@ def run_bench(
             raise KeyError(f"unknown scenario {name!r} (available: {available})")
 
     results = {name: ALL_SCENARIOS[name].fn(quick, repeats) for name in names}
-    if log is not None:
-        for name, result in results.items():
-            log(f"bench [{profile}] {name}: {_times(result)}")
     return BenchReport(profile=profile, repeats=repeats, scenarios=results)
 
-
-def _times(result: ScenarioResult) -> str:
-    return "  ".join(
-        f"{k}={v * 1e3:.1f}ms (scaled {result.scaled_time_s[k] * 1e3:.1f}ms)"
-        for k, v in sorted(result.wall_time_s.items())
-    )

@@ -23,7 +23,6 @@ from repro.models.cost import CostModel
 from repro.models.rates import RateTable, per_core_tables
 from repro.models.task import Task, TaskKind
 from repro.simulator.online_runner import CoreView
-from repro.structures.rangetree import RangeTreeNode
 
 # bound once: every arrival tests them, and an Enum member lookup through
 # the class costs several times a module-global read
@@ -60,7 +59,6 @@ class LMCOnlineScheduler:
         )
         self.estimator = estimator
         self._tracer = tracer
-        self._handles: dict[int, tuple[int, RangeTreeNode]] = {}  # task_id -> (core, node)
         # Equation 27's per-core constants: the queue's range tree (N_j is
         # its size) and E(pm), T(pm), the last entries of the rate table
         models = self.policy.models
@@ -131,17 +129,12 @@ class LMCOnlineScheduler:
 
     def enqueue_noninteractive(self, core: int, task: Task) -> None:
         """Insert into the core's dynamic cost index (cycle-sorted)."""
-        node = self.policy.enqueue(core, self._cycles(task), payload=task)
-        self._handles[task.task_id] = (core, node)
+        self.policy.enqueue(core, self._cycles(task), payload=task)
 
     def dequeue_noninteractive(self, core: int) -> Optional[Task]:
         """Pop the index head — the shortest waiting job on that core."""
         popped = self.policy.pop_head(core)
-        if popped is None:
-            return None
-        task, _cycles = popped
-        self._handles.pop(task.task_id, None)
-        return task
+        return None if popped is None else popped[0]
 
     def rate_for_noninteractive(self, core: int, task: Task) -> Optional[float]:
         """The dominating rate for the running slot — forward position 1
@@ -158,12 +151,6 @@ class LMCOnlineScheduler:
             self.estimator.observe(task, task.cycles)
 
     # -- extras ---------------------------------------------------------------------
-    def cancel(self, task: Task) -> None:
-        """Withdraw a still-queued task (not part of the paper's trace,
-        but supported by the dynamic index and exposed for users)."""
-        core, node = self._handles.pop(task.task_id)
-        self.policy.remove(core, node)
-
     def counters(self) -> dict[str, int]:
         """Deterministic ops counters (queue mutations, marginal probes)
         aggregated over all cores — what ``repro bench`` records for the

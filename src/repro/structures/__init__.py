@@ -5,12 +5,8 @@
   subtree aggregates ``ξ`` (range sum) and ``Δ`` (offset-weighted range
   sum), and doubly-linked predecessor/successor threading so boundary
   pointers move in ``Θ(1)``.
-* :mod:`repro.structures.indexed_heap` — an addressable binary min-heap
-  used by Workload Based Greedy (Algorithm 3) to pick the core with the
-  smallest next positional cost.
 """
 
 from repro.structures.rangetree import RangeTree, RangeTreeNode
-from repro.structures.indexed_heap import IndexedMinHeap
 
-__all__ = ["RangeTree", "RangeTreeNode", "IndexedMinHeap"]
+__all__ = ["RangeTree", "RangeTreeNode"]

@@ -18,13 +18,13 @@ must pick the same core.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 from repro.core.dominating import DominatingRanges
 from repro.core.online_lmc import LeastMarginalCostPolicy
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.task import Task
-from repro.structures.indexed_heap import IndexedMinHeap
 
 
 def wbg_heap_picks(
@@ -37,17 +37,16 @@ def wbg_heap_picks(
     ``(core, slot, rate, C*_core(slot))`` the ``i``-th heaviest task
     receives.
     """
-    heap = IndexedMinHeap()
+    heap = [(r.cost(1), j) for j, r in enumerate(ranges)]
+    heapq.heapify(heap)
     next_slot = [1] * len(ranges)
-    for j, r in enumerate(ranges):
-        heap.push(j, r.cost(1), tiebreak=j)
     picks = []
     for _ in range(n):
-        j, cost = heap.pop()
+        cost, j = heapq.heappop(heap)
         kb = next_slot[j]
         picks.append((j, kb, ranges[j].rate_for(kb), cost))
         next_slot[j] = kb + 1
-        heap.push(j, ranges[j].cost(kb + 1), tiebreak=j)
+        heapq.heappush(heap, (ranges[j].cost(kb + 1), j))
     return picks
 
 

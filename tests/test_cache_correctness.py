@@ -1,8 +1,8 @@
 """Cache-correctness tests for the perf kernel layer.
 
-The perf layer (docs/PERFORMANCE.md) adds one memo — the per-ranges
-vectorized positional prefixes — plus vectorized kernels that replace scalar loops and a closed-form marginal
-probe. None of them may change any observable result:
+The perf layer (docs/PERFORMANCE.md) adds vectorized kernels that
+replace scalar loops and a closed-form marginal probe. None of them may
+change any observable result:
 
 * churn through ``DynamicCostIndex`` interleaved with probes must
   match a fresh solver built from the surviving values, and a probe
@@ -33,7 +33,6 @@ from repro.verify.reference import wbg_heap_plan
 from repro.models.vectorized import (
     interactive_marginal_batch,
     positional_cost_prefix,
-    positional_rate_prefix,
     wbg_slot_sequence,
 )
 
@@ -111,20 +110,12 @@ def test_probe_does_not_mutate_or_invalidate() -> None:
 def test_positional_prefix_bit_identical_to_scalar_costs() -> None:
     ranges = DominatingRanges.from_cost_model(_model())
     costs = positional_cost_prefix(ranges, 300)
-    rates = positional_rate_prefix(ranges, 300)
+    # one core takes its slots in order, so the merge's rates are rate(1..n)
+    cores, rates = wbg_slot_sequence([ranges], 300)
+    assert cores.tolist() == [0] * 300
     for k in range(1, 301):
         assert costs[k - 1] == ranges.cost(k)
         assert rates[k - 1] == ranges.rate_for(k)
-    with pytest.raises(ValueError):
-        costs[0] = 0.0  # memoized prefixes are read-only views
-
-
-def test_positional_prefix_grows_monotonically() -> None:
-    ranges = DominatingRanges.from_cost_model(_model(0.15, 0.35))
-    short = positional_cost_prefix(ranges, 4)
-    longer = positional_cost_prefix(ranges, 64)
-    assert list(longer[:4]) == list(short)
-    assert positional_cost_prefix(ranges, 64).base is positional_cost_prefix(ranges, 8).base
 
 
 def test_wbg_slot_sequence_matches_scalar_heap() -> None:

@@ -75,6 +75,26 @@ class TestCommands:
         assert "Pareto frontier" in out
         assert "Energy (J)" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gantt", "--width", "5", "10", "20"], "width must be at least 10"),
+        (["frontier", "--points", "1", "10", "20"], "need at least two sweep points"),
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["ranges", "--json", "x"],
+        ["ranges", "--cores", "2"],
+        ["batch", "--json", "x", "1"],
+        ["gantt", "--json", "x", "1"],
+    ])
+    def test_unread_options_are_rejected(self, argv):
+        # only the commands that read --cores / export --json accept them
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_workload_jsonl(self, capsys, tmp_path):
         out_path = str(tmp_path / "t.jsonl")
         assert main([

@@ -96,6 +96,19 @@ class TestQueueMechanics:
             policy.enqueue(0, float(i + 1))
         assert policy.running_rate(0) == policy.ranges[0].rate_for(41)
 
+    def test_running_rate_at_each_range_end(self, policy):
+        """With ``d`` tasks waiting the running task sits at backward
+        position ``d + 1``. Probing either side of every range boundary
+        makes an off-by-one in the depth read a neighbouring range's rate."""
+        ranges = policy.ranges[0]
+        bounded = [r for r in ranges if r.hi is not None]
+        assert len(bounded) >= 2
+        for r in bounded:
+            for depth, want in ((r.hi - 2, r.rate), (r.hi - 1, ranges.rate_for(r.hi))):
+                while policy.waiting_count(0) < depth:
+                    policy.enqueue(0, 1.0)
+                assert policy.running_rate(0) == want
+
     def test_interactive_rate_is_max(self, policy):
         assert policy.interactive_rate(0) == TABLE_II.max_rate
 
@@ -108,20 +121,6 @@ class TestQueueMechanics:
     def test_head_delays_length_validated(self, policy):
         with pytest.raises(ValueError, match="one entry per core"):
             policy.choose_core_noninteractive(10.0, [1.0])
-
-    def test_scheduler_cancel_withdraws_task(self, online_model):
-        from repro.models.rates import TABLE_II as T2
-        from repro.models.task import Task, TaskKind
-        from repro.schedulers import LMCOnlineScheduler
-
-        sched = LMCOnlineScheduler(T2, 2, 0.4, 0.1)
-        t = Task(cycles=12.0, kind=TaskKind.NONINTERACTIVE)
-        sched.enqueue_noninteractive(0, t)
-        assert sched.policy.waiting_count(0) == 1
-        sched.cancel(t)
-        assert sched.policy.waiting_count(0) == 0
-        with pytest.raises(KeyError):
-            sched.cancel(t)  # already withdrawn
 
     def test_queued_cost_aggregates(self, policy):
         assert policy.total_queued_cost() == 0.0

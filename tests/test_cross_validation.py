@@ -89,7 +89,8 @@ class TestQueueIndexIntegrityAfterRuns:
             assert len(q) == 0
             assert q.total_cost == pytest.approx(0.0, abs=1e-6)
             q.check_invariants()
-        assert lmc._handles == {}, "no queued handles should survive the run"
+        for j in range(lmc.n_cores):
+            assert lmc.policy.waiting_count(j) == 0
 
 
 class TestVectorizedAgreesWithSimulator:

@@ -5,6 +5,7 @@ no documentation; these tests keep DESIGN.md / EXPERIMENTS.md / README
 honest as the code moves.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -17,6 +18,21 @@ def read(name: str) -> str:
     return (ROOT / name).read_text()
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b...`` names a module or an attribute of one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, name in enumerate(parts[1:], start=2):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
 class TestDesignDoc:
     def test_every_referenced_bench_exists(self):
         text = read("DESIGN.md") + read("EXPERIMENTS.md")
@@ -24,9 +40,15 @@ class TestDesignDoc:
             assert (ROOT / "benchmarks" / match).exists(), f"missing {match}"
 
     def test_every_referenced_module_exists(self):
-        text = read("DESIGN.md")
-        for match in set(re.findall(r"`([a-z_]+/[a-z_]+\.py)`", text)):
+        design = read("DESIGN.md")
+        for match in set(re.findall(r"`([a-z_]+/[a-z_]+\.py)`", design)):
             assert (ROOT / "src" / "repro" / match).exists(), f"missing {match}"
+        docs = [ROOT / "DESIGN.md", ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        text = "".join(p.read_text() for p in docs)
+        for match in set(re.findall(r"\brepro/[a-z_]+/[a-z_0-9]+\.py", text)):
+            assert (ROOT / "src" / match).exists(), f"missing {match}"
+        for match in set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*){2,}", text)):
+            assert _resolves(match), f"{match} names nothing under src/"
 
     def test_identity_check_present(self):
         assert "Paper identity check" in read("DESIGN.md")

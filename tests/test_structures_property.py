@@ -1,12 +1,11 @@
-"""Property-based (seeded-random, stdlib-only) tests for the index
-structures: random operation sequences cross-checked against naive
-list/dict reference models.
+"""Property-based (seeded-random, stdlib-only) tests for the range
+tree: random operation sequences cross-checked against a naive sorted
+list model.
 
 These complement the example-based tests in
-``test_structures_indexed_heap.py`` / ``test_structures_rangetree.py``
-by exploring long mixed op sequences — including decrease-key on the
-heap and range aggregates after deletions on the tree — that
-hand-written cases rarely reach.
+``test_structures_rangetree.py`` by exploring long mixed op sequences —
+including range aggregates after deletions — that hand-written cases
+rarely reach.
 """
 
 from __future__ import annotations
@@ -16,96 +15,11 @@ import random
 
 import pytest
 
-from repro.structures.indexed_heap import IndexedMinHeap
 from repro.structures.rangetree import RangeTree
 
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# IndexedMinHeap vs a dict model
-# ---------------------------------------------------------------------------
-
-
-class _HeapModel:
-    """Reference: a plain dict item -> (priority, tiebreak)."""
-
-    def __init__(self) -> None:
-        self.entries: dict[int, tuple[float, int]] = {}
-
-    def expected_min(self) -> tuple[int, float]:
-        item = min(self.entries, key=lambda i: (self.entries[i][0], self.entries[i][1]))
-        return item, self.entries[item][0]
-
-
-@pytest.mark.parametrize("trial", range(20))
-def test_indexed_heap_random_ops_match_dict_model(trial: int) -> None:
-    rng = random.Random(0xBEEF + trial)
-    heap = IndexedMinHeap()
-    model = _HeapModel()
-    popped: list[int] = []
-
-    for step in range(150):
-        draw = rng.random()
-        if draw < 0.40 or not model.entries:
-            item = rng.randrange(500)
-            priority = rng.uniform(0.0, 100.0)
-            if item in model.entries:
-                heap.push_or_update(item, priority, tiebreak=item)
-            else:
-                heap.push(item, priority, tiebreak=item)
-            model.entries[item] = (priority, item)
-        elif draw < 0.55:
-            # decrease-key: strictly lower an existing priority
-            item = rng.choice(list(model.entries))
-            priority = model.entries[item][0] - rng.uniform(0.0, 50.0)
-            heap.update(item, priority, tiebreak=item)
-            model.entries[item] = (priority, item)
-        elif draw < 0.65:
-            # increase-key (sift-down path)
-            item = rng.choice(list(model.entries))
-            priority = model.entries[item][0] + rng.uniform(0.0, 50.0)
-            heap.update(item, priority, tiebreak=item)
-            model.entries[item] = (priority, item)
-        elif draw < 0.80:
-            item = rng.choice(list(model.entries))
-            got = heap.remove(item)
-            assert got == model.entries.pop(item)[0]
-        else:
-            want_item, want_priority = model.expected_min()
-            got_item, got_priority = heap.pop()
-            assert (got_item, got_priority) == (want_item, want_priority)
-            del model.entries[want_item]
-            popped.append(got_item)
-
-        assert len(heap) == len(model.entries)
-        for item, (priority, _) in model.entries.items():
-            assert item in heap
-            assert heap.priority_of(item) == priority
-        if model.entries:
-            assert heap.peek() == model.expected_min()
-        if step % 25 == 0:
-            heap.check_invariants()
-
-    # drain: pops must come out in exact model order
-    while model.entries:
-        want = model.expected_min()
-        assert heap.pop() == want
-        del model.entries[want[0]]
-    assert len(heap) == 0
-
-
-def test_indexed_heap_decrease_key_reorders_front() -> None:
-    """A decrease-key must move its item ahead of everything larger."""
-    rng = random.Random(7)
-    heap = IndexedMinHeap()
-    for i in range(50):
-        heap.push(i, rng.uniform(10.0, 20.0), tiebreak=i)
-    heap.update(37, 1.0, tiebreak=37)
-    assert heap.peek() == (37, 1.0)
-    heap.check_invariants()
 
 
 # ---------------------------------------------------------------------------
