@@ -43,7 +43,6 @@ from repro.core import (
     LeastMarginalCostPolicy,
     WorkloadBasedGreedy,
     schedule_homogeneous_round_robin,
-    schedule_multi_core,
     schedule_single_core,
 )
 from repro.schedulers import (
@@ -95,7 +94,6 @@ __all__ = [
     "LeastMarginalCostPolicy",
     "WorkloadBasedGreedy",
     "schedule_homogeneous_round_robin",
-    "schedule_multi_core",
     "schedule_single_core",
     # schedulers
     "LMCOnlineScheduler",

@@ -14,7 +14,7 @@ from repro.analysis.metrics import NormalizedCost, normalize_costs, percent_chan
 from repro.analysis.reporting import format_table, render_cost_comparison
 from repro.analysis.verification import VerificationReport, verify_model
 from repro.analysis.gantt import render_plan_gantt, render_run_gantt
-from repro.analysis.stats import Summary, bootstrap_ci, replicate, summarise
+from repro.analysis.stats import Summary, bootstrap_ci
 from repro.analysis.powerprofile import (
     batch_power_profile,
     power_trace,
@@ -41,8 +41,6 @@ __all__ = [
     "render_run_gantt",
     "Summary",
     "bootstrap_ci",
-    "replicate",
-    "summarise",
     "batch_result_dict",
     "comparison_dict",
     "online_result_dict",

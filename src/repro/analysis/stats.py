@@ -1,17 +1,17 @@
 """Statistical replication over trace seeds.
 
 The paper reports single-trace numbers; a reproduction should say how
-stable they are. :func:`replicate` runs an experiment across seeds and
-:func:`summarise` returns means with bootstrap confidence intervals, so
-the Figure 3 margins can be quoted as ``mean ± CI`` instead of one
-draw. (No SciPy dependency needed — plain percentile bootstrap.)
+stable they are. :func:`bootstrap_ci` turns per-seed samples into a
+mean with a bootstrap confidence interval, so the Figure 3 margins can
+be quoted as ``mean ± CI`` instead of one draw. (No SciPy dependency
+needed — plain percentile bootstrap.)
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,3 @@ def bootstrap_ci(
     return Summary(mean=mean, lo=means[lo_idx], hi=means[hi_idx], n=n,
                    confidence=confidence)
 
-
-def replicate(
-    experiment: Callable[[int], float],
-    seeds: Sequence[int],
-) -> list[float]:
-    """Run ``experiment(seed)`` for every seed and collect the metric."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return [float(experiment(s)) for s in seeds]
-
-
-def summarise(
-    experiment: Callable[[int], float],
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-) -> Summary:
-    """Replicate + bootstrap in one call."""
-    return bootstrap_ci(replicate(experiment, seeds), confidence=confidence)

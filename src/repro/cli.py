@@ -27,6 +27,7 @@ Installed as ``repro-dvfs`` (also ``python -m repro``). Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -65,15 +66,35 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (core counts)."""
+    value = _non_negative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be >= 1, got 0")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (cycle counts, prices, durations)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _add_pricing(parser: argparse.ArgumentParser, re_default: float, rt_default: float,
                  *, cores: bool = True, export: bool = False) -> None:
     """``--re``/``--rt``, plus ``--cores`` and ``--json`` for the commands that read them."""
-    parser.add_argument("--re", type=float, default=re_default,
+    parser.add_argument("--re", type=_positive_float, default=re_default,
                         help=f"cents per joule (default {re_default})")
-    parser.add_argument("--rt", type=float, default=rt_default,
+    parser.add_argument("--rt", type=_positive_float, default=rt_default,
                         help=f"cents per second of waiting (default {rt_default})")
     if cores:
-        parser.add_argument("--cores", type=int, default=4, help="number of cores (default 4)")
+        parser.add_argument("--cores", type=_positive_int, default=4,
+                            help="number of cores (default 4)")
     if export:
         parser.add_argument("--json", metavar="PATH", default=None,
                             help="also write the result as structured JSON")
@@ -511,24 +532,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="schedule an ad-hoc batch with WBG")
     _add_pricing(p, RE_BATCH, RT_BATCH)
-    p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
+    p.add_argument("cycles", type=_positive_float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("gantt", help="ASCII Gantt chart of a WBG plan")
     _add_pricing(p, RE_BATCH, RT_BATCH)
     p.add_argument("--width", type=int, default=72, help="chart width in chars")
-    p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
+    p.add_argument("cycles", type=_positive_float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_gantt)
 
     p = sub.add_parser("frontier", help="energy/flow-time Pareto frontier")
     p.add_argument("--points", type=int, default=20, help="multiplier sweep size")
-    p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
+    p.add_argument("cycles", type=_positive_float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("workload", help="generate an online-judge trace file")
-    p.add_argument("--interactive", type=int, default=50_525)
-    p.add_argument("--noninteractive", type=int, default=768)
-    p.add_argument("--duration", type=float, default=1800.0)
+    p.add_argument("--interactive", type=_non_negative_int, default=50_525)
+    p.add_argument("--noninteractive", type=_non_negative_int, default=768)
+    p.add_argument("--duration", type=_positive_float, default=1800.0)
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("out", help="output path (.csv or .jsonl)")
     p.set_defaults(func=cmd_workload)

@@ -22,7 +22,6 @@ from repro.core.batch_single import schedule_single_core, brute_force_single_cor
 from repro.core.batch_multi import (
     WorkloadBasedGreedy,
     schedule_homogeneous_round_robin,
-    schedule_multi_core,
 )
 from repro.core.dynamic import DynamicCostIndex, NaiveCostIndex
 from repro.core.deadline import (
@@ -32,15 +31,7 @@ from repro.core.deadline import (
     solve_partition_bruteforce,
 )
 from repro.core.online_lmc import LeastMarginalCostPolicy
-from repro.core.continuous import ContinuousRelaxation, ContinuousSchedule
 from repro.core.budget import BudgetSchedule, pareto_frontier, schedule_with_energy_budget
-from repro.core.deadline_heuristics import edf_rate_descent, lpt_multi_core, lpt_feasibility_certificate
-from repro.core.weighted import (
-    WeightedTask,
-    exact_weighted_schedule,
-    rates_for_order,
-    wspt_schedule,
-)
 
 __all__ = [
     "DominatingRange",
@@ -50,7 +41,6 @@ __all__ = [
     "brute_force_single_core",
     "WorkloadBasedGreedy",
     "schedule_homogeneous_round_robin",
-    "schedule_multi_core",
     "DynamicCostIndex",
     "NaiveCostIndex",
     "DeadlineInstance",
@@ -58,16 +48,7 @@ __all__ = [
     "solve_deadline_single_core",
     "solve_partition_bruteforce",
     "LeastMarginalCostPolicy",
-    "ContinuousRelaxation",
-    "ContinuousSchedule",
     "BudgetSchedule",
     "pareto_frontier",
     "schedule_with_energy_budget",
-    "edf_rate_descent",
-    "lpt_multi_core",
-    "lpt_feasibility_certificate",
-    "WeightedTask",
-    "exact_weighted_schedule",
-    "rates_for_order",
-    "wspt_schedule",
 ]

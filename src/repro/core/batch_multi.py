@@ -150,13 +150,6 @@ class WorkloadBasedGreedy:
         return wbg_optimal_cost(self.ranges, [t.cycles for t in tasks])
 
 
-def schedule_multi_core(
-    tasks: Iterable[Task], models: Sequence[CostModel]
-) -> list[CoreSchedule]:
-    """One-shot Workload Based Greedy (builds and discards the scheduler)."""
-    return WorkloadBasedGreedy(models).schedule(tasks)
-
-
 def schedule_homogeneous_round_robin(
     tasks: Iterable[Task],
     model: CostModel,

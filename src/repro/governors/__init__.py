@@ -9,25 +9,14 @@ The paper's baselines delegate frequency selection to the Linux
 * :class:`~repro.governors.powersave.PowerSavingGovernor` — the paper's
   "Power Saving" mode: on-demand behaviour over a rate table restricted
   to the lower half of the CPU's frequency range.
-* :class:`~repro.governors.userspace.UserspaceGovernor` — a fixed,
-  externally chosen frequency (what the paper uses to *disable* Linux
-  DVFS and drive frequencies from its own scheduler).
-* :class:`~repro.governors.performance.PerformanceGovernor` — always
-  the maximum frequency (what OLB effectively runs under).
 """
 
 from repro.governors.base import Governor
 from repro.governors.ondemand import OnDemandGovernor
 from repro.governors.powersave import PowerSavingGovernor
-from repro.governors.userspace import UserspaceGovernor
-from repro.governors.performance import PerformanceGovernor
-from repro.governors.conservative import ConservativeGovernor
 
 __all__ = [
     "Governor",
     "OnDemandGovernor",
     "PowerSavingGovernor",
-    "UserspaceGovernor",
-    "PerformanceGovernor",
-    "ConservativeGovernor",
 ]

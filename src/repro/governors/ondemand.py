@@ -12,33 +12,21 @@ from __future__ import annotations
 import bisect
 
 from repro.governors.base import Governor
-from repro.models.rates import RateTable
+
+#: Load fraction at or above which the governor jumps to the maximum
+#: available frequency (Section V-A3: 85 %).
+THRESHOLD = 0.85
 
 
 class OnDemandGovernor(Governor):
-    """Threshold-jump-up / step-down governor.
-
-    Parameters
-    ----------
-    table:
-        The core's full rate table.
-    threshold:
-        Load fraction above which the governor jumps to the maximum
-        available frequency (paper: 0.85).
-    """
-
-    def __init__(self, table: RateTable, threshold: float = 0.85) -> None:
-        super().__init__(table)
-        if not (0.0 < threshold <= 1.0):
-            raise ValueError("threshold must be in (0, 1]")
-        self.threshold = threshold
+    """Threshold-jump-up / step-down governor over the core's rate table."""
 
     def on_sample(self, load: float, current_rate: float) -> float:
-        """Jump to the maximum rate at/above ``threshold`` load, else
+        """Jump to the maximum rate at/above :data:`THRESHOLD` load, else
         step down one level (Section V-A3's quoted behaviour)."""
         self.validate_load(load)
         rates = self.available_rates()
-        if load >= self.threshold:
+        if load >= THRESHOLD:
             return rates[-1]
         i = bisect.bisect_left(rates, current_rate)
         if i == len(rates) or rates[i] != current_rate:

@@ -16,15 +16,10 @@ from repro.models.rates import RateTable
 class PowerSavingGovernor(OnDemandGovernor):
     """On-demand over the lower half of the frequency range."""
 
-    def __init__(self, table: RateTable, threshold: float = 0.85) -> None:
-        super().__init__(table, threshold)
-        self._restricted = table.lower_half()
+    def __init__(self, table: RateTable) -> None:
+        super().__init__(table)
+        self._rates = table.lower_half().rates
 
     def available_rates(self) -> tuple[float, ...]:
         """The lower half of the core's frequency menu (Section V-A3)."""
-        return self._restricted.rates
-
-    @property
-    def restricted_table(self) -> RateTable:
-        """The restricted :class:`RateTable` this governor selects from."""
-        return self._restricted
+        return self._rates

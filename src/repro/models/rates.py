@@ -137,21 +137,6 @@ class RateTable:
     def max_rate(self) -> float:
         return self.rates[-1]
 
-    def step_down(self, rate: float) -> float:
-        """The next lower rate, or ``rate`` itself if already at the bottom.
-
-        This is the "reduce the processing frequency by one level" move
-        the paper's On-demand baseline performs when load drops below
-        its threshold.
-        """
-        i = self.index_of(rate)
-        return self.rates[max(0, i - 1)]
-
-    def step_up(self, rate: float) -> float:
-        """The next higher rate, or ``rate`` itself if already at the top."""
-        i = self.index_of(rate)
-        return self.rates[min(len(self.rates) - 1, i + 1)]
-
     # -- derived tables -------------------------------------------------------
     def restrict(self, predicate: Callable[[float], bool], name: str = "") -> "RateTable":
         """A sub-table keeping only rates for which ``predicate`` holds.

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 _task_counter = itertools.count()
 
@@ -94,14 +94,6 @@ class Task:
         """Whether the task carries a finite deadline."""
         return not math.isinf(self.deadline)
 
-    @property
-    def is_interactive(self) -> bool:
-        return self.kind is TaskKind.INTERACTIVE
-
-    def with_cycles(self, cycles: float) -> "Task":
-        """Return a copy with a different cycle count (same identity fields)."""
-        return replace(self, cycles=cycles)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dl = "inf" if math.isinf(self.deadline) else f"{self.deadline:g}"
         label = f" {self.name!r}" if self.name else ""
@@ -166,16 +158,6 @@ class TaskSet:
     def total_cycles(self) -> float:
         return sum(t.cycles for t in self._tasks)
 
-    def sorted_by_cycles(self, descending: bool = False) -> list[Task]:
-        """Tasks sorted by cycle count (ties broken by task id, stable)."""
-        return sorted(self._tasks, key=lambda t: (t.cycles, t.task_id), reverse=descending)
-
-    def interactive(self) -> "TaskSet":
-        return TaskSet(t for t in self._tasks if t.kind is TaskKind.INTERACTIVE)
-
-    def noninteractive(self) -> "TaskSet":
-        return TaskSet(t for t in self._tasks if t.kind is not TaskKind.INTERACTIVE)
-
     # -- validation ----------------------------------------------------------
     def validate_batch(self) -> None:
         """Check the Section III batch-mode assumptions.
@@ -193,12 +175,3 @@ class TaskSet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TaskSet(n={len(self._tasks)}, total_cycles={self.total_cycles():g})"
 
-
-def make_batch(cycle_counts: Sequence[float], names: Sequence[str] | None = None) -> TaskSet:
-    """Convenience constructor: a batch :class:`TaskSet` from cycle counts."""
-    if names is not None and len(names) != len(cycle_counts):
-        raise ValueError("names and cycle_counts must have equal length")
-    return TaskSet(
-        Task(cycles=c, name=(names[i] if names else ""))
-        for i, c in enumerate(cycle_counts)
-    )

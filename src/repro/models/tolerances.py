@@ -2,11 +2,10 @@
 
 Every float comparison in the production code and in the
 :mod:`repro.verify` invariant checker draws its slack from this module,
-so the verification harness and the code it audits cannot drift apart.
-Historically these lived as scattered ``1e-9`` literals in
-``core/deadline.py``, ``core/deadline_heuristics.py``, ``core/budget.py``,
-``core/dynamic.py``, ``core/dominating.py``, ``governors/base.py`` and the
-simulator; they are now named once here.
+so the verification harness and the code it audits cannot drift apart:
+``core/deadline.py``, ``core/budget.py``, ``core/dynamic.py``,
+``core/dominating.py``, ``governors/base.py`` and the simulator name
+their slack here instead of writing ``1e-9`` literals.
 
 The values are deliberately coarse relative to double precision
 (``eps ≈ 2.2e-16``): the quantities compared are sums of at most a few

@@ -35,9 +35,10 @@ class LMCOnlineScheduler:
     Pass an ``estimator`` (see :mod:`repro.workloads.estimation`) to
     schedule from *predicted* cycle counts — the paper's deployment
     assumption — while execution still consumes the true counts; task
-    completions are fed back via :meth:`on_complete` so learning
-    estimators (mean/EWMA) improve as the trace progresses. The default
-    is the oracle (estimates ≡ truth), matching Section IV assumption 1.
+    completions are fed back via :meth:`on_complete` so a learning
+    estimator (the per-category mean) improves as the trace progresses.
+    The default is the oracle (estimates ≡ truth), matching Section IV
+    assumption 1.
     """
 
     def __init__(

@@ -4,32 +4,21 @@
   Table I, converted to cycle counts exactly as the paper does
   (average runtime at the lowest frequency × that frequency).
 * :mod:`repro.workloads.synthetic` — seeded random batch generators
-  (uniform, heavy-tailed, bimodal) for tests and ablations.
+  (heavy-tailed, bimodal) for tests and ablations.
 * :mod:`repro.workloads.trace` — the Judgegirl-style online-judge trace
   generator (interactive score queries + non-interactive judging jobs)
   standing in for the proprietary trace of Section V-B.
 """
 
 from repro.workloads.spec import SPEC_TABLE_I, SpecWorkload, spec_tasks, spec_cycles
-from repro.workloads.synthetic import (
-    uniform_batch,
-    lognormal_batch,
-    bimodal_batch,
-    adversarial_equal_batch,
-)
+from repro.workloads.synthetic import lognormal_batch, bimodal_batch
 from repro.workloads.trace import (
     JudgeTraceConfig,
     generate_judge_trace,
     generate_open_loop_trace,
     trace_summary,
 )
-from repro.workloads.estimation import (
-    CycleEstimator,
-    EWMAEstimator,
-    MeanEstimator,
-    NoisyOracle,
-    PerfectEstimator,
-)
+from repro.workloads.estimation import CycleEstimator, MeanEstimator, NoisyOracle
 from repro.workloads.traceio import (
     load_trace_csv,
     load_trace_jsonl,
@@ -42,19 +31,15 @@ __all__ = [
     "SpecWorkload",
     "spec_tasks",
     "spec_cycles",
-    "uniform_batch",
     "lognormal_batch",
     "bimodal_batch",
-    "adversarial_equal_batch",
     "JudgeTraceConfig",
     "generate_judge_trace",
     "generate_open_loop_trace",
     "trace_summary",
     "CycleEstimator",
-    "EWMAEstimator",
     "MeanEstimator",
     "NoisyOracle",
-    "PerfectEstimator",
     "load_trace_csv",
     "load_trace_jsonl",
     "save_trace_csv",

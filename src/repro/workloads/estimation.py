@@ -50,16 +50,6 @@ class CycleEstimator(Protocol):
         ...
 
 
-class PerfectEstimator:
-    """Oracle: the paper's baseline assumption (cycles known exactly)."""
-
-    def estimate(self, task: Task) -> float:
-        return task.cycles
-
-    def observe(self, task: Task, true_cycles: float) -> None:  # pragma: no cover
-        pass
-
-
 class MeanEstimator:
     """Per-category running mean — Section V-B's "average of the
     previous completed submissions".
@@ -106,44 +96,11 @@ class MeanEstimator:
         return self._sums[category] / n
 
 
-class EWMAEstimator:
-    """Per-category exponentially weighted moving average.
-
-    Tracks drifting workloads (e.g. a problem whose submissions get
-    heavier as students attempt harder approaches) better than the
-    plain mean.
-    """
-
-    def __init__(self, alpha: float = 0.2, default: float = 10.0,
-                 key: Callable[[Task], str] = category_of) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        if default <= 0:
-            raise ValueError("default estimate must be positive")
-        self.alpha = alpha
-        self.default = default
-        self.key = key
-        self._means: dict[str, float] = {}
-
-    def estimate(self, task: Task) -> float:
-        return self._means.get(self.key(task), self.default)
-
-    def observe(self, task: Task, true_cycles: float) -> None:
-        if true_cycles <= 0:
-            raise ValueError("observed cycles must be positive")
-        cat = self.key(task)
-        prev = self._means.get(cat)
-        if prev is None:
-            self._means[cat] = true_cycles
-        else:
-            self._means[cat] = (1 - self.alpha) * prev + self.alpha * true_cycles
-
-
 class NoisyOracle:
     """True cycles × multiplicative log-normal noise — for sensitivity
     ablations: how much does LMC degrade as profiling gets worse?
 
-    ``sigma = 0`` reproduces :class:`PerfectEstimator`; noise is
+    ``sigma = 0`` returns the true cycles (the paper's assumption); noise is
     deterministic per task id, so repeated estimates of one task agree.
     """
 

@@ -12,20 +12,6 @@ import random
 from repro.models.task import Task, TaskSet
 
 
-def uniform_batch(
-    n: int, lo: float = 1.0, hi: float = 100.0, seed: int = 0
-) -> TaskSet:
-    """``n`` tasks with cycles uniform in ``[lo, hi]`` Gcycles."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not (0 < lo <= hi):
-        raise ValueError("need 0 < lo <= hi")
-    rng = random.Random(seed)
-    return TaskSet(
-        Task(cycles=rng.uniform(lo, hi), name=f"u{i}") for i in range(n)
-    )
-
-
 def lognormal_batch(
     n: int, median: float = 20.0, sigma: float = 1.0, seed: int = 0
 ) -> TaskSet:
@@ -68,13 +54,3 @@ def bimodal_batch(
         tasks.append(Task(cycles=cycles, name=f"bi{i}"))
     return TaskSet(tasks)
 
-
-def adversarial_equal_batch(n: int, cycles: float = 50.0) -> TaskSet:
-    """All tasks identical — ordering cannot help; only rate choice can.
-
-    Exercises tie-breaking paths (equal cycle counts everywhere) in the
-    sort-based algorithms and the range tree.
-    """
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    return TaskSet(Task(cycles=cycles, name=f"eq{i}") for i in range(n))

@@ -1,11 +1,10 @@
-"""Tests for the Gantt renderer, bootstrap stats, and conservative governor."""
+"""Tests for the Gantt renderer and bootstrap stats."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.gantt import render_plan_gantt, render_run_gantt
-from repro.analysis.stats import Summary, bootstrap_ci, replicate, summarise
-from repro.governors import ConservativeGovernor
+from repro.analysis.stats import Summary, bootstrap_ci
 from repro.models.rates import TABLE_II
 from repro.models.task import Task
 from repro.schedulers import wbg_plan
@@ -75,14 +74,6 @@ class TestBootstrap:
             bootstrap_ci([1.0], confidence=1.5)
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], resamples=10)
-        with pytest.raises(ValueError):
-            replicate(lambda s: 0.0, [])
-
-    def test_replicate_and_summarise(self):
-        samples = replicate(lambda seed: float(seed % 3), [0, 1, 2, 3, 4, 5])
-        assert samples == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
-        s = summarise(lambda seed: float(seed % 3), list(range(12)))
-        assert 0.0 <= s.lo <= s.mean <= s.hi <= 2.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=30))
@@ -90,34 +81,3 @@ class TestBootstrap:
         s = bootstrap_ci(samples, seed=2)
         assert s.lo - 1e-9 <= s.mean <= s.hi + 1e-9
 
-
-class TestConservativeGovernor:
-    def test_starts_low(self):
-        gov = ConservativeGovernor(TABLE_II)
-        assert gov.initial_rate() == TABLE_II.min_rate
-
-    def test_steps_up_one_level_under_load(self):
-        gov = ConservativeGovernor(TABLE_II)
-        assert gov.on_sample(0.95, 1.6) == 2.0  # not a jump to 3.0
-        assert gov.on_sample(0.95, 2.8) == 3.0
-        assert gov.on_sample(0.95, 3.0) == 3.0
-
-    def test_steps_down_when_idle(self):
-        gov = ConservativeGovernor(TABLE_II)
-        assert gov.on_sample(0.1, 2.4) == 2.0
-        assert gov.on_sample(0.1, 1.6) == 1.6
-
-    def test_hysteresis_band_holds(self):
-        gov = ConservativeGovernor(TABLE_II)
-        assert gov.on_sample(0.5, 2.4) == 2.4
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ConservativeGovernor(TABLE_II, up_threshold=0.2, down_threshold=0.8)
-
-    def test_climbs_to_max_under_sustained_load(self):
-        gov = ConservativeGovernor(TABLE_II)
-        rate = gov.initial_rate()
-        for _ in range(10):
-            rate = gov.on_sample(1.0, rate)
-        assert rate == TABLE_II.max_rate

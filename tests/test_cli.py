@@ -84,6 +84,27 @@ class TestCommands:
         assert capsys.readouterr().out.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv", [
+        ["batch", "0"],
+        ["batch", "nan"],
+        ["frontier", "--", "-3"],
+        ["fig1", "--cores", "0"],
+        ["fig2", "--cores", "0"],
+        ["fig3", "--cores", "0"],
+        ["batch", "--cores", "0", "10"],
+        ["fig3", "--re", "nan"],
+        ["fig2", "--rt", "-1"],
+        ["ranges", "--re", "0"],
+        ["workload", "x.jsonl", "--interactive", "-1"],
+        ["workload", "x.jsonl", "--duration", "nan"],
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, argv):
+        # rejected by the parser before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["ranges", "--json", "x"],
         ["ranges", "--cores", "2"],
         ["batch", "--json", "x", "1"],

@@ -12,7 +12,6 @@ from repro.core.batch_multi import (
     WorkloadBasedGreedy,
     brute_force_multi_core,
     schedule_homogeneous_round_robin,
-    schedule_multi_core,
 )
 import repro.models.vectorized as vectorized
 from repro.models.cost import CostModel
@@ -156,13 +155,6 @@ class TestOptimalCostFastPath:
         fast = wbg.optimal_cost(tasks)
         full = total_cost([model] * n_cores, wbg.schedule(tasks))
         assert fast == pytest.approx(full, rel=1e-9, abs=1e-9)
-
-
-def test_schedule_multi_core_convenience(batch_model):
-    tasks = [Task(cycles=float(c)) for c in (5, 1, 3)]
-    schedules = schedule_multi_core(tasks, [batch_model] * 2)
-    assert len(schedules) == 2
-    assert sum(len(s) for s in schedules) == 3
 
 
 def test_brute_force_guard(batch_model):

@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.governors import (
-    OnDemandGovernor,
-    PerformanceGovernor,
-    PowerSavingGovernor,
-    UserspaceGovernor,
-)
+from repro.governors import OnDemandGovernor, PowerSavingGovernor
 from repro.models.rates import TABLE_II
 
 
@@ -26,17 +21,6 @@ class TestOnDemand:
 
     def test_initial_rate_is_max(self):
         assert OnDemandGovernor(TABLE_II).initial_rate() == 3.0
-
-    def test_custom_threshold(self):
-        gov = OnDemandGovernor(TABLE_II, threshold=0.5)
-        assert gov.on_sample(0.6, 1.6) == 3.0
-        assert gov.on_sample(0.4, 2.0) == 1.6
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            OnDemandGovernor(TABLE_II, threshold=0.0)
-        with pytest.raises(ValueError):
-            OnDemandGovernor(TABLE_II, threshold=1.5)
 
     def test_load_validation(self):
         gov = OnDemandGovernor(TABLE_II)
@@ -62,7 +46,6 @@ class TestPowerSaving:
     def test_menu_is_lower_half(self):
         gov = PowerSavingGovernor(TABLE_II)
         assert gov.available_rates() == (1.6, 2.0, 2.4)
-        assert gov.restricted_table.rates == (1.6, 2.0, 2.4)
 
     def test_full_load_pins_restricted_max(self):
         gov = PowerSavingGovernor(TABLE_II)
@@ -81,29 +64,3 @@ class TestPowerSaving:
         gov = PowerSavingGovernor(TABLE_II)
         assert gov.on_sample(0.2, 3.0) in gov.available_rates()
 
-
-class TestUserspace:
-    def test_holds_fixed_rate(self):
-        gov = UserspaceGovernor(TABLE_II, rate=2.4)
-        assert gov.initial_rate() == 2.4
-        assert gov.on_sample(1.0, 2.4) == 2.4
-        assert gov.on_sample(0.0, 2.4) == 2.4
-
-    def test_set_speed(self):
-        gov = UserspaceGovernor(TABLE_II)
-        gov.set_speed(1.6)
-        assert gov.on_sample(1.0, 3.0) == 1.6
-
-    def test_rejects_foreign_rate(self):
-        with pytest.raises(KeyError):
-            UserspaceGovernor(TABLE_II, rate=2.5)
-        gov = UserspaceGovernor(TABLE_II)
-        with pytest.raises(KeyError):
-            gov.set_speed(9.9)
-
-
-class TestPerformance:
-    def test_always_max(self):
-        gov = PerformanceGovernor(TABLE_II)
-        for load in (0.0, 0.5, 1.0):
-            assert gov.on_sample(load, 1.6) == 3.0

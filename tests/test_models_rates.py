@@ -87,12 +87,6 @@ class TestRateTableQueries:
         assert TABLE_II.power(1.6) == pytest.approx(3.375 / 0.625)
         assert TABLE_II.power(3.0) == pytest.approx(7.1 / 0.33)
 
-    def test_step_up_down(self):
-        assert TABLE_II.step_down(2.4) == 2.0
-        assert TABLE_II.step_up(2.4) == 2.8
-        assert TABLE_II.step_down(1.6) == 1.6  # clamps at bottom
-        assert TABLE_II.step_up(3.0) == 3.0  # clamps at top
-
     def test_items_ascending(self):
         triples = TABLE_II.items()
         assert [p for p, _, _ in triples] == sorted(p for p, _, _ in triples)
@@ -158,14 +152,6 @@ class TestRateTableProperties:
         assert all(a < b for a, b in zip(es, es[1:]))
         ts = table.time_per_cycle
         assert all(a > b for a, b in zip(ts, ts[1:]))
-
-    @given(rate_tables())
-    def test_step_functions_stay_in_table(self, table):
-        for p in table.rates:
-            assert table.step_up(p) in table
-            assert table.step_down(p) in table
-            assert table.step_up(p) >= p
-            assert table.step_down(p) <= p
 
     @given(rate_tables(min_rates=2))
     def test_lower_half_is_strict_prefix(self, table):

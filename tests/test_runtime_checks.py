@@ -15,7 +15,6 @@ import repro.core.budget as budget
 from repro.core.batch_multi import WorkloadBasedGreedy
 from repro.core.batch_single import brute_force_single_core
 from repro.core.dynamic import DynamicCostIndex
-from repro.core.weighted import WeightedTask
 from repro.models.cost import CoreSchedule, CostModel, Placement
 from repro.models.rates import TABLE_II
 from repro.models.task import Task, TaskKind
@@ -53,12 +52,6 @@ class TestBruteForceSingleCore:
         model = CostModel(TABLE_II, 1e300, 1e300)
         with pytest.raises(ValueError, match="finite cost"):
             brute_force_single_core([Task(cycles=1e10)], model)
-
-
-class TestWeighted:
-    def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError, match="weight must be positive"):
-            WeightedTask(Task(cycles=1.0), weight=math.nan)
 
 
 class TestYDS:

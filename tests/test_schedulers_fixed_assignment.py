@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.governors import PerformanceGovernor
+from repro.governors import Governor
 from repro.models.cost import CoreSchedule, Placement
 from repro.models.rates import TABLE_II
 from repro.models.task import Task, TaskKind
 from repro.schedulers import FixedAssignmentScheduler, olb_plan
 from repro.simulator import run_batch, run_online
+
+
+class MaxGovernor(Governor):
+    """Always the table maximum, whatever the load."""
+
+    def on_sample(self, load, current_rate):
+        return self.table.max_rate
 
 
 def as_trace(plan):
@@ -40,12 +47,12 @@ class TestConstruction:
 
 class TestReplayFidelity:
     def test_replay_matches_batch_runner_at_max_rate(self):
-        """Same lanes, performance governor ⇒ identical costs both ways."""
+        """Same lanes, max-rate governor ⇒ identical costs both ways."""
         tasks = [Task(cycles=float(c), name=f"t{c}") for c in (40, 10, 70, 25, 55)]
         plan = olb_plan(tasks, TABLE_II, 2)  # fixed max-rate plan
         batch = run_batch(plan, TABLE_II).cost(0.1, 0.4)
 
-        governors = [PerformanceGovernor(TABLE_II) for _ in range(2)]
+        governors = [MaxGovernor(TABLE_II) for _ in range(2)]
         online = run_online(
             as_trace(plan), FixedAssignmentScheduler(plan), TABLE_II,
             governors=governors,
@@ -58,7 +65,7 @@ class TestReplayFidelity:
     def test_lane_order_respected(self):
         t1, t2 = Task(cycles=30.0, name="first"), Task(cycles=1.0, name="second")
         plan = [CoreSchedule([Placement(t1, 3.0), Placement(t2, 3.0)], core_index=0)]
-        governors = [PerformanceGovernor(TABLE_II)]
+        governors = [MaxGovernor(TABLE_II)]
         res = run_online(as_trace(plan), FixedAssignmentScheduler(plan), TABLE_II,
                          governors=governors)
         by_name = {r.task.name: r for r in res.records}
@@ -68,7 +75,7 @@ class TestReplayFidelity:
     def test_all_tasks_complete_across_cores(self):
         tasks = [Task(cycles=float(5 + i)) for i in range(9)]
         plan = olb_plan(tasks, TABLE_II, 3)
-        governors = [PerformanceGovernor(TABLE_II) for _ in range(3)]
+        governors = [MaxGovernor(TABLE_II) for _ in range(3)]
         res = run_online(as_trace(plan), FixedAssignmentScheduler(plan), TABLE_II,
                          governors=governors)
         assert len(res.records) == 9

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.governors import ConservativeGovernor, OnDemandGovernor, PerformanceGovernor
+from repro.governors import Governor, OnDemandGovernor
 from repro.models.rates import TABLE_II, RateTable
 from repro.models.task import Task, TaskKind
 from repro.schedulers import LMCOnlineScheduler, OLBOnlineScheduler, OnDemandRoundRobinScheduler
@@ -19,6 +19,24 @@ def ni(cycles, arrival, name=""):
 
 def inter(cycles, arrival, name=""):
     return Task(cycles=cycles, arrival=arrival, kind=TaskKind.INTERACTIVE, name=name)
+
+
+class MaxGovernor(Governor):
+    """Always the table maximum, whatever the load."""
+
+    def on_sample(self, load, current_rate):
+        return self.table.max_rate
+
+
+class StepUpGovernor(Governor):
+    """Starts at the table minimum and climbs one level per sample."""
+
+    def initial_rate(self):
+        return self.table.min_rate
+
+    def on_sample(self, load, current_rate):
+        rates = self.table.rates
+        return rates[min(len(rates) - 1, rates.index(current_rate) + 1)]
 
 
 class TestSimultaneousEvents:
@@ -75,16 +93,17 @@ class TestPreemptionChains:
 class TestGovernorEdgeCases:
     def test_performance_governor_is_max_everywhere(self):
         trace = [ni(10.0, 0.0), ni(10.0, 40.0)]
-        governors = [PerformanceGovernor(TABLE_II)]
+        governors = [MaxGovernor(TABLE_II)]
         res = run_online(trace, OnDemandRoundRobinScheduler(1), TABLE_II,
                          governors=governors)
         for rec in res.records:
             assert rec.energy_joules == pytest.approx(10.0 * TABLE_II.energy(3.0))
 
     def test_conservative_climbs_slowly(self):
-        # long task starting from the conservative governor's low initial rate
+        # long task starting from the table minimum; each tick raises the
+        # running task's rate one level mid-task
         trace = [ni(60.0, 0.0)]
-        governors = [ConservativeGovernor(TABLE_II)]
+        governors = [StepUpGovernor(TABLE_II)]
         res = run_online(trace, OnDemandRoundRobinScheduler(1), TABLE_II,
                          governors=governors)
         rec = res.records[0]
@@ -169,7 +188,7 @@ class TestCoreViewSnapshot:
 
         trace = [ni(10.0, 0.0), ni(1.0, 2.0)]
         run_online(trace, Spy(1), TABLE_II,
-                   governors=[PerformanceGovernor(TABLE_II)])
+                   governors=[MaxGovernor(TABLE_II)])
         # second arrival at t=2: first task ran 2 s at 3 GHz → ~6.06 Gc done
         assert observed[1][0] == pytest.approx(10.0 - 2.0 / 0.33, rel=1e-6)
 

@@ -223,3 +223,31 @@ class TestValidation:
         res = run_online([], LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1), TABLE_II)
         assert res.records == []
         assert res.horizon == 0.0
+
+
+class TestQoSMetrics:
+    """Deadline/QoS metrics of OnlineResult (Section II-A deadlines)."""
+
+    def test_miss_rate_and_percentiles(self):
+        # one slow query stuck behind another → the second misses a 0.5 s SLO
+        tasks = [
+            Task(cycles=1.0, arrival=0.0, deadline=0.5, kind=TaskKind.INTERACTIVE),
+            Task(cycles=1.0, arrival=0.0, deadline=0.35, kind=TaskKind.INTERACTIVE),
+        ]
+        res = run_online(tasks, LMCOnlineScheduler(TABLE_II, 1, 0.4, 0.1), TABLE_II)
+        # completion times: 0.33 and 0.66 → the second (deadline 0.35 or 0.5
+        # depending on queueing order) — exactly one miss either way
+        assert res.deadline_misses(TaskKind.INTERACTIVE) == 1
+        assert res.deadline_miss_rate(TaskKind.INTERACTIVE) == pytest.approx(0.5)
+        p100 = res.response_percentile(TaskKind.INTERACTIVE, 1.0)
+        p0 = res.response_percentile(TaskKind.INTERACTIVE, 0.0)
+        assert p100 >= p0 >= 0.0
+        with pytest.raises(ValueError):
+            res.response_percentile(TaskKind.INTERACTIVE, 1.5)
+
+    def test_no_deadline_tasks_never_miss(self):
+        tasks = [Task(cycles=5.0, arrival=0.0, kind=TaskKind.NONINTERACTIVE)]
+        res = run_online(tasks, LMCOnlineScheduler(TABLE_II, 1, 0.4, 0.1), TABLE_II)
+        assert res.deadline_misses() == 0
+        assert res.deadline_miss_rate() == 0.0
+        assert res.response_percentile(TaskKind.INTERACTIVE, 0.99) == 0.0

@@ -14,12 +14,7 @@ from repro.workloads.spec import (
     spec_cycles,
     spec_tasks,
 )
-from repro.workloads.synthetic import (
-    adversarial_equal_batch,
-    bimodal_batch,
-    lognormal_batch,
-    uniform_batch,
-)
+from repro.workloads.synthetic import bimodal_batch, lognormal_batch
 from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     JudgeTraceConfig,
@@ -91,25 +86,6 @@ class TestSpecTableI:
 
 
 class TestSyntheticBatches:
-    def test_uniform_bounds_and_determinism(self):
-        a = uniform_batch(50, lo=2.0, hi=9.0, seed=5)
-        b = uniform_batch(50, lo=2.0, hi=9.0, seed=5)
-        assert [t.cycles for t in a] == [t.cycles for t in b]
-        assert all(2.0 <= t.cycles <= 9.0 for t in a)
-
-    def test_uniform_different_seeds_differ(self):
-        a = uniform_batch(20, seed=1)
-        b = uniform_batch(20, seed=2)
-        assert [t.cycles for t in a] != [t.cycles for t in b]
-
-    def test_uniform_validation(self):
-        with pytest.raises(ValueError):
-            uniform_batch(-1)
-        with pytest.raises(ValueError):
-            uniform_batch(5, lo=0.0)
-        with pytest.raises(ValueError):
-            uniform_batch(5, lo=10.0, hi=1.0)
-
     def test_lognormal_positive_and_heavy_tailed(self):
         ts = lognormal_batch(500, median=10.0, sigma=1.2, seed=0)
         values = sorted(t.cycles for t in ts)
@@ -135,12 +111,6 @@ class TestSyntheticBatches:
             bimodal_batch(5, large_fraction=1.5)
         with pytest.raises(ValueError):
             bimodal_batch(5, jitter=1.0)
-
-    def test_adversarial_equal(self):
-        ts = adversarial_equal_batch(10, cycles=3.0)
-        assert all(t.cycles == 3.0 for t in ts)
-        with pytest.raises(ValueError):
-            adversarial_equal_batch(5, cycles=0.0)
 
 
 class TestJudgeTrace:

@@ -8,11 +8,9 @@ from repro.models.task import Task, TaskKind
 from repro.schedulers import LMCOnlineScheduler
 from repro.simulator import run_online
 from repro.workloads import (
-    EWMAEstimator,
     JudgeTraceConfig,
     MeanEstimator,
     NoisyOracle,
-    PerfectEstimator,
     generate_judge_trace,
 )
 from repro.workloads.estimation import category_of
@@ -58,28 +56,6 @@ class TestMeanEstimator:
         assert est.estimate(named("t/p1")) == pytest.approx(sum(values) / len(values))
 
 
-class TestEWMAEstimator:
-    def test_first_observation_snaps(self):
-        est = EWMAEstimator(alpha=0.5, default=7.0)
-        est.observe(named("s/p1"), 100.0)
-        assert est.estimate(named("t/p1")) == 100.0
-
-    def test_tracks_drift(self):
-        est = EWMAEstimator(alpha=0.5)
-        for v in (10.0, 10.0, 10.0, 100.0, 100.0, 100.0):
-            est.observe(named("s/p1"), v)
-        # converging toward 100, past the plain mean (55)
-        assert est.estimate(named("t/p1")) > 80.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EWMAEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            EWMAEstimator(alpha=1.5)
-        with pytest.raises(ValueError):
-            EWMAEstimator(default=-1.0)
-
-
 class TestNoisyOracle:
     def test_zero_sigma_is_exact(self):
         t = named("x", cycles=42.0)
@@ -114,9 +90,10 @@ class TestEndToEndEstimation:
         base = run_online(
             small_trace, LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1), TABLE_II
         )
+        # sigma 0: every estimate is the true cycle count
         perfect = run_online(
             small_trace,
-            LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1, estimator=PerfectEstimator()),
+            LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1, estimator=NoisyOracle(0.0)),
             TABLE_II,
         )
         assert base.cost(0.4, 0.1).total_cost == pytest.approx(
