@@ -68,6 +68,11 @@ class LMCOnlineScheduler:
             (q.tree, m.table.energy_per_cycle[-1], m.table.time_per_cycle[-1])
             for q, m in zip(self.policy.queues, models)
         )
+        # each core's interactive rate and rate → T(p) map, read per arrival
+        self._interactive_rates = tuple(self.policy.interactive_rate(j)
+                                        for j in range(n_cores))
+        self._time_of = tuple(dict(zip(m.table.rates, m.table.time_per_cycle))
+                              for m in models)
 
     def _cycles(self, task: Task) -> float:
         if self.estimator is None:
@@ -122,8 +127,8 @@ class LMCOnlineScheduler:
         # the running task plus any preempted task, at the core's current rate
         head_delays = [
             (v.running_remaining_cycles + v.preempted_remaining_cycles)
-            * self.policy.models[j].table.time(v.current_rate)
-            for j, v in enumerate(views)
+            * time_of[v.current_rate]
+            for time_of, v in zip(self._time_of, views)
         ]
         return self.policy.choose_core_noninteractive(self._cycles(task), head_delays,
                                                       task=task)
@@ -144,7 +149,7 @@ class LMCOnlineScheduler:
 
     def rate_for_interactive(self, core: int, task: Task) -> Optional[float]:
         """The paper's interactive rate (maximum frequency, Section IV-C)."""
-        return self.policy.interactive_rate(core)
+        return self._interactive_rates[core]
 
     def on_complete(self, core: int, task: Task) -> None:
         """Completion feedback: teach the estimator the true cycle count."""

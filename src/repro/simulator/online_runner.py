@@ -25,7 +25,8 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Protocol, Sequence
 
 from repro.governors.base import Governor
@@ -40,55 +41,64 @@ from repro.simulator.platform import SimCore, TaskExecution
 #: before it is stopped as a runaway loop.
 MAX_EVENTS = 50_000_000
 
+# bound once: every event tests them, and a module global reads faster
+INTERACTIVE, NONINTERACTIVE = TaskKind.INTERACTIVE, TaskKind.NONINTERACTIVE
+
 
 class CoreView:
-    """Read-only live view of one core, handed to policies at arrival time.
+    """One core of an online run: the runner's books, and the live view
+    handed to every :meth:`OnlinePolicy.select_core` call.
 
-    The runner builds one view per core per run and passes the same
-    views to every :meth:`OnlinePolicy.select_core` call. Each field is
-    computed from the core's state when it is read, at the runner's
-    current time (``clock[0]``), so a view is valid only during the
-    ``select_core`` call it was passed to.
+    Policies read the slots ``index`` and ``running_kind`` and the
+    properties below, computed when read at the runner's current time
+    (``clock[0]``), so a reading is valid only during that call. The
+    other slots (``sim``, whose running task and rate are the core's
+    own, the governor, the interactive FIFO, the preempted execution,
+    the seq of the latest completion pushed, the busy-time counters)
+    are the runner's. Policies must not write any slot.
     """
 
-    __slots__ = ("_index", "_state", "_clock")
+    __slots__ = ("index", "sim", "governor", "running_kind", "interactive_queue",
+                 "preempted", "completion", "busy_accum", "busy_since", "total_busy",
+                 "_clock")
 
-    def __init__(self, index: int, state: "_CoreState", clock: list[float]) -> None:
-        self._index = index
-        self._state = state
+    def __init__(self, index: int, sim: SimCore, governor: Optional[Governor],
+                 clock: list[float]) -> None:
+        self.index = index
+        self.sim = sim
+        self.governor = governor
+        self.running_kind: Optional[TaskKind] = None
+        self.interactive_queue: deque[Task] = deque()
+        self.preempted: Optional[TaskExecution] = None
+        self.completion: Optional[int] = None
+        self.busy_accum = 0.0
+        self.busy_since: Optional[float] = None
+        self.total_busy = 0.0
         self._clock = clock
 
     @property
-    def index(self) -> int:
-        return self._index
-
-    @property
     def current_rate(self) -> float:
-        return self._state.sim.rate
-
-    @property
-    def running_kind(self) -> Optional[TaskKind]:
-        return self._state.running_kind
+        return self.sim.rate
 
     @property
     def running_remaining_cycles(self) -> float:
-        return self._state.sim.remaining_at(self._clock[0])
+        return self.sim.remaining_at(self._clock[0])
 
     @property
     def preempted_remaining_cycles(self) -> float:
-        preempted = self._state.preempted
+        preempted = self.preempted
         return preempted.remaining_cycles if preempted is not None else 0.0
 
     @property
     def interactive_waiting(self) -> int:
-        return len(self._state.interactive_queue)
+        return len(self.interactive_queue)
 
     @property
     def interactive_backlog_cycles(self) -> float:
-        return sum(t.cycles for t in self._state.interactive_queue)
+        return sum(t.cycles for t in self.interactive_queue)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CoreView({self._index}, rate={self.current_rate!r}, "
+        return (f"CoreView({self.index}, rate={self.current_rate!r}, "
                 f"running={self.running_kind}, waiting={self.interactive_waiting})")
 
 
@@ -252,22 +262,6 @@ class OnlineResult:
         return rs[idx]
 
 
-@dataclass
-class _CoreState:
-    """The runner's books for one core; its running task and rate are
-    the :class:`SimCore`'s own (``sim.current``, ``sim.rate``)."""
-
-    sim: SimCore
-    governor: Optional[Governor]
-    running_kind: Optional[TaskKind] = None
-    interactive_queue: deque = field(default_factory=deque)
-    preempted: Optional[TaskExecution] = None
-    completion: Optional[int] = None  # seq of the latest completion entry pushed
-    busy_accum: float = 0.0
-    busy_since: Optional[float] = None
-    total_busy: float = 0.0
-
-
 def run_online(
     trace: Sequence[Task],
     policy: OnlinePolicy,
@@ -320,12 +314,18 @@ def run_online(
                 f"governor {j}: sampling_period must be positive and finite, got {period!r}"
             )
 
-    cores: list[_CoreState] = []
+    now = 0.0
+    # the views read each core lazily, at the arrival's time: a core is
+    # advanced only by its own state changes (start, set_rate, preempt,
+    # complete), never for another core's event
+    clock = [now]
+    cores: list[CoreView] = []
     for j, table in enumerate(table_list):
         gov = governors[j] if governors is not None else None
         sc = SimCore(j, table)
         sc.rate = gov.initial_rate() if gov is not None else table.max_rate
-        cores.append(_CoreState(sim=sc, governor=gov))
+        cores.append(CoreView(j, sc, gov, clock))
+    core_views = tuple(cores)
 
     records: list[OnlineTaskRecord] = []
     outstanding = len(trace)  # tasks arrived-or-future and not yet completed
@@ -334,18 +334,11 @@ def run_online(
     heappop = heapq.heappop
     next_seq = itertools.count().__next__
     max_events = MAX_EVENTS
-    now = 0.0
     events = 0
 
     # ---- helpers -------------------------------------------------------------
-    sim_cores = [cs.sim for cs in cores]
     # optional completion feedback (estimators learn from it), looked up once
     on_complete_hook = getattr(policy, "on_complete", None)
-    # the views read each core lazily, at the arrival's time: a core is
-    # advanced only by its own state changes (start, set_rate, preempt,
-    # complete), never for another core's event
-    clock = [now]
-    core_views = tuple(CoreView(j, cs, clock) for j, cs in enumerate(cores))
 
     def schedule_completion(j: int) -> None:
         """Queue the running task's completion; it supersedes any earlier one."""
@@ -360,27 +353,24 @@ def run_online(
         if t_done < now - STRICT_ABS_TOL:
             raise ValueError(f"cannot schedule in the past: t={t_done} < now={now}")
         seq = next_seq()
-        heappush(heap, (max(t_done, now), seq, j))
+        heappush(heap, (now if now > t_done else t_done, seq, j))
         cs.completion = seq
 
+    def emit_rate(j: int, rate: float, prev_rate: float) -> None:
+        tracer.emit("sim.rate",
+                    {"time": now, "core": j, "rate": rate, "prev_rate": prev_rate},
+                    time=now)
+
     def set_core_rate(j: int, rate: float) -> None:
-        sc = sim_cores[j]
+        sc = cores[j].sim
         prev_rate = sc.rate
         if rate == prev_rate:
             return
         if tracer is not None:
-            tracer.emit("sim.rate",
-                        {"time": now, "core": j, "rate": rate,
-                         "prev_rate": prev_rate},
-                        time=now)
+            emit_rate(j, rate, prev_rate)
         sc.set_rate(rate, now)
         if sc.current is not None:
             schedule_completion(j)
-
-    def mark_busy(j: int) -> None:
-        cs = cores[j]
-        if cs.busy_since is None:
-            cs.busy_since = now
 
     def mark_idle(j: int) -> None:
         cs = cores[j]
@@ -392,6 +382,7 @@ def run_online(
 
     def start_execution(j: int, execution: TaskExecution, kind: TaskKind,
                         rate: Optional[float]) -> None:
+        """Start ``execution`` on idle core ``j`` at ``rate`` (None: the core's)."""
         cs = cores[j]
         sc = cs.sim
         if sc.current is not None:
@@ -399,9 +390,11 @@ def run_online(
                 f"core {j}: cannot start task {execution.task.task_id} at t={now!r} "
                 f"while task {sc.current.task.task_id} is running"
             )
-        if rate is not None:
-            set_core_rate(j, rate)
-        sc.start(execution, sc.rate, now)
+        if rate is None:
+            rate = sc.rate
+        elif tracer is not None and rate != sc.rate:
+            emit_rate(j, rate, sc.rate)
+        sc.start(execution, rate, now)
         cs.running_kind = kind
         if tracer is not None:
             tracer.emit("sim.dispatch",
@@ -409,7 +402,8 @@ def run_online(
                          "task": execution.task.name, "task_kind": kind.name,
                          "rate": sc.rate},
                         time=now)
-        mark_busy(j)
+        if cs.busy_since is None:
+            cs.busy_since = now
         schedule_completion(j)
 
     def start_next(j: int) -> None:
@@ -424,19 +418,18 @@ def run_online(
         if cs.interactive_queue:
             task = cs.interactive_queue.popleft()
             execution = TaskExecution(task=task, remaining_cycles=task.cycles)
-            start_execution(j, execution, TaskKind.INTERACTIVE,
-                            policy.rate_for_interactive(j, task))
+            start_execution(j, execution, INTERACTIVE, policy.rate_for_interactive(j, task))
             return
         if cs.preempted is not None:
             execution = cs.preempted
             cs.preempted = None
-            start_execution(j, execution, TaskKind.NONINTERACTIVE,
+            start_execution(j, execution, NONINTERACTIVE,
                             policy.rate_for_noninteractive(j, execution.task))
             return
         task = policy.dequeue_noninteractive(j)
         if task is not None:
             execution = TaskExecution(task=task, remaining_cycles=task.cycles)
-            start_execution(j, execution, TaskKind.NONINTERACTIVE,
+            start_execution(j, execution, NONINTERACTIVE,
                             policy.rate_for_noninteractive(j, task))
             return
         mark_idle(j)
@@ -477,13 +470,13 @@ def run_online(
         cs = cores[j]
         sc = cs.sim
         running = sc.current
-        if task.kind is TaskKind.INTERACTIVE:
-            if cs.running_kind is TaskKind.NONINTERACTIVE and sc.finished_by(now):
+        if task.kind is INTERACTIVE:
+            if cs.running_kind is NONINTERACTIVE and sc.finished_by(now):
                 # the running task finishes at exactly this instant; its
                 # completion event is already queued behind this arrival —
                 # queue up rather than preempting a zero-cycle remainder.
                 cs.interactive_queue.append(task)
-            elif cs.running_kind is TaskKind.NONINTERACTIVE:
+            elif cs.running_kind is NONINTERACTIVE:
                 # preempt the lower-priority task (Section IV mechanics)
                 if cs.preempted is not None:
                     raise RuntimeError(
@@ -502,19 +495,17 @@ def run_online(
                                 time=now)
                 cs.running_kind = None
                 execution = TaskExecution(task=task, remaining_cycles=task.cycles)
-                start_execution(j, execution, TaskKind.INTERACTIVE,
-                                policy.rate_for_interactive(j, task))
-            elif cs.running_kind is TaskKind.INTERACTIVE:
+                start_execution(j, execution, INTERACTIVE, policy.rate_for_interactive(j, task))
+            elif cs.running_kind is INTERACTIVE:
                 cs.interactive_queue.append(task)
             else:
                 execution = TaskExecution(task=task, remaining_cycles=task.cycles)
-                start_execution(j, execution, TaskKind.INTERACTIVE,
-                                policy.rate_for_interactive(j, task))
+                start_execution(j, execution, INTERACTIVE, policy.rate_for_interactive(j, task))
         else:
             policy.enqueue_noninteractive(j, task)
             if running is None:
                 start_next(j)
-            elif cs.running_kind is TaskKind.NONINTERACTIVE and not sc.finished_by(now):
+            elif cs.running_kind is NONINTERACTIVE and not sc.finished_by(now):
                 # queue membership changed → the running task's positional
                 # rate may change ("adjusted according to C(k, p_k)")
                 new_rate = policy.rate_for_noninteractive(j, running.task)
@@ -558,11 +549,12 @@ def run_online(
     # ---- run: arrivals stream past the heap, which holds completions and ticks ----
     for j, period in enumerate(periods):
         heappush(heap, (now + period, next_seq(), ~j))
-    for task in sorted(trace, key=lambda t: (t.arrival, t.task_id)):
+    for task in sorted(trace, key=attrgetter("arrival", "task_id")):
         time = task.arrival
         if not time >= now:
             raise ValueError(f"stream out of order: t={time} < now={now}")
-        fire_queued(time)
+        if heap and heap[0][0] < time:
+            fire_queued(time)
         now = time
         events += 1
         if events > max_events:

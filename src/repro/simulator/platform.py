@@ -17,9 +17,9 @@ update, and :meth:`SimCore.remaining_at` and :meth:`SimCore.finished_by`
 read it at any instant without integrating.
 
 The effective seconds per cycle and the busy watts depend only on the
-(rate, co-runner count) state, so the core caches both and recomputes
-them when that state changes; :meth:`SimCore.advance` then integrates
-with two cached floats and no table lookup.
+(rate, co-runner count) state, so the core computes both on its first
+entry to a state and looks them up on every later one;
+:meth:`SimCore.advance` integrates with the two cached floats.
 
 Energy is booked as ``busy power × wall time`` — the physically correct
 reading a wall meter gives — so contention-stretched executions cost
@@ -54,10 +54,11 @@ def finish_tolerance(cycles: float, now: float, time_per_cycle: float) -> float:
     thus fall short of its exact cycle count by this many cycles' worth,
     and its busy time never exceeds the wall span it ran in.
     """
-    return CYCLE_EPS * max(1.0, cycles) + CLOCK_ULPS * math.ulp(now) / time_per_cycle
+    return (CYCLE_EPS * (cycles if cycles > 1.0 else 1.0)
+            + CLOCK_ULPS * math.ulp(now) / time_per_cycle)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskExecution:
     """Mutable execution state of one task instance on (at most) one core."""
 
@@ -78,12 +79,9 @@ class TaskExecution:
         # Relative to the task's size: progress is integrated piecewise
         # (one subtraction per rate switch / governor sample), so the
         # residual at the scheduled completion instant scales with the
-        # cycle count, not with any fixed epsilon.
-        return remaining_cycles <= CYCLE_EPS * max(1.0, self.task.cycles)
-
-    @property
-    def total_cycles(self) -> float:
-        return self.task.cycles
+        # cycle count, not with any fixed epsilon (``max(1.0, c)``, unrolled).
+        cycles = self.task.cycles
+        return remaining_cycles <= CYCLE_EPS * (cycles if cycles > 1.0 else 1.0)
 
 
 class SimCore:
@@ -97,6 +95,8 @@ class SimCore:
         self.contention = contention
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
+        # (time_per_cycle, busy_watts) of each (rate, co-runners) entered
+        self._constants: dict[tuple[float, int], tuple[float, float]] = {}
         self._set_state(table.min_rate, 0)
 
     # -- state queries ------------------------------------------------------------
@@ -115,16 +115,18 @@ class SimCore:
             self._set_state(rate, self._co_runners)
 
     def _set_state(self, rate: float, co_runners: int) -> None:
-        """Enter (rate, co-runners) and recompute the cached constants for it."""
-        i = self.table.index_of(rate)  # validates the rate
-        nominal = self.table.time_per_cycle[i]
-        if self.contention.is_ideal:
-            self._time_per_cycle = nominal
-        else:
-            self._time_per_cycle = self.contention.effective_time_per_cycle(
-                nominal, self.table.time_per_cycle[0], co_runners
-            )
-        self._busy_watts = self.table.energy_per_cycle[i] / nominal
+        """Enter (rate, co-runners) with its constants, computed on first entry."""
+        constants = self._constants.get((rate, co_runners))
+        if constants is None:
+            table = self.table
+            i = table.index_of(rate)  # validates the rate
+            nominal = table.time_per_cycle[i]
+            # NO_CONTENTION returns ``nominal`` exactly (t·1.0 + 0.0·t)
+            constants = self._constants[rate, co_runners] = (
+                self.contention.effective_time_per_cycle(nominal, table.time_per_cycle[0],
+                                                         co_runners),
+                table.energy_per_cycle[i] / nominal)
+        self._time_per_cycle, self._busy_watts = constants
         self._rate = rate
         self._co_runners = co_runners
 
@@ -238,9 +240,10 @@ class SimCore:
         self.advance(now)
         if self.current is not None:
             raise RuntimeError(f"core {self.index} is already busy")
-        if execution.done:
+        if execution.done_with(execution.remaining_cycles):
             raise ValueError("cannot start a finished execution")
-        self.rate = rate
+        if rate != self._rate:
+            self._set_state(rate, self._co_runners)
         self.current = execution
         if execution.started_at is None:
             execution.started_at = now

@@ -220,7 +220,10 @@ def check_online_result(
       fits inside the record's span;
     * total energy is the sum of per-record energy, and — when the rate
       tables are supplied — each record's energy and busy time lie
-      within the physical bounds of its core's slowest/fastest rate.
+      within the physical bounds of its core's slowest/fastest rate;
+    * every output is finite: the run's energy and horizon, and each
+      record's finish, energy and busy time (a bound of ``inf`` would
+      otherwise admit an ``inf`` reading).
     """
     report = InvariantReport(subject="online-result")
 
@@ -297,6 +300,17 @@ def check_online_result(
     horizon = max((r.finish for r in result.records), default=0.0)
     report.record("horizon-is-max-finish", _close(result.horizon, horizon, abs_tol=ABS_TOL),
                   f"horizon {result.horizon!r} != max finish {horizon!r}")
+    isfinite = math.isfinite
+    non_finite = [f"result {name}={value!r}"
+                  for name, value in (("energy_joules", result.energy_joules),
+                                      ("horizon", result.horizon))
+                  if not isfinite(value)]
+    for r in result.records:
+        for name, value in (("finish", r.finish), ("energy_joules", r.energy_joules),
+                            ("busy_seconds", r.busy_seconds)):
+            if not isfinite(value):
+                non_finite.append(f"task {r.task.task_id}: {name}={value!r}")
+    report.record("finite-outputs", not non_finite, "; ".join(non_finite[:5]))
 
     return report
 

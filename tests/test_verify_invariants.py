@@ -99,6 +99,19 @@ class TestOnlinePolicies:
         assert "record-energy-bounds" in failed
         assert "energy-sum" in failed
 
+    def test_infinite_energy_trips_finite_outputs(self):
+        # finite input, infinite output: 1e308 cycles finish at a finite
+        # time, but watts × seconds overflows, and the energy bounds
+        # (cycles × E(p), also inf) admit it
+        trace = [Task(cycles=1e308, kind=TaskKind.NONINTERACTIVE)]
+        result = run_online(trace, LMCOnlineScheduler(TABLE_II, N_CORES, RE, RT), TABLE_II)
+        assert result.energy_joules == float("inf")
+        report = check_online_result(trace, result, N_CORES, [TABLE_II] * N_CORES)
+        assert [v.check for v in report.violations] == ["finite-outputs"]
+        detail = report.violations[0].detail
+        assert "result energy_joules=inf" in detail
+        assert f"task {trace[0].task_id}: energy_joules=inf" in detail
+
     def test_raise_if_failed(self, shared_trace):
         result = run_online(
             shared_trace, OLBOnlineScheduler(TABLE_II, N_CORES), [TABLE_II] * N_CORES
